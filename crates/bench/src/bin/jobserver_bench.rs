@@ -8,6 +8,9 @@
 //! ```text
 //! cargo run --release -p mkp-bench --bin jobserver_bench [-- --smoke] [--json PATH]
 //! ```
+//!
+//! The JSON report goes to `results/jobserver-bench.json`, or to
+//! `results/jobserver-bench-smoke.json` with `--smoke`.
 
 use mkp::generate::{gk_instance, GkSpec};
 use parallel_tabu::{
@@ -29,16 +32,16 @@ fn percentile(sorted_ms: &[f64], pct: f64) -> f64 {
 
 fn main() {
     let mut smoke = false;
-    let mut json_path = "results/jobserver-bench.json".to_string();
+    let mut json_path = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--json" => {
-                json_path = args.next().unwrap_or_else(|| {
+                json_path = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--json requires a path");
                     std::process::exit(2);
-                });
+                }));
             }
             other => {
                 eprintln!("unknown argument {other:?}");
@@ -46,6 +49,14 @@ fn main() {
             }
         }
     }
+    // A smoke run never overwrites the committed full-run figures.
+    let json_path = json_path.unwrap_or_else(|| {
+        if smoke {
+            "results/jobserver-bench-smoke.json".to_string()
+        } else {
+            "results/jobserver-bench.json".to_string()
+        }
+    });
     // Offered load: enough jobs that the queue develops real depth, with
     // arrivals faster than the farm drains them so time-slicing (not
     // admission idling) is what the latency numbers measure.

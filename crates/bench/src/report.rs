@@ -4,9 +4,11 @@
 //! produced `results/kernels-smoke.json` against the committed
 //! `results/kernels-baseline.json`. Both files are written by
 //! [`crate::harness::Harness::finish`]; this module holds the reader for
-//! that format (a purpose-built parser — the build is registry-free, so
-//! no serde) and the median-ratio comparison the gate enforces.
+//! that format (on top of the workspace's JSON reader — the build is
+//! registry-free, so no serde) and the median-ratio comparison the gate
+//! enforces.
 
+use parallel_tabu::Json;
 use std::fmt::Write as _;
 
 /// One benchmark entry as read back from a kernels JSON report.
@@ -44,46 +46,36 @@ impl BenchReport {
 ///
 /// Accepts exactly the `mkp-bench/kernels/v1` shape: a top-level object
 /// with a `benches` array of flat objects. Unknown keys are skipped, so
-/// additive schema growth doesn't break older readers.
+/// additive schema growth doesn't break older readers. The JSON itself is
+/// read by the workspace's one reader, [`parallel_tabu::json`].
 pub fn parse_report(text: &str) -> Result<BenchReport, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    let Json::Object(fields) = root else {
+    let root = Json::parse(text)?;
+    if !matches!(root, Json::Obj(_)) {
         return Err("top level is not an object".into());
-    };
-    let schema = match fields.iter().find(|(k, _)| k == "schema") {
-        Some((_, Json::String(s))) => s.clone(),
-        _ => return Err("missing \"schema\" string".into()),
-    };
+    }
+    let schema = root
+        .get("schema")
+        .and_then(Json::as_str)
+        .ok_or("missing \"schema\" string")?;
     if schema != "mkp-bench/kernels/v1" {
         return Err(format!("unsupported schema {schema:?}"));
     }
-    let smoke = matches!(
-        fields.iter().find(|(k, _)| k == "smoke"),
-        Some((_, Json::Bool(true)))
-    );
-    let Some((_, Json::Array(raw))) = fields.iter().find(|(k, _)| k == "benches") else {
+    let smoke = root.get("smoke") == Some(&Json::Bool(true));
+    let Some(Json::Arr(raw)) = root.get("benches") else {
         return Err("missing \"benches\" array".into());
     };
     let mut benches = Vec::with_capacity(raw.len());
     for (i, item) in raw.iter().enumerate() {
-        let Json::Object(obj) = item else {
+        if !matches!(item, Json::Obj(_)) {
             return Err(format!("benches[{i}] is not an object"));
-        };
-        let name = match obj.iter().find(|(k, _)| k == "name") {
-            Some((_, Json::String(s))) => s.clone(),
-            _ => return Err(format!("benches[{i}] missing \"name\"")),
-        };
-        let number = |key: &str| match obj.iter().find(|(k, _)| k == key) {
-            Some((_, Json::Number(x))) if x.is_finite() && *x > 0.0 => Ok(*x),
+        }
+        let name = item
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("benches[{i}] missing \"name\""))?
+            .to_string();
+        let number = |key: &str| match item.get(key) {
+            Some(Json::Num(x)) if x.is_finite() && *x > 0.0 => Ok(*x),
             _ => Err(format!("benches[{i}] ({name}) missing positive \"{key}\"")),
         };
         let median_ns = number("median_ns")?;
@@ -95,198 +87,6 @@ pub fn parse_report(text: &str) -> Result<BenchReport, String> {
         });
     }
     Ok(BenchReport { smoke, benches })
-}
-
-/// Minimal JSON value — just enough structure for the report format.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Number)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogates can't appear in the harness's own
-                            // output; map them to the replacement char.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are guaranteed well-formed).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
 }
 
 /// Verdict for one benchmark compared between baseline and fresh run.
@@ -581,6 +381,12 @@ mod tests {
         assert!(
             parse_report(r#"{"schema": "mkp-bench/kernels/v1", "benches": []} trailing"#).is_err()
         );
+    }
+
+    #[test]
+    fn a_million_open_brackets_fail_closed() {
+        let err = parse_report(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 
     #[test]

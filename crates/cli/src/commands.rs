@@ -67,8 +67,7 @@ USAGE:
   mkp generate <out.mkp> [--class gk|cb|uniform|large] [--n N] [--m M]
                [--tightness T] [--correlation C] [--seed S]
   mkp stats    <instance.mkp>
-  mkp solve    <instance.mkp> [--mode seq|its|cts1|cts2|ats|dts]
-               [--policy core|repair]
+  mkp solve    <instance.mkp> [--mode seq|its|cts1|cts2|ats|dts|core|repair]
                [--p P] [--rounds R] [--budget EVALS] [--seed S]
                [--relink true|false] [--timeout SECS] [--patience SECS]
                [--restarts N] [--backoff MS]
@@ -80,10 +79,10 @@ USAGE:
                [--net-fault SPEC]
   mkp serve    --clients unix:PATH|tcp:HOST:PORT [--slaves ADDR] [--p P]
                [--quantum ROUNDS] [--max-queue N] [--max-inflight N]
-               [--max-jobs N] [--park-mem BYTES] [--spool DIR]
+               [--max-jobs N] [--spool DIR]
                [--state-dir DIR] [--patience SECS]
   mkp submit   <instance.mkp> --connect unix:PATH|tcp:HOST:PORT
-               [--mode seq|its|cts1|cts2|ats|dts] [--policy core|repair]
+               [--mode seq|its|cts1|cts2|ats|dts|core|repair]
                [--p P] [--rounds R]
                [--budget EVALS] [--seed S] [--deadline-ms MS]
                [--attach JOB_ID] [--patience SECS]
@@ -91,12 +90,12 @@ USAGE:
   mkp validate-metrics <metrics.json>
   mkp help
 
---policy core runs CTS2 inside an LP-reduced-cost *promising core* (the
-confidently-decided variables are fixed and periodically re-identified
-from the incumbent); --policy repair runs independent randomized
-greedy-construction + feasibility-repair restarts. Both are full engine
-citizens: checkpoint/resume, --fault, --listen and --metrics work
-unchanged. --policy and --mode are mutually exclusive. --class large
+--mode takes any mode label, in any case. --mode core runs CTS2 inside an
+LP-reduced-cost *promising core* (the confidently-decided variables are
+fixed and periodically re-identified from the incumbent); --mode repair
+runs independent randomized greedy-construction + feasibility-repair
+restarts. Both are full engine citizens: checkpoint/resume, --fault,
+--listen and --metrics work unchanged. --class large
 generates the very-large benchmark class the policies target (--n in the
 thousands, --m in the hundreds, --correlation tuning the profit–weight
 coupling).
@@ -127,7 +126,10 @@ jobs (instance + mode + budget + optional --deadline-ms) to --clients and
 stream back acceptance, per-slice incumbents, and the final report. The
 scheduler time-slices one persistent farm across jobs in --quantum-round
 turns; --max-queue and --max-inflight bound admission, --max-jobs N makes
-the server exit 0 after N jobs settle (for scripted runs). Without
+the server exit 0 after N jobs settle (for scripted runs). Every park
+saves the job's snapshot to a spool directory (--spool DIR, by default a
+fresh one under the system temp dir) and every resume reads it back;
+without --state-dir the server removes its spool files on exit. Without
 --slaves the farm is an in-process pool of P workers; with --slaves ADDR
 it is P `mkp slave --connect ADDR` processes, which stay connected across
 jobs and exit 0 when the server shuts down. A submit whose job is refused
@@ -136,7 +138,7 @@ slave) whose far end goes silent exits 2, the shared degraded code.
 
 --state-dir DIR makes the job server crash-safe: accepted jobs are
 journaled to DIR/journal.mkpj (appended and fsynced before the client
-hears ACCEPTED), parked snapshots are written through to DIR/spool/, and
+hears ACCEPTED), the spool moves to DIR/spool/ and outlives the server, and
 a server restarted on the same --state-dir replays the journal and
 resumes every in-flight job from its last parked snapshot, bit-identical
 to an uninterrupted run. Submissions carry an idempotency token, so a
@@ -159,6 +161,60 @@ span timings and the causally ordered event trace as JSON lines. Both are
 written even when the solve exits degraded. `mkp validate-metrics` checks
 a metrics file against the schema and exits non-zero on any violation.
 ";
+
+/// Flags of `mkp generate`. These lists are what `main` parses each
+/// subcommand with (`stats` and `validate-metrics` take none).
+pub const GEN_FLAGS: &[&str] = &["class", "n", "m", "tightness", "correlation", "seed"];
+/// Flags of `mkp solve`.
+pub const SOLVE_FLAGS: &[&str] = &[
+    "mode",
+    "p",
+    "rounds",
+    "budget",
+    "seed",
+    "relink",
+    "timeout",
+    "patience",
+    "fault",
+    "restarts",
+    "backoff",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+    "metrics",
+    "trace",
+    "listen",
+    "net-fault",
+];
+/// Flags of `mkp slave`.
+pub const SLAVE_FLAGS: &[&str] = &["connect", "patience", "net-fault"];
+/// Flags of `mkp serve`.
+pub const SERVE_FLAGS: &[&str] = &[
+    "clients",
+    "slaves",
+    "p",
+    "quantum",
+    "max-queue",
+    "max-inflight",
+    "max-jobs",
+    "spool",
+    "state-dir",
+    "patience",
+];
+/// Flags of `mkp submit`.
+pub const SUBMIT_FLAGS: &[&str] = &[
+    "connect",
+    "mode",
+    "p",
+    "rounds",
+    "budget",
+    "seed",
+    "deadline-ms",
+    "attach",
+    "patience",
+];
+/// Flags of `mkp exact`.
+pub const EXACT_FLAGS: &[&str] = &["nodes", "workers"];
 
 fn read_instance(path: &str) -> Result<Instance, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
@@ -257,52 +313,15 @@ pub fn cmd_stats(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn parse_mode(raw: &str) -> Result<Mode, CliError> {
-    Ok(match raw {
-        "seq" => Mode::Sequential,
-        "its" => Mode::Independent,
-        "cts1" => Mode::Cooperative,
-        "cts2" => Mode::CooperativeAdaptive,
-        "ats" => Mode::Asynchronous,
-        "dts" => Mode::Decomposed,
-        "core" | "repair" => {
-            return Err(CliError::Invalid(format!(
-                "{raw:?} is a search-space policy, not a paper mode; use --policy {raw}"
-            )))
-        }
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown mode {other:?} (use seq, its, cts1, cts2, ats or dts)"
-            )))
-        }
+/// The `--mode` flag: any [`Mode`] label, case-insensitively; CTS2 when
+/// absent.
+fn parse_mode(args: &Args) -> Result<Mode, CliError> {
+    let raw = args.get_str("mode").unwrap_or("cts2");
+    Mode::from_label(raw).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown mode {raw:?} (use seq, its, cts1, cts2, ats, dts, core or repair)"
+        ))
     })
-}
-
-/// Parse a `--policy` name (the promising-search-space policies layered on
-/// top of the paper's modes).
-fn parse_policy(raw: &str) -> Result<Mode, CliError> {
-    Ok(match raw {
-        "core" => Mode::Core,
-        "repair" => Mode::Repair,
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown policy {other:?} (use core or repair)"
-            )))
-        }
-    })
-}
-
-/// Resolve `--mode`/`--policy` into one [`Mode`]. The two flags select from
-/// the same engine dispatch, so giving both is ambiguous and rejected.
-fn resolve_mode(args: &Args) -> Result<Mode, CliError> {
-    match (args.get_str("mode"), args.get_str("policy")) {
-        (Some(mode), Some(policy)) => Err(CliError::Invalid(format!(
-            "--mode {mode} and --policy {policy} both pick the search organization; \
-             give exactly one"
-        ))),
-        (None, Some(policy)) => parse_policy(policy),
-        (mode, None) => parse_mode(mode.unwrap_or("cts2")),
-    }
 }
 
 /// Longest accepted `--fault` delay: a delay past the largest plausible
@@ -380,7 +399,7 @@ fn parse_fault(raw: &str) -> Result<FaultPlan, CliError> {
 /// `mkp solve`.
 pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
     let inst = read_instance(args.positional(0, "instance.mkp")?)?;
-    let mode = resolve_mode(args)?;
+    let mode = parse_mode(args)?;
     let p: usize = args.get("p", 4)?;
     let rounds: usize = args.get("rounds", 12)?;
     let budget: u64 = args.get("budget", 40_000 * inst.n() as u64)?;
@@ -649,7 +668,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let max_inflight: usize = args.get("max-inflight", 4)?;
     let max_jobs: u64 = args.get("max-jobs", 0)?;
     let patience: u64 = args.get("patience", DEFAULT_SLAVE_PATIENCE_SECS)?;
-    let park_mem: usize = args.get("park-mem", 64 << 20)?;
     if p == 0 || quantum == 0 || max_queue == 0 || max_inflight == 0 || patience == 0 {
         return Err(CliError::Invalid(
             "p, quantum, max-queue, max-inflight and patience must be positive".into(),
@@ -667,7 +685,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         quantum,
         max_queue,
         max_inflight,
-        park_mem_cap: park_mem,
         max_jobs,
         patience: Duration::from_secs(patience),
         ..ServeConfig::default()
@@ -689,8 +706,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "scheduling : {} slices, {} evictions, {} restores",
-        stats.slices, stats.evictions, stats.restores
+        "scheduling : {} slices, {} restores",
+        stats.slices, stats.restores
     );
     let _ = writeln!(
         out,
@@ -710,7 +727,7 @@ pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
     })?;
     let endpoint =
         Endpoint::parse(raw).map_err(|e| CliError::Invalid(format!("--connect: {e}")))?;
-    let mode = resolve_mode(args)?;
+    let mode = parse_mode(args)?;
     let p: usize = args.get("p", 4)?;
     let rounds: usize = args.get("rounds", 12)?;
     let budget: u64 = args.get("budget", 40_000 * inst.n() as u64)?;
@@ -873,56 +890,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
     }
-
-    const GEN_FLAGS: &[&str] = &["class", "n", "m", "tightness", "correlation", "seed"];
-    const SOLVE_FLAGS: &[&str] = &[
-        "mode",
-        "policy",
-        "p",
-        "rounds",
-        "budget",
-        "seed",
-        "relink",
-        "timeout",
-        "patience",
-        "fault",
-        "restarts",
-        "backoff",
-        "checkpoint",
-        "checkpoint-every",
-        "resume",
-        "metrics",
-        "trace",
-        "listen",
-        "net-fault",
-    ];
-    const EXACT_FLAGS: &[&str] = &["nodes", "workers"];
-    const SLAVE_FLAGS: &[&str] = &["connect", "patience", "net-fault"];
-    const SERVE_FLAGS: &[&str] = &[
-        "clients",
-        "slaves",
-        "p",
-        "quantum",
-        "max-queue",
-        "max-inflight",
-        "max-jobs",
-        "park-mem",
-        "spool",
-        "state-dir",
-        "patience",
-    ];
-    const SUBMIT_FLAGS: &[&str] = &[
-        "connect",
-        "mode",
-        "policy",
-        "p",
-        "rounds",
-        "budget",
-        "seed",
-        "deadline-ms",
-        "attach",
-        "patience",
-    ];
 
     #[test]
     fn serve_then_submit_round_trip() {
@@ -1157,75 +1124,6 @@ mod tests {
         cmd_generate(&args(&[&path, "--n", "10", "--m", "2"], GEN_FLAGS)).unwrap();
         let err = cmd_solve(&args(&[&path, "--mode", "bogus"], SOLVE_FLAGS)).unwrap_err();
         assert!(err.to_string().contains("unknown mode"));
-    }
-
-    #[test]
-    fn policy_flag_selects_the_new_policies() {
-        let path = tmp("policy.mkp");
-        cmd_generate(&args(
-            &[&path, "--n", "30", "--m", "3", "--class", "uniform"],
-            GEN_FLAGS,
-        ))
-        .unwrap();
-        for (policy, label) in [("core", "CORE"), ("repair", "REPAIR")] {
-            let out = cmd_solve(&args(
-                &[
-                    &path, "--policy", policy, "--budget", "60000", "--rounds", "2", "--p", "2",
-                ],
-                SOLVE_FLAGS,
-            ))
-            .unwrap();
-            assert!(
-                out.contains(&format!("mode       : {label}")),
-                "--policy {policy}: {out}"
-            );
-            assert!(out.contains("best value"), "--policy {policy}: {out}");
-        }
-    }
-
-    #[test]
-    fn solve_rejects_unknown_policy_with_a_specific_message() {
-        let path = tmp("policy_bad.mkp");
-        cmd_generate(&args(&[&path, "--n", "10", "--m", "2"], GEN_FLAGS)).unwrap();
-        let err = cmd_solve(&args(&[&path, "--policy", "lp"], SOLVE_FLAGS))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown policy \"lp\""), "{err}");
-        assert!(err.contains("use core or repair"), "{err}");
-    }
-
-    #[test]
-    fn policy_and_mode_are_mutually_exclusive() {
-        let path = tmp("policy_combo.mkp");
-        cmd_generate(&args(&[&path, "--n", "10", "--m", "2"], GEN_FLAGS)).unwrap();
-        let err = cmd_solve(&args(
-            &[&path, "--mode", "cts2", "--policy", "core"],
-            SOLVE_FLAGS,
-        ))
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("give exactly one"), "{err}");
-        // A policy name passed through --mode points at the right flag.
-        let err = cmd_solve(&args(&[&path, "--mode", "core"], SOLVE_FLAGS))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("use --policy core"), "{err}");
-        // submit resolves modes identically (before touching the network).
-        let err = cmd_submit(&args(
-            &[
-                &path,
-                "--connect",
-                "unix:/tmp/x.sock",
-                "--mode",
-                "its",
-                "--policy",
-                "repair",
-            ],
-            SUBMIT_FLAGS,
-        ))
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("give exactly one"), "{err}");
     }
 
     #[test]
@@ -1571,15 +1469,21 @@ mod tests {
             GEN_FLAGS,
         ))
         .unwrap();
-        for mode in ["seq", "its", "cts1", "cts2", "ats", "dts"] {
+        // --mode takes every label, in any case.
+        let spellings = ["seq", "its", "cts1", "cts2", "ats", "dts", "CORE", "Repair"];
+        for (mode, raw) in Mode::all().into_iter().zip(spellings) {
             let out = cmd_solve(&args(
                 &[
-                    &path, "--mode", mode, "--budget", "50000", "--rounds", "2", "--p", "2",
+                    &path, "--mode", raw, "--budget", "50000", "--rounds", "2", "--p", "2",
                 ],
                 SOLVE_FLAGS,
             ))
             .unwrap();
-            assert!(out.contains("best value"), "mode {mode} failed");
+            assert!(out.contains("best value"), "mode {raw} failed");
+            assert!(
+                out.contains(&format!("mode       : {}", mode.label())),
+                "--mode {raw}: {out}"
+            );
         }
     }
 

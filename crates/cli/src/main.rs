@@ -13,9 +13,13 @@ mod commands;
 use args::Args;
 use commands::{
     cmd_exact, cmd_generate, cmd_serve, cmd_slave, cmd_solve, cmd_stats, cmd_submit,
-    cmd_validate_metrics, USAGE,
+    cmd_validate_metrics, CliError, EXACT_FLAGS, GEN_FLAGS, SERVE_FLAGS, SLAVE_FLAGS, SOLVE_FLAGS,
+    SUBMIT_FLAGS, USAGE,
 };
 use std::process::ExitCode;
+
+/// A subcommand's entry point: parsed arguments in, text to print out.
+type Command = fn(&Args) -> Result<String, CliError>;
 
 fn main() -> ExitCode {
     let mut raw = std::env::args().skip(1);
@@ -25,86 +29,15 @@ fn main() -> ExitCode {
     };
     let rest: Vec<String> = raw.collect();
 
-    let outcome = match command.as_str() {
-        "generate" => Args::parse(
-            rest,
-            &["class", "n", "m", "tightness", "correlation", "seed"],
-        )
-        .map_err(Into::into)
-        .and_then(|a| cmd_generate(&a)),
-        "stats" => Args::parse(rest, &[])
-            .map_err(Into::into)
-            .and_then(|a| cmd_stats(&a)),
-        "solve" => Args::parse(
-            rest,
-            &[
-                "mode",
-                "policy",
-                "p",
-                "rounds",
-                "budget",
-                "seed",
-                "relink",
-                "timeout",
-                "patience",
-                "fault",
-                "restarts",
-                "backoff",
-                "checkpoint",
-                "checkpoint-every",
-                "resume",
-                "metrics",
-                "trace",
-                "listen",
-                "net-fault",
-            ],
-        )
-        .map_err(Into::into)
-        .and_then(|a| cmd_solve(&a)),
-        "slave" => Args::parse(rest, &["connect", "patience", "net-fault"])
-            .map_err(Into::into)
-            .and_then(|a| cmd_slave(&a)),
-        "serve" => Args::parse(
-            rest,
-            &[
-                "clients",
-                "slaves",
-                "p",
-                "quantum",
-                "max-queue",
-                "max-inflight",
-                "max-jobs",
-                "park-mem",
-                "spool",
-                "state-dir",
-                "patience",
-            ],
-        )
-        .map_err(Into::into)
-        .and_then(|a| cmd_serve(&a)),
-        "submit" => Args::parse(
-            rest,
-            &[
-                "connect",
-                "mode",
-                "policy",
-                "p",
-                "rounds",
-                "budget",
-                "seed",
-                "deadline-ms",
-                "attach",
-                "patience",
-            ],
-        )
-        .map_err(Into::into)
-        .and_then(|a| cmd_submit(&a)),
-        "exact" => Args::parse(rest, &["nodes", "workers"])
-            .map_err(Into::into)
-            .and_then(|a| cmd_exact(&a)),
-        "validate-metrics" => Args::parse(rest, &[])
-            .map_err(Into::into)
-            .and_then(|a| cmd_validate_metrics(&a)),
+    let (flags, run): (&[&str], Command) = match command.as_str() {
+        "generate" => (GEN_FLAGS, cmd_generate),
+        "stats" => (&[], cmd_stats),
+        "solve" => (SOLVE_FLAGS, cmd_solve),
+        "slave" => (SLAVE_FLAGS, cmd_slave),
+        "serve" => (SERVE_FLAGS, cmd_serve),
+        "submit" => (SUBMIT_FLAGS, cmd_submit),
+        "exact" => (EXACT_FLAGS, cmd_exact),
+        "validate-metrics" => (&[], cmd_validate_metrics),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -115,6 +48,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let outcome = Args::parse(rest, flags)
+        .map_err(Into::into)
+        .and_then(|a| run(&a));
 
     match outcome {
         Ok(text) => {
@@ -126,7 +62,7 @@ fn main() -> ExitCode {
         }
         // A degraded solve still produced a result: print it like a
         // success, but exit 2 so scripts can tell the difference.
-        Err(commands::CliError::Degraded(text)) => {
+        Err(CliError::Degraded(text)) => {
             print!("{text}");
             if !text.ends_with('\n') {
                 println!();

@@ -19,10 +19,13 @@
 //! without a round boundary to park at (pipelined ATS, or SEQ/ITS/DTS
 //! which fold into one round) run their whole budget in a single turn.
 //!
-//! Parked snapshots are held in memory as their serialized file bytes;
-//! when the total exceeds [`ServeConfig::park_mem_cap`], the snapshots
-//! of the jobs furthest from their next turn are spooled to
-//! [`ServeConfig::spool_dir`] and read back on resume.
+//! Every server parks through one store, the spool: a park saves the
+//! snapshot to `<spool_dir>/job-<id>.snap` (the checkpoint file format,
+//! checksummed and atomically renamed), a resume loads it back, and the
+//! file is removed when the job ends. The crash-recovery read path thus
+//! runs on every slice, not only after a crash. The default spool
+//! directory is private to one server, and a server without a
+//! `state_dir` removes what it spooled when it returns.
 //!
 //! Deadlines and budgets are enforced at quantum boundaries: a job whose
 //! deadline has passed when its turn comes is terminated with `REJECTED`
@@ -44,10 +47,9 @@
 //!
 //! With [`ServeConfig::state_dir`] set the server is crash-safe end to
 //! end: every accepted job is recorded in a write-ahead journal
-//! ([`crate::journal`]) at `<state_dir>/journal.mkpj`, every park
-//! writes the snapshot through to `<state_dir>/spool/job-<id>.snap`
-//! (the PR 4 checkpoint format, checksummed and atomically renamed),
-//! and per-slice incumbents and terminal outcomes are journaled as they
+//! ([`crate::journal`]) at `<state_dir>/journal.mkpj`, the spool moves
+//! to `<state_dir>/spool/` so it survives the server, and per-slice
+//! incumbents, parks and terminal outcomes are journaled as they
 //! happen. A restarted server replays the journal, re-adopts the spool,
 //! and resumes every in-flight job *bit-identically* from its last
 //! parked snapshot. Clients reattach by durable job id (the `ATTACH`
@@ -75,7 +77,7 @@ use pvm_lite::codec::{CodecError, PackBuffer, UnpackBuffer, Wire};
 use pvm_lite::{Endpoint, FramedConn, FramedListener, SocketHub, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,33 +137,6 @@ const COMPACT_EVERY: u64 = 8;
 /// `patience` inside the dial loop.
 const MAX_REATTACHES: u32 = 5;
 
-fn mode_code(mode: Mode) -> u8 {
-    match mode {
-        Mode::Sequential => 0,
-        Mode::Independent => 1,
-        Mode::Cooperative => 2,
-        Mode::CooperativeAdaptive => 3,
-        Mode::Asynchronous => 4,
-        Mode::Decomposed => 5,
-        Mode::Core => 6,
-        Mode::Repair => 7,
-    }
-}
-
-fn mode_from_code(code: u8) -> Option<Mode> {
-    Some(match code {
-        0 => Mode::Sequential,
-        1 => Mode::Independent,
-        2 => Mode::Cooperative,
-        3 => Mode::CooperativeAdaptive,
-        4 => Mode::Asynchronous,
-        5 => Mode::Decomposed,
-        6 => Mode::Core,
-        7 => Mode::Repair,
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Wire messages
 // ---------------------------------------------------------------------------
@@ -207,35 +182,20 @@ impl Wire for SubmitMsg {
     }
 }
 
-/// Client → server: reattach to job `job_id` (live or recently
-/// finished) and stream its remaining events.
-struct AttachMsg {
+/// A bare job id: the payload of `ACCEPTED` (server → client: the job is
+/// queued) and of `ATTACH` (client → server: reattach to this job, live
+/// or recently finished, and stream its remaining events).
+struct JobIdMsg {
     job_id: u64,
 }
 
-impl Wire for AttachMsg {
+impl Wire for JobIdMsg {
     fn pack(&self, buf: &mut PackBuffer) {
         buf.put_u64(self.job_id);
     }
 
     fn unpack(buf: &mut UnpackBuffer<'_>) -> Result<Self, CodecError> {
-        Ok(AttachMsg {
-            job_id: buf.get_u64()?,
-        })
-    }
-}
-
-struct AcceptedMsg {
-    job_id: u64,
-}
-
-impl Wire for AcceptedMsg {
-    fn pack(&self, buf: &mut PackBuffer) {
-        buf.put_u64(self.job_id);
-    }
-
-    fn unpack(buf: &mut UnpackBuffer<'_>) -> Result<Self, CodecError> {
-        Ok(AcceptedMsg {
+        Ok(JobIdMsg {
             job_id: buf.get_u64()?,
         })
     }
@@ -352,7 +312,7 @@ impl JobReport {
 
 impl Wire for JobReport {
     fn pack(&self, buf: &mut PackBuffer) {
-        buf.put_u8(mode_code(self.mode));
+        buf.put_u8(self.mode.code());
         pack_bits(&self.best_bits, buf);
         buf.put_i64(self.best_value);
         buf.put_i64s(&self.round_best);
@@ -365,7 +325,7 @@ impl Wire for JobReport {
 
     fn unpack(buf: &mut UnpackBuffer<'_>) -> Result<Self, CodecError> {
         let code = buf.get_u8()?;
-        let mode = mode_from_code(code).ok_or(CodecError::LengthOverflow {
+        let mode = Mode::from_code(code).ok_or(CodecError::LengthOverflow {
             length: code as u64,
         })?;
         Ok(JobReport {
@@ -406,9 +366,8 @@ pub enum ServeBackend {
 }
 
 /// Knobs for [`serve`]. [`Default`] gives a single-round quantum, a
-/// 16-job queue, 4 jobs per client, a 64 MiB park-memory cap, a spool
-/// directory under the system temp dir, no job limit, and ~2 minutes of
-/// patience.
+/// 16-job queue, 4 jobs per client, a spool directory of its own under
+/// the system temp dir, no job limit, and ~2 minutes of patience.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Master rounds a job runs per turn before parking. Jobs without a
@@ -419,11 +378,9 @@ pub struct ServeConfig {
     pub max_queue: usize,
     /// Cap on one client's accepted-but-unfinished jobs.
     pub max_inflight: usize,
-    /// Bytes of parked snapshots held in memory before spilling the
-    /// longest-waiting jobs' snapshots to `spool_dir`.
-    pub park_mem_cap: usize,
-    /// Where evicted snapshots live (`job-<id>.snap`, removed on resume
-    /// and on job termination).
+    /// Where parked snapshots live (`job-<id>.snap`, overwritten by each
+    /// park and removed when the job ends). Each [`Default`] value names
+    /// a fresh directory, so two default servers never share one.
     pub spool_dir: PathBuf,
     /// Stop after this many accepted jobs reach a terminal state
     /// (done, deadline-expired, failed, or canceled). 0 serves forever.
@@ -435,17 +392,19 @@ pub struct ServeConfig {
     /// fleet, and the reconnect window during slices.
     pub patience: Duration,
     /// Durable state directory. When set, accepted jobs are journaled
-    /// to `<state_dir>/journal.mkpj`, parked snapshots are written
-    /// through to `<state_dir>/spool/` (which overrides `spool_dir`),
+    /// to `<state_dir>/journal.mkpj`, parked snapshots are spooled to
+    /// `<state_dir>/spool/` (which overrides `spool_dir`),
     /// client disconnects *detach* jobs instead of canceling them, and
     /// a restarted server resumes every in-flight job from its last
-    /// parked snapshot. `None` keeps the server purely in-memory.
+    /// parked snapshot. `None` keeps no journal, and [`serve`] removes
+    /// the spool files it wrote when it returns.
     pub state_dir: Option<PathBuf>,
     /// Cooperative drain flag, typically flipped by a SIGTERM handler.
     /// When it reads `true` the scheduler stops admitting (submissions
     /// are REJECTED with a "draining" reason), finishes the slice in
     /// progress, leaves every job parked — durably when `state_dir` is
-    /// set — compacts the journal, and returns.
+    /// set, otherwise its spool files are removed — compacts the
+    /// journal, and returns.
     pub drain: Option<Arc<AtomicBool>>,
 }
 
@@ -455,14 +414,21 @@ impl Default for ServeConfig {
             quantum: 1,
             max_queue: 16,
             max_inflight: 4,
-            park_mem_cap: 64 << 20,
-            spool_dir: std::env::temp_dir().join("mkp-jobserver"),
+            spool_dir: private_spool_dir(),
             max_jobs: 0,
             patience: Duration::from_secs(121),
             state_dir: None,
             drain: None,
         }
     }
+}
+
+/// A spool directory no other server shares: the process id tells
+/// processes apart, a counter tells servers within one process apart.
+fn private_spool_dir() -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let k = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("mkp-jobserver-{}-{k}", std::process::id()))
 }
 
 impl ServeConfig {
@@ -497,9 +463,7 @@ pub struct ServeStats {
     pub canceled: u64,
     /// Scheduler turns executed (slices run on the farm).
     pub slices: u64,
-    /// Parked snapshots spooled to disk under memory pressure.
-    pub evictions: u64,
-    /// Parked snapshots read back from the spool.
+    /// Resumes of a parked job from its spool file.
     pub restores: u64,
     /// In-flight jobs re-adopted from the journal at startup.
     pub recovered: u64,
@@ -557,11 +521,8 @@ enum Event {
 enum JobState {
     /// Never ran; starts from scratch on its first turn.
     Fresh,
-    /// Parked in memory as serialized snapshot bytes.
-    ParkedMem(Vec<u8>),
-    /// Parked on disk (evicted under the memory cap); size remembered
-    /// for the stats.
-    ParkedDisk(PathBuf),
+    /// Parked: its snapshot is the spool file `job-<id>.snap`.
+    Parked,
 }
 
 struct Job {
@@ -605,8 +566,6 @@ struct Scheduler {
     /// Accepted jobs that reached a terminal state (drives `max_jobs`);
     /// seeded with the journal's terminal count on recovery.
     terminal: u64,
-    /// Bytes of snapshots currently in `JobState::ParkedMem`.
-    park_mem: usize,
     /// Write-ahead journal (`Some` iff `cfg.state_dir` is set).
     journal: Option<Journal>,
     /// Idempotency token → job id, covering live and retained jobs.
@@ -638,8 +597,8 @@ pub fn serve(
     let mut journal = None;
     let mut recovered_records = Vec::new();
     if let Some(state_dir) = &cfg.state_dir {
-        // The state dir owns the spool: write-through parks and the
-        // journal must land on the same filesystem to recover together.
+        // The state dir owns the spool: parks and the journal must land
+        // on the same filesystem to recover together.
         cfg.spool_dir = state_dir.join("spool");
         std::fs::create_dir_all(&cfg.spool_dir)
             .map_err(|e| format!("cannot create state directory {}: {e}", state_dir.display()))?;
@@ -648,12 +607,6 @@ pub fn serve(
         journal = Some(j);
         recovered_records = records;
     }
-    std::fs::create_dir_all(&cfg.spool_dir).map_err(|e| {
-        format!(
-            "cannot create spool directory {}: {e}",
-            cfg.spool_dir.display()
-        )
-    })?;
     let pool = match backend {
         ServeBackend::InProc { p } => {
             if p == 0 {
@@ -683,6 +636,15 @@ pub fn serve(
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("cannot configure the client listener: {e}"))?;
+    // Without a state dir the spool lives only as long as this call;
+    // remember whether the directory is ours to remove afterwards.
+    let made_spool = !cfg.spool_dir.exists();
+    std::fs::create_dir_all(&cfg.spool_dir).map_err(|e| {
+        format!(
+            "cannot create spool directory {}: {e}",
+            cfg.spool_dir.display()
+        )
+    })?;
 
     let (tx, rx) = unbounded();
     let stop = Arc::new(AtomicBool::new(false));
@@ -700,7 +662,6 @@ pub fn serve(
         inflight: HashMap::new(),
         next_job: 1,
         terminal: 0,
-        park_mem: 0,
         journal,
         tokens: HashMap::new(),
         retained: HashMap::new(),
@@ -715,8 +676,17 @@ pub fn serve(
     // jobs on a drain, retained terminals either way), stop accepting,
     // close every client link (which also unblocks their reader threads
     // into a clean exit), release the remote slaves with the STOP the
-    // slices withheld.
+    // slices withheld. Without a journal nobody can resume what is still
+    // parked, so its spool files go too.
     sched.compact_journal();
+    if sched.journal.is_none() {
+        for &id in sched.jobs.keys() {
+            sched.remove_spool(id);
+        }
+        if made_spool {
+            let _ = std::fs::remove_dir(&cfg.spool_dir);
+        }
+    }
     stop.store(true, Ordering::Relaxed);
     let _ = accept.join();
     for (_, writer) in sched.writers.drain() {
@@ -778,7 +748,7 @@ fn client_reader(client: u64, mut conn: FramedConn, tx: Sender<Event>) {
                     detail: format!("malformed SUBMIT payload: {e}"),
                 },
             },
-            Ok(Some(env)) if env.tag == jtags::ATTACH => match AttachMsg::from_bytes(&env.data) {
+            Ok(Some(env)) if env.tag == jtags::ATTACH => match JobIdMsg::from_bytes(&env.data) {
                 Ok(msg) => Event::Attach {
                     client,
                     job_id: msg.job_id,
@@ -876,7 +846,7 @@ impl Scheduler {
                 for id in orphans {
                     let job = self.jobs.remove(&id).expect("orphan id came from the map");
                     self.runq.retain(|&q| q != id);
-                    self.discard_state(&job.state);
+                    self.remove_spool(job.id);
                     self.terminal += 1;
                     self.stats.canceled += 1;
                 }
@@ -935,7 +905,7 @@ impl Scheduler {
                 "server is draining; resubmit after its restart".into(),
             );
         }
-        if mode_from_code(msg.mode).is_none() {
+        if Mode::from_code(msg.mode).is_none() {
             return reject(self, format!("unknown mode code {}", msg.mode));
         }
         let pb = &msg.problem;
@@ -1007,7 +977,7 @@ impl Scheduler {
         self.runq.push_back(id);
         *self.inflight.entry(client).or_insert(0) += 1;
         self.stats.accepted += 1;
-        self.send(client, jtags::ACCEPTED, &AcceptedMsg { job_id: id });
+        self.send(client, jtags::ACCEPTED, &JobIdMsg { job_id: id });
     }
 
     /// Point `job_id` — live or retained — at `client` and replay what
@@ -1019,15 +989,10 @@ impl Scheduler {
             job.client = client;
             let last = job.last_incumbent;
             if old != client {
-                if let Some(count) = self.inflight.get_mut(&old) {
-                    *count = count.saturating_sub(1);
-                    if *count == 0 {
-                        self.inflight.remove(&old);
-                    }
-                }
+                self.release_inflight(old);
                 *self.inflight.entry(client).or_insert(0) += 1;
             }
-            self.send(client, jtags::ACCEPTED, &AcceptedMsg { job_id });
+            self.send(client, jtags::ACCEPTED, &JobIdMsg { job_id });
             if let Some((value, round)) = last {
                 self.send(
                     client,
@@ -1041,7 +1006,7 @@ impl Scheduler {
             }
         } else if let Some(terminal) = self.retained.get(&job_id) {
             let (tag, payload) = (terminal.tag, terminal.payload.clone());
-            self.send(client, jtags::ACCEPTED, &AcceptedMsg { job_id });
+            self.send(client, jtags::ACCEPTED, &JobIdMsg { job_id });
             self.send_raw(client, tag, &payload);
         } else {
             self.send(
@@ -1072,33 +1037,19 @@ impl Scheduler {
                 return;
             }
         }
-        let durable = self.journal.is_some();
-        let resume = match std::mem::replace(&mut job.state, JobState::Fresh) {
+        // The spool file stays until the next park overwrites it or the
+        // job ends: a crash between resume and re-park must not lose it.
+        let resume = match job.state {
             JobState::Fresh => None,
-            JobState::ParkedMem(bytes) => {
-                self.park_mem -= bytes.len();
-                match Snapshot::from_file_bytes(&bytes) {
-                    Ok(snap) => Some(snap),
-                    Err(e) => return self.fail(job, format!("parked state is corrupt: {e}")),
-                }
-            }
-            JobState::ParkedDisk(path) => {
+            JobState::Parked => {
                 self.stats.restores += 1;
-                let snap = Snapshot::load(&path);
-                // A durable server keeps the spool file until the next
-                // park overwrites it (or the job ends): a crash between
-                // restore and re-park must not lose the state.
-                if !durable {
-                    let _ = std::fs::remove_file(&path);
-                }
-                match snap {
+                match Snapshot::load(&self.spool_path(id)) {
                     Ok(snap) => Some(snap),
                     Err(e) => {
-                        // Satellite: a spool file that fails its
-                        // checksum gets a *specific* verdict, its own
-                        // telemetry count, and takes only this job down.
+                        // A spool file that fails its checksum gets a
+                        // *specific* verdict, its own count, and takes
+                        // only this job down.
                         self.stats.spool_corrupt += 1;
-                        let _ = std::fs::remove_file(&path);
                         return self.fail(
                             job,
                             format!("SpoolCorrupt: cannot restore spooled state: {e}"),
@@ -1147,25 +1098,19 @@ impl Scheduler {
                     round: snap.next_round as u64,
                 };
                 job.last_incumbent = Some((incumbent.value, incumbent.round));
-                if durable {
-                    // Write-through park: snapshot to the spool
-                    // (atomic rename), then journal the incumbent
-                    // high-water mark and the park itself. After this
-                    // a kill -9 costs at most the slice in progress.
-                    let path = self.spool_path(id);
-                    if let Err(e) = snap.save(&path) {
-                        return self.fail(job, format!("cannot spool parked state: {e}"));
-                    }
-                    self.journal_append(jkind::INCUMBENT, &incumbent.to_bytes());
-                    self.journal_append(jkind::PARKED, &id.to_le_bytes());
+                // Park: snapshot to the spool (atomic rename), then, on a
+                // durable server, journal the incumbent high-water mark
+                // and the park itself. After this a kill -9 costs at
+                // most the slice in progress.
+                if let Err(e) = snap.save(&self.spool_path(id)) {
+                    return self.fail(job, format!("cannot spool parked state: {e}"));
                 }
+                self.journal_append(jkind::INCUMBENT, &incumbent.to_bytes());
+                self.journal_append(jkind::PARKED, &id.to_le_bytes());
                 self.send(job.client, jtags::INCUMBENT, &incumbent);
-                let bytes = snap.to_file_bytes();
-                self.park_mem += bytes.len();
-                job.state = JobState::ParkedMem(bytes);
+                job.state = JobState::Parked;
                 self.jobs.insert(id, job);
                 self.runq.push_back(id);
-                self.enforce_mem_cap();
             }
             Err(e) => self.fail(job, format!("search failed: {e}")),
         }
@@ -1195,17 +1140,8 @@ impl Scheduler {
     /// Terminal bookkeeping shared by done/expired/failed paths. The job
     /// must already be out of `jobs` and `runq`.
     fn finish(&mut self, job: Job) {
-        self.discard_state(&job.state);
-        if self.journal.is_some() {
-            // Drop the write-through spool file a ParkedMem job leaves.
-            let _ = std::fs::remove_file(self.spool_path(job.id));
-        }
-        if let Some(count) = self.inflight.get_mut(&job.client) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                self.inflight.remove(&job.client);
-            }
-        }
+        self.remove_spool(job.id);
+        self.release_inflight(job.client);
         self.terminal += 1;
         self.terminal_since_compact += 1;
         if self.journal.is_some() && self.terminal_since_compact >= COMPACT_EVERY {
@@ -1213,51 +1149,23 @@ impl Scheduler {
         }
     }
 
-    fn discard_state(&mut self, state: &JobState) {
-        match state {
-            JobState::Fresh => {}
-            JobState::ParkedMem(bytes) => self.park_mem -= bytes.len(),
-            JobState::ParkedDisk(path) => {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-
-    /// Spool parked snapshots to disk, longest-waiting jobs first (the
-    /// back of the run queue is furthest from its next turn), until the
-    /// in-memory total fits the cap again. On a durable server the
-    /// write-through park already put the snapshot in the spool, so
-    /// eviction just drops the in-memory copy.
-    fn enforce_mem_cap(&mut self) {
-        if self.park_mem <= self.cfg.park_mem_cap {
-            return;
-        }
-        let durable = self.journal.is_some();
-        let victims: Vec<u64> = self.runq.iter().rev().copied().collect();
-        for id in victims {
-            if self.park_mem <= self.cfg.park_mem_cap {
-                return;
-            }
-            let Some(job) = self.jobs.get_mut(&id) else {
-                continue;
-            };
-            let JobState::ParkedMem(bytes) = &job.state else {
-                continue;
-            };
-            let path = self.cfg.spool_dir.join(format!("job-{id}.snap"));
-            let already_spooled = durable && path.exists();
-            if !already_spooled && std::fs::write(&path, bytes).is_err() {
-                // Disk trouble: better over the cap than losing the job.
-                return;
-            }
-            self.park_mem -= bytes.len();
-            job.state = JobState::ParkedDisk(path);
-            self.stats.evictions += 1;
-        }
-    }
-
     fn spool_path(&self, id: u64) -> PathBuf {
         self.cfg.spool_dir.join(format!("job-{id}.snap"))
+    }
+
+    /// One of `client`'s in-flight jobs ended or moved to another client.
+    fn release_inflight(&mut self, client: u64) {
+        if let Some(count) = self.inflight.get_mut(&client) {
+            *count = count.saturating_sub(1);
+            if *count == 0 {
+                self.inflight.remove(&client);
+            }
+        }
+    }
+
+    /// Remove a job's spool file, if it has one.
+    fn remove_spool(&self, id: u64) {
+        let _ = std::fs::remove_file(self.spool_path(id));
     }
 
     /// Append one record to the journal, if there is one. An append
@@ -1316,7 +1224,7 @@ impl Scheduler {
             };
             let msg = SubmitMsg {
                 problem: ProblemMsg::from_instance(&job.inst),
-                mode: mode_code(job.mode),
+                mode: job.mode.code(),
                 p: job.cfg.p as u64,
                 rounds: job.cfg.rounds as u64,
                 budget_evals: job.cfg.total_evals,
@@ -1341,7 +1249,7 @@ impl Scheduler {
                     payload: incumbent.to_bytes(),
                 });
             }
-            if !matches!(job.state, JobState::Fresh) {
+            if matches!(job.state, JobState::Parked) {
                 records.push(Record {
                     kind: jkind::PARKED,
                     payload: id.to_le_bytes().to_vec(),
@@ -1443,14 +1351,13 @@ impl Scheduler {
             let Some(p) = pending.remove(&id) else {
                 continue;
             };
-            if mode_from_code(p.msg.mode).is_none() {
+            if Mode::from_code(p.msg.mode).is_none() {
                 continue; // journal from a stranger build: skip, don't die
             }
             let mut job = build_job(id, 0, &self.cfg, p.msg);
             job.last_incumbent = p.incumbent;
-            let spool = self.spool_path(id);
-            if spool.exists() {
-                job.state = JobState::ParkedDisk(spool);
+            if self.spool_path(id).exists() {
+                job.state = JobState::Parked;
             }
             if job.token != 0 {
                 self.tokens.insert(job.token, id);
@@ -1487,7 +1394,7 @@ impl Scheduler {
 /// freshly admitted one (same parkability, same re-armed deadline
 /// semantics) — the bit-identity guarantee depends on it.
 fn build_job(id: u64, client: u64, serve_cfg: &ServeConfig, msg: SubmitMsg) -> Job {
-    let mode = mode_from_code(msg.mode).expect("caller validated the mode code");
+    let mode = Mode::from_code(msg.mode).expect("caller validated the mode code");
     let cfg = RunConfig {
         p: msg.p as usize,
         rounds: msg.rounds as usize,
@@ -1665,8 +1572,7 @@ fn read_job_stream(
             |what: &str, e: CodecError| format!("malformed {what} from the job server: {e}");
         match env.tag {
             jtags::ACCEPTED => {
-                let msg =
-                    AcceptedMsg::from_bytes(&env.data).map_err(|e| decode_err("ACCEPTED", e))?;
+                let msg = JobIdMsg::from_bytes(&env.data).map_err(|e| decode_err("ACCEPTED", e))?;
                 // Only announce the first acceptance: a reattach's echo
                 // is bookkeeping, not progress.
                 if !*accepted {
@@ -1728,7 +1634,7 @@ pub fn submit_job(
 ) -> Result<SubmitOutcome, String> {
     let msg = SubmitMsg {
         problem: ProblemMsg::from_instance(inst),
-        mode: mode_code(spec.mode),
+        mode: spec.mode.code(),
         p: spec.p as u64,
         rounds: spec.rounds as u64,
         budget_evals: spec.budget_evals,
@@ -1761,7 +1667,7 @@ pub fn attach_job(
     patience: Duration,
     mut on_event: impl FnMut(SubmitEvent),
 ) -> Result<SubmitOutcome, String> {
-    let msg = AttachMsg { job_id };
+    let msg = JobIdMsg { job_id };
     run_job_protocol(
         server,
         jtags::ATTACH,
@@ -1867,7 +1773,7 @@ mod tests {
         let inst = tiny_instance(9);
         let msg = SubmitMsg {
             problem: ProblemMsg::from_instance(&inst),
-            mode: mode_code(Mode::Cooperative),
+            mode: Mode::Cooperative.code(),
             p: 3,
             rounds: 6,
             budget_evals: 50_000,
@@ -1893,13 +1799,5 @@ mod tests {
         assert_ne!(a, 0);
         assert_ne!(b, 0);
         assert_ne!(a, b, "two submissions must never share a token");
-    }
-
-    #[test]
-    fn every_mode_code_round_trips() {
-        for mode in Mode::all() {
-            assert_eq!(mode_from_code(mode_code(mode)), Some(mode));
-        }
-        assert_eq!(mode_from_code(Mode::all().len() as u8), None);
     }
 }

@@ -43,6 +43,7 @@ pub mod engine;
 pub mod isp;
 pub mod jobserver;
 pub mod journal;
+pub mod json;
 pub mod messages;
 pub mod remote;
 pub mod repair;
@@ -59,6 +60,7 @@ pub use jobserver::{
     SubmitOutcome, SubmitSpec,
 };
 pub use journal::{Journal, JournalError, Record};
+pub use json::Json;
 pub use pvm_lite::{Endpoint, FaultAction, FaultPlan, NetFaultAction, NetFaultPlan, NetFaultState};
 pub use remote::{run_remote, run_remote_with, serve_slave, serve_slave_with, ServeOutcome};
 pub use runner::{

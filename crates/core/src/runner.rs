@@ -72,8 +72,9 @@ impl Mode {
     }
 
     /// Every mode the engine can drive, Table 2 first, extensions after.
-    /// Order is load-bearing: snapshots encode a mode as its position in
-    /// this array, so new modes are only ever appended at the end.
+    /// Order is load-bearing: snapshots, journal records and job-server
+    /// frames encode a mode as its position in this array ([`Mode::code`]),
+    /// so new modes are only ever appended at the end.
     pub fn all() -> [Mode; 8] {
         [
             Mode::Sequential,
@@ -85,6 +86,26 @@ impl Mode {
             Mode::Core,
             Mode::Repair,
         ]
+    }
+
+    /// The mode's one-byte wire code: its position in [`Mode::all`].
+    pub fn code(self) -> u8 {
+        Mode::all()
+            .iter()
+            .position(|&m| m == self)
+            .expect("every mode is listed in Mode::all") as u8
+    }
+
+    /// Inverse of [`Mode::code`]; `None` for a code no mode has.
+    pub fn from_code(code: u8) -> Option<Mode> {
+        Mode::all().get(code as usize).copied()
+    }
+
+    /// Parse a mode from its label, case-insensitively (`cts2`, `CORE`).
+    pub fn from_label(raw: &str) -> Option<Mode> {
+        Mode::all()
+            .into_iter()
+            .find(|m| m.label().eq_ignore_ascii_case(raw))
     }
 }
 
@@ -495,6 +516,22 @@ mod tests {
         assert_eq!(Mode::CooperativeAdaptive.label(), "CTS2");
         assert_eq!(Mode::Asynchronous.label(), "ATS");
         assert_eq!(Mode::Decomposed.label(), "DTS");
+    }
+
+    #[test]
+    fn mode_codes_and_labels_round_trip() {
+        for (i, mode) in Mode::all().into_iter().enumerate() {
+            // The code is the position in Mode::all(): snapshot, journal
+            // and wire bytes depend on this numbering never changing.
+            assert_eq!(mode.code() as usize, i);
+            assert_eq!(Mode::from_code(mode.code()), Some(mode));
+            assert_eq!(Mode::from_label(mode.label()), Some(mode));
+            assert_eq!(Mode::from_label(&mode.label().to_lowercase()), Some(mode));
+        }
+        assert_eq!(Mode::Core.code(), 6);
+        assert_eq!(Mode::Repair.code(), 7);
+        assert_eq!(Mode::from_code(Mode::all().len() as u8), None);
+        assert_eq!(Mode::from_label("bogus"), None);
     }
 
     #[test]

@@ -138,20 +138,9 @@ pub struct Snapshot {
     pub policy: Vec<u8>,
 }
 
-fn mode_to_u8(mode: Mode) -> u8 {
-    Mode::all().iter().position(|&m| m == mode).unwrap() as u8
-}
-
-fn mode_from_u8(v: u8) -> Result<Mode, CodecError> {
-    Mode::all()
-        .get(v as usize)
-        .copied()
-        .ok_or(CodecError::LengthOverflow { length: v as u64 })
-}
-
 impl Wire for Snapshot {
     fn pack(&self, buf: &mut PackBuffer) {
-        buf.put_u8(mode_to_u8(self.mode));
+        buf.put_u8(self.mode.code());
         buf.put_u64(self.fingerprint);
         buf.put_u64(self.cfg_digest);
         buf.put_usize(self.next_round);
@@ -200,7 +189,10 @@ impl Wire for Snapshot {
     }
 
     fn unpack(buf: &mut UnpackBuffer<'_>) -> Result<Self, CodecError> {
-        let mode = mode_from_u8(buf.get_u8()?)?;
+        let code = buf.get_u8()?;
+        let mode = Mode::from_code(code).ok_or(CodecError::LengthOverflow {
+            length: code as u64,
+        })?;
         let fingerprint = buf.get_u64()?;
         let cfg_digest = buf.get_u64()?;
         let next_round = buf.get_usize()?;

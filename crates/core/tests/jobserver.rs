@@ -82,8 +82,7 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
     let ep = endpoint(&dir, "clients.sock");
 
     // Two cooperative jobs with different shapes, sliced one round at a
-    // time over the same 4-worker pool. A 1-byte park-memory cap forces
-    // every parked snapshot through the disk spool as well.
+    // time over the same 4-worker pool; every park goes through the spool.
     let jobs = [
         (
             instance(11),
@@ -118,7 +117,6 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
         let ep = ep.clone();
         let cfg = ServeConfig {
             quantum: 1,
-            park_mem_cap: 1,
             spool_dir: dir.join("spool"),
             max_jobs: 2,
             patience: PATIENCE,
@@ -160,14 +158,142 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
     }
 
     // Each job ran one round per slice: the pool really was time-sliced,
-    // and the tiny memory cap pushed parked snapshots through the spool.
+    // and every slice after a job's first resumed from the spool.
     assert_eq!(stats.accepted, 2);
     assert_eq!(stats.done, 2);
     assert_eq!(stats.slices, (jobs[0].3 + jobs[1].3) as u64);
-    assert!(stats.evictions > 0, "the 1-byte cap must evict: {stats:?}");
-    assert_eq!(stats.restores, stats.evictions);
-    let leftovers: Vec<_> = std::fs::read_dir(dir.join("spool")).unwrap().collect();
+    assert_eq!(stats.restores, stats.slices - stats.accepted);
+    assert_eq!(stats.restores, 7);
+    let leftovers = spool_files(&dir.join("spool"));
     assert!(leftovers.is_empty(), "spool must be drained: {leftovers:?}");
+}
+
+/// The files in a spool directory; none when the directory is gone.
+fn spool_files(spool: &std::path::Path) -> Vec<std::path::PathBuf> {
+    match std::fs::read_dir(spool) {
+        Ok(entries) => entries.map(|e| e.unwrap().path()).collect(),
+        Err(_) => Vec::new(),
+    }
+}
+
+/// Two servers on default configs run at once, each parking a job with
+/// the same id: their spools must not collide (each result stays
+/// bit-identical to its solo run), and each server removes its private
+/// spool directory when it returns.
+#[test]
+fn default_servers_spool_privately_and_clean_up() {
+    let dir = tmp_dir("default-spool");
+    let (mode, p, rounds, budget) = (Mode::Cooperative, 2usize, 6usize, 120_000u64);
+    let cfgs: Vec<ServeConfig> = (0..2)
+        .map(|_| ServeConfig {
+            max_jobs: 1,
+            patience: PATIENCE,
+            ..ServeConfig::default()
+        })
+        .collect();
+    assert_ne!(cfgs[0].spool_dir, cfgs[1].spool_dir);
+
+    let runs: Vec<_> = cfgs
+        .iter()
+        .enumerate()
+        .map(|(k, cfg)| {
+            let ep = endpoint(&dir, &format!("clients-{k}.sock"));
+            let server = {
+                let (ep, cfg) = (ep.clone(), cfg.clone());
+                std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p }, &cfg))
+            };
+            let client = std::thread::spawn(move || {
+                let spec = SubmitSpec {
+                    mode,
+                    p,
+                    rounds,
+                    budget_evals: budget,
+                    seed: k as u64,
+                    deadline: None,
+                };
+                submit_job(&ep, &instance(80 + k as u64), &spec, PATIENCE, |_| {}).unwrap()
+            });
+            (server, client)
+        })
+        .collect();
+
+    for (k, (server, client)) in runs.into_iter().enumerate() {
+        let outcome = client.join().unwrap();
+        let stats = server.join().unwrap().unwrap();
+        let solo = run_mode(
+            &instance(80 + k as u64),
+            mode,
+            &RunConfig {
+                p,
+                rounds,
+                ..RunConfig::new(budget, k as u64)
+            },
+        );
+        assert_matches_solo(&outcome, &solo);
+        assert_eq!(stats.restores, rounds as u64 - 1, "{stats:?}");
+        assert!(
+            !cfgs[k].spool_dir.exists(),
+            "a server must remove the spool directory it made"
+        );
+    }
+}
+
+/// A drained server without a state dir cannot resume anything, so it
+/// removes the spool files of the jobs it leaves parked.
+#[test]
+fn drained_server_without_state_dir_removes_its_spool_files() {
+    let dir = tmp_dir("drain-spool");
+    let ep = endpoint(&dir, "clients.sock");
+    let spool = dir.join("spool");
+    std::fs::create_dir_all(&spool).unwrap();
+
+    let drain = Arc::new(AtomicBool::new(false));
+    let server = {
+        let ep = ep.clone();
+        let cfg = ServeConfig {
+            quantum: 1,
+            spool_dir: spool.clone(),
+            drain: Some(Arc::clone(&drain)),
+            patience: PATIENCE,
+            ..ServeConfig::default()
+        };
+        std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+    };
+
+    // The first incumbent follows the first park, so the job is parked
+    // when the drain lands; with 23 rounds to go it cannot finish first.
+    let client = {
+        let drain = Arc::clone(&drain);
+        let spec = SubmitSpec {
+            mode: Mode::Cooperative,
+            p: 2,
+            rounds: 24,
+            budget_evals: 480_000,
+            seed: 8,
+            deadline: None,
+        };
+        std::thread::spawn(move || {
+            // Short patience: nobody restarts this server, so the client
+            // gives up on reattaching quickly.
+            submit_job(&ep, &instance(88), &spec, Duration::from_secs(3), |ev| {
+                if matches!(ev, SubmitEvent::Incumbent { .. }) {
+                    drain.store(true, Ordering::Relaxed);
+                }
+            })
+            .unwrap()
+        })
+    };
+
+    let stats = server.join().unwrap().unwrap();
+    assert_eq!(client.join().unwrap(), SubmitOutcome::ServerLost);
+    assert!(stats.drained);
+    assert_eq!((stats.accepted, stats.done), (1, 0), "{stats:?}");
+    assert!(
+        spool.exists(),
+        "a spool directory the server did not make stays"
+    );
+    let leftovers = spool_files(&spool);
+    assert!(leftovers.is_empty(), "spool must be emptied: {leftovers:?}");
 }
 
 #[test]
@@ -179,7 +305,6 @@ fn deadline_and_admission_verdicts_are_reported() {
         let ep = ep.clone();
         let cfg = ServeConfig {
             quantum: 1,
-            spool_dir: dir.join("spool"),
             max_jobs: 1,
             patience: PATIENCE,
             ..ServeConfig::default()
@@ -368,7 +493,6 @@ fn parked_job_past_its_deadline_expires_at_the_tick() {
         let ep = ep.clone();
         let cfg = ServeConfig {
             quantum: 1,
-            spool_dir: dir.join("spool"),
             max_jobs: 2,
             patience: PATIENCE,
             ..ServeConfig::default()
@@ -377,6 +501,7 @@ fn parked_job_past_its_deadline_expires_at_the_tick() {
     };
 
     // Job A hogs the farm with ten fat slices.
+    let (accepted_tx, accepted_rx) = std::sync::mpsc::channel();
     let job_a = {
         let ep = ep.clone();
         let inst = instance(55);
@@ -388,10 +513,18 @@ fn parked_job_past_its_deadline_expires_at_the_tick() {
             seed: 3,
             deadline: None,
         };
-        std::thread::spawn(move || submit_job(&ep, &inst, &spec, PATIENCE, |_| {}).unwrap())
+        std::thread::spawn(move || {
+            submit_job(&ep, &inst, &spec, PATIENCE, |ev| {
+                if matches!(ev, SubmitEvent::Accepted { .. }) {
+                    let _ = accepted_tx.send(());
+                }
+            })
+            .unwrap()
+        })
     };
-    // Give A's submission a head start in the event queue.
-    std::thread::sleep(Duration::from_millis(50));
+    // B must queue behind A: wait for A's acceptance (a fixed head start
+    // loses the race when A's first dial lands before the server listens).
+    accepted_rx.recv_timeout(PATIENCE).unwrap();
 
     // Job B queues behind A and its 1 ms deadline lapses during A's
     // current slice; the tick check must expire it *between* turns.
@@ -523,7 +656,6 @@ fn attach_to_an_unknown_job_id_is_rejected() {
     let server = {
         let ep = ep.clone();
         let cfg = ServeConfig {
-            spool_dir: dir.join("spool"),
             drain: Some(Arc::clone(&drain)),
             patience: PATIENCE,
             ..ServeConfig::default()

@@ -4,14 +4,13 @@
 //! [`WorkerPool`] plays the role of PVM's daemon: `ntasks` OS threads are
 //! spawned once and then serve any number of *runs*. Each [`WorkerPool::run`]
 //! hands every worker a task closure with a fresh [`TaskCtx`] — per-run
-//! mailboxes and barrier — so tasks address each other by dense task id
+//! mailboxes — so tasks address each other by dense task id
 //! through reliable, ordered, unbounded channels, exactly as before, but
 //! without paying thread spawn/join per run. [`run_farm`] remains the
 //! one-shot convenience (`pvm_spawn` + teardown) built on a throwaway pool.
 //! By the convention of the paper's master/slave model, task 0 is the master
 //! and tasks `1..P+1` are the slaves — the library itself imposes no roles.
 
-use crate::barrier::Barrier;
 use crate::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use crate::codec::{CodecError, Wire};
 use std::cell::{Cell, RefCell};
@@ -243,7 +242,7 @@ impl CommCell {
     }
 }
 
-/// Per-task handle to the farm: identity, mailbox, barrier, and the run's
+/// Per-task handle to the farm: identity, mailbox, and the run's
 /// shared supervision state (which lets a master task resurrect dead peers
 /// mid-run via [`respawn`](TaskCtx::respawn)).
 pub struct TaskCtx {
@@ -252,7 +251,6 @@ pub struct TaskCtx {
     /// repoint the caller's own entry at the reborn incarnation's mailbox.
     senders: RefCell<Vec<Sender<Envelope>>>,
     inbox: Receiver<Envelope>,
-    barrier: Barrier,
     fault: Option<FaultState>,
     supervision: Arc<Supervision>,
     /// The run's comm accounting, indexed by task id; every incarnation of
@@ -343,12 +341,6 @@ impl TaskCtx {
         env
     }
 
-    /// Farm-wide rendezvous (all tasks). Returns `true` for the round
-    /// leader.
-    pub fn barrier(&self) -> bool {
-        self.barrier.wait()
-    }
-
     /// Resurrect task `tid` mid-run: a fresh incarnation of the task — new
     /// mailbox, fresh context, running the same task closure — is
     /// dispatched onto the pool, and the canonical address table is
@@ -358,8 +350,7 @@ impl TaskCtx {
     /// is nudged by [`notify_orphans`](TaskCtx::notify_orphans); only this
     /// caller's sender table is refreshed — other live tasks keep their
     /// stale entries, which fits a master/slave protocol where only the
-    /// master addresses workers. The reborn incarnation shares the run's
-    /// barrier; protocols that rendezvous on it must not respawn.
+    /// master addresses workers.
     ///
     /// Returns `false` if the run is already retiring (no new incarnation
     /// can be admitted).
@@ -385,7 +376,6 @@ impl TaskCtx {
             tid,
             senders: RefCell::new(inner.senders.clone()),
             inbox: rx,
-            barrier: self.barrier.clone(),
             fault,
             supervision: Arc::clone(&self.supervision),
             comm: Arc::clone(&self.comm),
@@ -488,8 +478,8 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A persistent farm: `ntasks` worker threads spawned once, reused by every
 /// [`run`](WorkerPool::run) until the pool is dropped.
 ///
-/// Each run gets fresh mailboxes and a fresh barrier, so runs are fully
-/// isolated from each other; only the OS threads are amortized. A task that
+/// Each run gets fresh mailboxes, so runs are fully isolated from each
+/// other; only the OS threads are amortized. A task that
 /// panics is caught on its worker thread — the pool survives and the run
 /// reports [`FarmError::TaskPanicked`] with the original panic message. A
 /// worker whose OS thread actually died (it can only die by unwinding
@@ -654,7 +644,6 @@ impl WorkerPool {
             senders.push(tx);
             receivers.push(rx);
         }
-        let barrier = Barrier::new(ntasks);
         let comm: Arc<Vec<CommCell>> = Arc::new((0..ntasks).map(|_| CommCell::default()).collect());
         let (done_tx, done_rx) = unbounded::<(TaskId, Result<R, String>)>();
 
@@ -715,7 +704,6 @@ impl WorkerPool {
                 tid,
                 senders: RefCell::new(senders.clone()),
                 inbox,
-                barrier: barrier.clone(),
                 fault: fault_plan
                     .filter(|plan| plan.tid == tid)
                     .map(|plan| FaultState {
@@ -909,24 +897,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(r, vec![5]);
-    }
-
-    #[test]
-    fn barrier_synchronizes_rounds() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        run_farm(4, |ctx| {
-            for round in 1..=10usize {
-                counter.fetch_add(1, Ordering::SeqCst);
-                ctx.barrier();
-                // After the barrier every task must observe all increments
-                // of this round.
-                assert!(counter.load(Ordering::SeqCst) >= round * 4);
-                ctx.barrier();
-            }
-        })
-        .unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 40);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! through the PVM library. This crate is the faithful thread-level stand-in
 //! (DESIGN.md §4): tasks address each other by dense task ids, marshal
 //! messages through explicit pack/unpack buffers ([`codec`]), exchange them
-//! over reliable ordered mailboxes ([`farm`]), and synchronize search rounds
-//! with a reusable barrier ([`barrier`]). The cooperation logic upstairs
+//! over reliable ordered mailboxes ([`farm`]), and rendezvous at round
+//! boundaries by messages alone. The cooperation logic upstairs
 //! never touches a thread primitive directly — it speaks only this API, as
 //! the original spoke PVM.
 //!
@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod channel;
 pub mod codec;
 pub mod collectives;
@@ -49,7 +48,6 @@ pub mod netfault;
 pub mod socket;
 pub mod transport;
 
-pub use barrier::Barrier;
 pub use codec::{fnv1a_64, CodecError, PackBuffer, UnpackBuffer, Wire};
 pub use collectives::{CollectiveError, Collectives, PartialGather};
 pub use farm::{

@@ -84,18 +84,18 @@ for mode in seq its cts1 cts2 ats dts; do
 done
 
 step "policy smoke (core and repair, incl. a healed mid-run kill)"
-# The two promising-search-space policies behind --policy: a plain run of
-# each must print a result and exit 0, and a CORE run that loses a worker
-# to a kill fault must heal through the restart budget — survivors finish,
-# zero losses, exit 0.
-for policy in core repair; do
+# The two promising-search-space modes: a plain run of each (the labels
+# are case-insensitive) must print a result and exit 0, and a CORE run
+# that loses a worker to a kill fault must heal through the restart
+# budget — survivors finish, zero losses, exit 0.
+for mode in core REPAIR; do
   cargo run --release --offline --locked -p mkp-cli -- \
-    solve "$tmp_mkp" --policy "$policy" --p 2 --rounds 2 --budget 40000 --seed 1 \
+    solve "$tmp_mkp" --mode "$mode" --p 2 --rounds 2 --budget 40000 --seed 1 \
     | grep -q '^best value' \
-    || { echo "error: policy $policy smoke failed" >&2; exit 1; }
+    || { echo "error: mode $mode smoke failed" >&2; exit 1; }
 done
 out="$(cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --policy core --p 4 --rounds 3 --budget 60000 --seed 1 \
+  solve "$tmp_mkp" --mode core --p 4 --rounds 3 --budget 60000 --seed 1 \
   --timeout 2 --fault kill@1:1 --restarts 2 --backoff 10 2>&1)" \
   || { echo "error: policy fault smoke exited non-zero" >&2; echo "$out" >&2; exit 1; }
 echo "$out" | grep -q '^resurrections: ' \
@@ -487,13 +487,24 @@ grep -q '"corrupt_drops": [1-9]' "$tmp_nf_metrics" \
        cat "$tmp_nf_metrics" >&2; exit 1; }
 
 step "jobserver bench (smoke)"
+# The smoke writes its own file: results/jobserver-bench.json holds the
+# committed full run and must never be overwritten here.
 cargo run -q --release --offline --locked -p mkp-bench --bin jobserver_bench -- --smoke
-test -s results/jobserver-bench.json \
+test -s results/jobserver-bench-smoke.json \
   || { echo "error: jobserver bench wrote no JSON" >&2; exit 1; }
-grep -q '"jobs_per_sec"' results/jobserver-bench.json \
-  && grep -q '"time_to_target_p95_ms"' results/jobserver-bench.json \
+grep -q '"jobs_per_sec"' results/jobserver-bench-smoke.json \
+  && grep -q '"time_to_target_p95_ms"' results/jobserver-bench-smoke.json \
   || { echo "error: jobserver bench JSON is missing its headline figures" >&2; \
-       cat results/jobserver-bench.json >&2; exit 1; }
+       cat results/jobserver-bench-smoke.json >&2; exit 1; }
+
+step "performance ledger (its tests, then one short e2e pass)"
+# ledger/ is a package of its own that builds the solver crates by path,
+# so the workspace steps above never compile it: an API change they use
+# (ServeConfig, ServeStats, parse_report) must break here, not in the
+# benchmark. The smoke writes only the gitignored ledger/results/*-smoke.json.
+cargo test -q --offline --locked --manifest-path ledger/Cargo.toml
+cargo run -q --release --offline --locked --manifest-path ledger/Cargo.toml \
+  --bin e2e -- --smoke
 
 step "no versioned registry dependencies"
 if grep -rn '^[a-z].*=.*"[0-9]' crates/*/Cargo.toml Cargo.toml; then
