@@ -1,6 +1,7 @@
 //! Microbenchmarks (M1) for the hot kernels: the move operator at several
-//! instance sizes, the intensification procedures, the LP solve, the exact
-//! proof, the wire codec, and the Hamming kernel the master's SGP leans on.
+//! instance sizes, the intensification procedures, the LP solve, the
+//! master's randomized greedy construction, the exact proof, the wire
+//! codec, and the Hamming kernel the master's SGP leans on.
 //!
 //! Runs on the in-tree harness (`mkp_bench::harness`) — no registry
 //! dependency. Usage:
@@ -323,6 +324,27 @@ fn bench_dynamic_greedy(h: &mut Harness) {
     });
 }
 
+fn bench_dynamic_randomized_greedy(h: &mut Harness) {
+    use mkp::greedy::dynamic_randomized_greedy;
+    // The master's ISP construction: 5×100 is the job server's job shape
+    // (a scan-sized instance), 25×500 a lazily selected one.
+    for &(n, m) in &[(100usize, 5usize), (500, 25)] {
+        let inst = gk_instance(
+            "b",
+            GkSpec {
+                n,
+                m,
+                tightness: 0.5,
+                seed: 9,
+            },
+        );
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        h.bench(&format!("dynamic_randomized_greedy {m}x{n}"), || {
+            black_box(dynamic_randomized_greedy(&inst, &mut rng, 4).value())
+        });
+    }
+}
+
 fn bench_restriction(h: &mut Harness) {
     use mkp::restrict::Restriction;
     let inst = gk_instance(
@@ -424,6 +446,7 @@ fn main() {
         bench_neighborhood(&mut h);
         bench_rem(&mut h);
         bench_dynamic_greedy(&mut h);
+        bench_dynamic_randomized_greedy(&mut h);
         bench_restriction(&mut h);
         bench_telemetry(&mut h);
         bench_transport(&mut h);

@@ -8,7 +8,8 @@
 //! zero is worth searching. This policy:
 //!
 //! 1. solves the LP relaxation with the in-tree simplex crate and ranks the
-//!    variables by |reduced cost| (`mkp_exact::bounds`);
+//!    variables by |reduced cost| (`mkp_exact::bounds`) — once per run,
+//!    since the ranking depends on the instance alone;
 //! 2. fixes the confident ones — integral in the LP and far from zero
 //!    reduced cost — via [`mkp::restrict::Restriction`], keeping at least a
 //!    [`CORE_MIN`]-sized core free;
@@ -18,9 +19,10 @@
 //!    [`CellMsg`], the slave projects the master-chosen start onto the free
 //!    variables and lifts its results back (`engine::serve_assignment`);
 //! 4. periodically re-identifies the core from the incumbent: every
-//!    [`REFIX_EVERY`] rounds a variable is only fixed if the incumbent
-//!    *agrees* with the LP rounding — disagreements rejoin the core, so the
-//!    search can overrule a confident-looking but wrong fixing.
+//!    [`REFIX_EVERY`] rounds the same ranking is filtered again, and a
+//!    variable is only fixed if the incumbent *agrees* with the LP
+//!    rounding — disagreements rejoin the core, so the search can overrule
+//!    a confident-looking but wrong fixing.
 //!
 //! Because the master data structure stays in the full variable space
 //! (initials, elites and bests all cross the wire lifted), transports,
@@ -46,6 +48,10 @@ const INTEGRALITY_EPS: f64 = 1e-6;
 /// CTS2 cooperation restricted to an LP-identified promising core.
 pub struct CorePolicy {
     inner: FarmPolicy,
+    /// The fixing candidates, most confident first (see
+    /// [`CorePolicy::rank`]); `None` until the run's first
+    /// identification. Not checkpointed: a restored policy recomputes it.
+    ranking: Option<Vec<(usize, bool)>>,
     forced_in: Vec<usize>,
     forced_out: Vec<usize>,
     /// Bits of the best solution absorbed so far; steers re-identification.
@@ -65,6 +71,7 @@ impl CorePolicy {
     pub fn new() -> Self {
         CorePolicy {
             inner: FarmPolicy::cooperative_adaptive(),
+            ranking: None,
             forced_in: Vec::new(),
             forced_out: Vec::new(),
             incumbent: None,
@@ -78,22 +85,16 @@ impl CorePolicy {
         (n / 4).max(CORE_MIN).min(n.saturating_sub(2))
     }
 
-    /// (Re-)identify the promising core. Confident variables — integral LP
-    /// value, largest |reduced cost| — are fixed to their LP value until
-    /// only [`Self::core_size`] stay free; a variable the `incumbent`
-    /// disagrees with is never fixed. Any LP failure or restriction error
-    /// degrades to an empty fixing (plain CTS2 over the full space).
-    fn identify_core(&mut self, inst: &Instance, incumbent: Option<&BitVec>) {
-        self.forced_in.clear();
-        self.forced_out.clear();
-        let n = inst.n();
-        let lp = match lp_bound(inst) {
-            Ok(lp) => lp,
-            Err(_) => return,
+    /// The fixing candidates, most confident first: the variables the LP
+    /// relaxation sets integrally, by descending |reduced cost| (ties by
+    /// index), each with whether the LP packs it. Empty when the LP fails.
+    /// A pure function of the instance.
+    fn rank(inst: &Instance) -> Vec<(usize, bool)> {
+        let Ok(lp) = lp_bound(inst) else {
+            return Vec::new();
         };
         let d = reduced_costs(inst, &lp.duals);
-        // Most confident first: by descending |reduced cost|, integral only.
-        let mut order: Vec<usize> = (0..n)
+        let mut order: Vec<usize> = (0..inst.n())
             .filter(|&j| lp.x[j] < INTEGRALITY_EPS || lp.x[j] > 1.0 - INTEGRALITY_EPS)
             .collect();
         order.sort_by(|&a, &b| {
@@ -102,12 +103,25 @@ impl CorePolicy {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
+        order.into_iter().map(|j| (j, lp.x[j] > 0.5)).collect()
+    }
+
+    /// (Re-)identify the promising core. Confident variables — integral LP
+    /// value, largest |reduced cost| — are fixed to their LP value until
+    /// only [`Self::core_size`] stay free; a variable the `incumbent`
+    /// disagrees with is never fixed. The LP is solved at the run's first
+    /// identification only. Any LP failure or restriction error degrades
+    /// to an empty fixing (plain CTS2 over the full space).
+    fn identify_core(&mut self, inst: &Instance, incumbent: Option<&BitVec>) {
+        self.forced_in.clear();
+        self.forced_out.clear();
+        let n = inst.n();
+        let ranking = self.ranking.get_or_insert_with(|| Self::rank(inst));
         let fix_quota = n - Self::core_size(n);
-        for &j in &order {
+        for &(j, packed) in ranking.iter() {
             if self.forced_in.len() + self.forced_out.len() >= fix_quota {
                 break;
             }
-            let packed = lp.x[j] > 0.5;
             if let Some(inc) = incumbent {
                 if inc.get(j) != packed {
                     continue; // the incumbent overrules the relaxation
@@ -170,6 +184,7 @@ impl CoopPolicy for CorePolicy {
 
     fn prepare(&mut self, inst: &Instance, cfg: &RunConfig, rng: &mut Xoshiro256) -> Vec<Solution> {
         let starts = self.inner.prepare(inst, cfg, rng);
+        self.ranking = None;
         self.incumbent = None;
         self.last_refix = 0;
         self.identify_core(inst, None);
@@ -288,6 +303,7 @@ impl CoopPolicy for CorePolicy {
             }
         }
         self.inner.restore(inst, cfg, &inner_blob)?;
+        self.ranking = None;
         self.forced_in = forced_in;
         self.forced_out = forced_out;
         self.last_refix = last_refix;
@@ -406,6 +422,30 @@ mod tests {
         // Same state ⇒ identical re-encoding (the resume-bit-identity
         // contract rides on this).
         assert_eq!(back.snapshot(), policy.snapshot());
+    }
+
+    #[test]
+    fn a_restored_policy_recomputes_the_ranking_and_refixes_alike() {
+        let inst = inst();
+        let cfg = cfg(19);
+        let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
+        let mut policy = CorePolicy::new();
+        policy.prepare(&inst, &cfg, &mut rng);
+        assert!(policy.ranking.is_some(), "prepare ranks the variables");
+        let blob = policy.snapshot().unwrap();
+        let mut back = CorePolicy::new();
+        back.restore(&inst, &cfg, &blob).unwrap();
+        assert!(back.ranking.is_none(), "the ranking is not checkpointed");
+        // An incumbent that agrees with half the fixed-in variables.
+        let mut incumbent = BitVec::zeros(inst.n());
+        for &j in policy.forced_in.iter().step_by(2) {
+            incumbent.set(j, true);
+        }
+        policy.identify_core(&inst, Some(&incumbent));
+        back.identify_core(&inst, Some(&incumbent));
+        assert_eq!(back.ranking, policy.ranking);
+        assert_eq!(back.forced_in, policy.forced_in);
+        assert_eq!(back.forced_out, policy.forced_out);
     }
 
     #[test]

@@ -908,18 +908,10 @@ impl Scheduler {
         if Mode::from_code(msg.mode).is_none() {
             return reject(self, format!("unknown mode code {}", msg.mode));
         }
-        let pb = &msg.problem;
-        if pb.n == 0
-            || pb.m == 0
-            || pb.profits.len() != pb.n
-            || pb.weights.len() != pb.n * pb.m
-            || pb.capacities.len() != pb.m
-        {
-            return reject(
-                self,
-                "malformed instance: array lengths disagree with n/m".into(),
-            );
-        }
+        let inst = match msg.problem.clone().try_into_instance() {
+            Ok(inst) => inst,
+            Err(e) => return reject(self, format!("malformed instance: {e}")),
+        };
         let capacity = self.pool.capacity();
         let p = msg.p as usize;
         if p == 0 || p > capacity {
@@ -969,7 +961,7 @@ impl Scheduler {
             payload.extend_from_slice(&msg.to_bytes());
             self.journal_append(jkind::SUBMIT, &payload);
         }
-        let job = build_job(id, client, &self.cfg, msg);
+        let job = build_job(id, client, &self.cfg, &msg, inst);
         if job.token != 0 {
             self.tokens.insert(job.token, id);
         }
@@ -1354,7 +1346,12 @@ impl Scheduler {
             if Mode::from_code(p.msg.mode).is_none() {
                 continue; // journal from a stranger build: skip, don't die
             }
-            let mut job = build_job(id, 0, &self.cfg, p.msg);
+            // A record an older build admitted without the current
+            // instance checks: skip it the same way.
+            let Ok(inst) = p.msg.problem.clone().try_into_instance() else {
+                continue;
+            };
+            let mut job = build_job(id, 0, &self.cfg, &p.msg, inst);
             job.last_incumbent = p.incumbent;
             if self.spool_path(id).exists() {
                 job.state = JobState::Parked;
@@ -1389,11 +1386,17 @@ impl Scheduler {
     }
 }
 
-/// Construct a [`Job`] from a validated submission. Shared by admission
-/// and journal recovery so a recovered job is built *identically* to a
-/// freshly admitted one (same parkability, same re-armed deadline
-/// semantics) — the bit-identity guarantee depends on it.
-fn build_job(id: u64, client: u64, serve_cfg: &ServeConfig, msg: SubmitMsg) -> Job {
+/// Construct a [`Job`] from a validated submission and its instance.
+/// Shared by admission and journal recovery so a recovered job is built
+/// *identically* to a freshly admitted one (same parkability, same
+/// re-armed deadline semantics) — the bit-identity guarantee depends on it.
+fn build_job(
+    id: u64,
+    client: u64,
+    serve_cfg: &ServeConfig,
+    msg: &SubmitMsg,
+    inst: Instance,
+) -> Job {
     let mode = Mode::from_code(msg.mode).expect("caller validated the mode code");
     let cfg = RunConfig {
         p: msg.p as usize,
@@ -1407,7 +1410,7 @@ fn build_job(id: u64, client: u64, serve_cfg: &ServeConfig, msg: SubmitMsg) -> J
     Job {
         id,
         client,
-        inst: msg.problem.into_instance(),
+        inst,
         mode,
         cfg,
         deadline,
@@ -1790,6 +1793,132 @@ mod tests {
         assert_eq!(back.seed, 42);
         assert_eq!(back.deadline_ms, 1500);
         assert_eq!(back.token, 0xDEAD_BEEF);
+    }
+
+    fn fresh_temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mkp-jobsrv-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn submission(problem: ProblemMsg) -> SubmitMsg {
+        SubmitMsg {
+            problem,
+            mode: Mode::Cooperative.code(),
+            p: 2,
+            rounds: 2,
+            budget_evals: 20_000,
+            seed: 1,
+            deadline_ms: 0,
+            token: 0,
+        }
+    }
+
+    /// Weights `[3, -1]`: `Instance::new` refuses the negative entry.
+    fn negative_weight_problem() -> ProblemMsg {
+        ProblemMsg {
+            name: "negative".into(),
+            n: 2,
+            m: 1,
+            profits: vec![5, 4],
+            weights: vec![3, -1],
+            capacities: vec![10],
+        }
+    }
+
+    fn valid_job_completes(ep: &Endpoint, patience: Duration) {
+        let spec = SubmitSpec {
+            mode: Mode::Cooperative,
+            p: 2,
+            rounds: 2,
+            budget_evals: 20_000,
+            seed: 1,
+            deadline: None,
+        };
+        let outcome = submit_job(ep, &tiny_instance(3), &spec, patience, |_| {}).unwrap();
+        assert!(matches!(outcome, SubmitOutcome::Done(_)), "{outcome:?}");
+    }
+
+    #[test]
+    fn invalid_instances_are_rejected_before_the_journal_and_the_server_keeps_serving() {
+        let dir = fresh_temp_dir("invalid-submit");
+        let ep = Endpoint::Unix(dir.join("clients.sock"));
+        let state = dir.join("state");
+        let patience = Duration::from_secs(20);
+        let cfg = ServeConfig {
+            max_jobs: 1,
+            state_dir: Some(state.clone()),
+            patience,
+            ..ServeConfig::default()
+        };
+        let server = {
+            let ep = ep.clone();
+            std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+        };
+        let max = i64::MAX;
+        let overflowing = ProblemMsg {
+            name: "overflowing".into(),
+            n: 2,
+            m: 1,
+            profits: vec![1, 1],
+            weights: vec![max, max],
+            capacities: vec![max],
+        };
+        for (problem, needle) in [
+            (negative_weight_problem(), "negative"),
+            (overflowing, "overflow"),
+        ] {
+            let bytes = submission(problem).to_bytes();
+            let outcome =
+                run_job_protocol(&ep, jtags::SUBMIT, &bytes, patience, &mut |_| {}).unwrap();
+            match outcome {
+                SubmitOutcome::Rejected { reason } => assert!(
+                    reason.starts_with("malformed instance: ") && reason.contains(needle),
+                    "unexpected reason: {reason}"
+                ),
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+        }
+        // Neither reached the journal (read while the server runs, before
+        // a shutdown compaction could hide a stray record).
+        let bytes = std::fs::read(state.join("journal.mkpj")).unwrap();
+        let (records, _) = crate::journal::replay(&bytes);
+        assert!(records.iter().all(|r| r.kind != jkind::SUBMIT));
+        valid_job_completes(&ep, patience);
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!((stats.rejected, stats.accepted, stats.done), (2, 1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_journaled_submit_with_an_invalid_instance_is_skipped_on_recovery() {
+        let dir = fresh_temp_dir("invalid-journal");
+        let ep = Endpoint::Unix(dir.join("clients.sock"));
+        let state = dir.join("state");
+        std::fs::create_dir_all(&state).unwrap();
+        {
+            let (mut journal, _) = Journal::open(&state.join("journal.mkpj")).unwrap();
+            let mut payload = 1u64.to_le_bytes().to_vec();
+            payload.extend_from_slice(&submission(negative_weight_problem()).to_bytes());
+            journal.append(jkind::SUBMIT, &payload).unwrap();
+        }
+        let patience = Duration::from_secs(20);
+        let cfg = ServeConfig {
+            max_jobs: 1,
+            state_dir: Some(state),
+            patience,
+            ..ServeConfig::default()
+        };
+        let server = {
+            let ep = ep.clone();
+            std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+        };
+        valid_job_completes(&ep, patience);
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!(stats.recovered, 0);
+        assert_eq!(stats.done, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

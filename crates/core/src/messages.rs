@@ -6,7 +6,7 @@
 //! the slave report (best solution, elite pool, work counters). No Rust
 //! object is ever shared between tasks.
 
-use mkp::{BitVec, Instance, Solution};
+use mkp::{BitVec, Instance, InstanceError, Solution};
 use mkp_tabu::Strategy;
 use pvm_lite::codec::{CodecError, PackBuffer, UnpackBuffer, Wire};
 
@@ -58,8 +58,9 @@ impl ProblemMsg {
         }
     }
 
-    /// Reconstruct the instance on the slave side.
-    pub fn into_instance(self) -> Instance {
+    /// Reconstruct the instance, validating it: the entry check for
+    /// problem data from outside the program (a SUBMIT, a journal record).
+    pub fn try_into_instance(self) -> Result<Instance, InstanceError> {
         Instance::new(
             self.name,
             self.n,
@@ -68,7 +69,12 @@ impl ProblemMsg {
             self.weights,
             self.capacities,
         )
-        .expect("master sent a valid instance")
+    }
+
+    /// Reconstruct the instance on the slave side.
+    pub fn into_instance(self) -> Instance {
+        self.try_into_instance()
+            .expect("master sent a valid instance")
     }
 }
 

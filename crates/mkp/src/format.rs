@@ -258,6 +258,23 @@ mod tests {
     }
 
     #[test]
+    fn data_that_could_overflow_is_rejected() {
+        // A capacity of i64::MAX: `slack + 1` would overflow.
+        let err = parse_instance("e", "3 1 0\n5 4 3\n1 1 1\n9223372036854775807\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Invalid(InstanceError::TooLarge { .. })),
+            "{err}"
+        );
+        // Two weights of i64::MAX: packing both would wrap the load.
+        let text = "2 1 0\n1 1\n9223372036854775807 9223372036854775807\n9223372036854775807\n";
+        let err = parse_instance("e", text).unwrap_err();
+        assert!(
+            matches!(err, ParseError::Invalid(InstanceError::TooLarge { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn error_messages_name_the_field() {
         let err = parse_instance("e", "2 1 0 1 2 3").unwrap_err();
         assert!(err.to_string().contains("weight"));

@@ -6,6 +6,8 @@ use crate::eval::Ratios;
 use crate::instance::Instance;
 use crate::rng::Xoshiro256;
 use crate::solution::Solution;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Fill `sol` greedily: walk items in descending pseudo-utility and pack
 /// every one that still fits. Starts from the current contents of `sol`
@@ -135,11 +137,35 @@ pub fn dynamic_greedy_fill_view(inst: &Instance, ratios: &Ratios, sol: &mut Solu
     }
 }
 
+/// Below this many weight-matrix cells (`n·m`) [`dynamic_randomized_greedy`]
+/// scans; at or above it, it selects lazily. Where nearly every utility
+/// drops at each step the lazy heap re-evaluates almost every item anyway
+/// and only adds heap traffic, so small instances keep the scan. Measured
+/// with the `dynamic_randomized_greedy` kernel benches on GK instances
+/// (rcl 4, 2-vCPU Xeon VM): the scan is 1.2–1.4× faster at 5×40 and
+/// 5×100, the lazy selection 1.1× faster at 10×100, 1.7× at 10×250,
+/// 3.4× at 25×500 and 19× at 100×2500.
+const LAZY_GREEDY_MIN_CELLS: usize = 1_000;
+
 /// GRASP-style randomized greedy over the **dynamic** utility: each step
 /// picks uniformly among the `rcl` best fitting items under the current
-/// slack-aware scores.
+/// slack-aware scores, ranked by utility descending, then index ascending.
+///
+/// Large instances select lazily (see `LAZY_GREEDY_MIN_CELLS`); the
+/// result and the rng position afterwards are the same on either path.
 pub fn dynamic_randomized_greedy(inst: &Instance, rng: &mut Xoshiro256, rcl: usize) -> Solution {
     assert!(rcl >= 1, "restricted candidate list must be non-empty");
+    if inst.n() * inst.m() < LAZY_GREEDY_MIN_CELLS {
+        dynamic_randomized_greedy_scan(inst, rng, rcl)
+    } else {
+        dynamic_randomized_greedy_lazy(inst, rng, rcl)
+    }
+}
+
+/// [`dynamic_randomized_greedy`] by a full scan per step: every unpacked
+/// item is checked and scored. The reference the lazy path is tested
+/// against.
+fn dynamic_randomized_greedy_scan(inst: &Instance, rng: &mut Xoshiro256, rcl: usize) -> Solution {
     let mut sol = Solution::empty(inst);
     loop {
         // Collect the rcl best fitting items by dynamic utility.
@@ -160,6 +186,96 @@ pub fn dynamic_randomized_greedy(inst: &Instance, rng: &mut Xoshiro256, rcl: usi
         }
         let (j, _) = top[rng.index(top.len())];
         sol.add(inst, j);
+    }
+    sol
+}
+
+/// A candidate item and a utility (exact or an upper bound), ordered the
+/// way the restricted candidate list ranks: higher utility is greater,
+/// and on equal utility the lower index is greater.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    u: f64,
+    j: usize,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Utilities are never NaN or −0.0, so `total_cmp` agrees with the
+        // scan's `>=` on them.
+        self.u.total_cmp(&other.u).then(other.j.cmp(&self.j))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+/// [`dynamic_randomized_greedy`] by lazy evaluation, exact with respect to
+/// the scan.
+///
+/// Loads only grow while the solution is built, and `Instance::new`
+/// rejects negative data, so every `a_ij / (slack_i + 1)` term can only
+/// grow and every item's dynamic utility can only fall. Int→f64
+/// conversion, division and addition are correctly rounded and therefore
+/// monotone, so this holds for the computed f64 values too: a utility
+/// computed earlier is an upper bound on the current one. The instance's
+/// magnitude bound (`Instance::MAX_MAGNITUDE`) keeps `slack + 1` and the
+/// loads from overflowing.
+///
+/// Each step re-evaluates candidates in bound order and stops as soon as
+/// the next bound cannot enter the current top-`rcl`; every later
+/// candidate's true utility is below that bound. An item that stops
+/// fitting never fits again and leaves the heap for good.
+fn dynamic_randomized_greedy_lazy(inst: &Instance, rng: &mut Xoshiro256, rcl: usize) -> Solution {
+    let mut sol = Solution::empty(inst);
+    let mut heap: BinaryHeap<Ranked> = (0..inst.n())
+        .filter(|&j| sol.fits(inst, j))
+        .map(|j| Ranked {
+            u: dynamic_utility(inst, &sol, j),
+            j,
+        })
+        .collect();
+    let mut top: Vec<Ranked> = Vec::with_capacity(rcl + 1);
+    let mut evaluated: Vec<Ranked> = Vec::new();
+    loop {
+        top.clear();
+        evaluated.clear();
+        while let Some(&bound) = heap.peek() {
+            if top.len() == rcl && top[rcl - 1] > bound {
+                break;
+            }
+            heap.pop();
+            if !sol.fits(inst, bound.j) {
+                continue;
+            }
+            let fresh = Ranked {
+                u: dynamic_utility(inst, &sol, bound.j),
+                j: bound.j,
+            };
+            evaluated.push(fresh);
+            let pos = top.partition_point(|r| *r > fresh);
+            if pos < rcl {
+                top.insert(pos, fresh);
+                top.truncate(rcl);
+            }
+        }
+        if top.is_empty() {
+            break;
+        }
+        let pick = top[rng.index(top.len())].j;
+        sol.add(inst, pick);
+        heap.extend(evaluated.iter().filter(|r| r.j != pick));
     }
     sol
 }
@@ -424,6 +540,71 @@ mod tests {
         let weights: Vec<i64> = (0..n * m).map(|_| gen::i64_in(rng, 1, 49)).collect();
         let caps: Vec<i64> = (0..m).map(|_| gen::i64_in(rng, 20, 299)).collect();
         Instance::new("prop", n, m, profits, weights, caps).unwrap()
+    }
+
+    /// Small-valued data, so utilities tie often; about one item in five
+    /// weighs nothing (utility ∞, ties broken by index), profits may be
+    /// zero, and a capacity may be zero.
+    fn arb_tied_instance(rng: &mut Xoshiro256) -> Instance {
+        let n = gen::usize_in(rng, 2, 60);
+        let m = gen::usize_in(rng, 1, 6);
+        let profits: Vec<i64> = (0..n).map(|_| gen::i64_in(rng, 0, 9)).collect();
+        let weightless: Vec<bool> = (0..n).map(|_| gen::usize_in(rng, 0, 4) == 0).collect();
+        let weights: Vec<i64> = (0..n * m)
+            .map(|k| {
+                if weightless[k % n] {
+                    0
+                } else {
+                    gen::i64_in(rng, 1, 9)
+                }
+            })
+            .collect();
+        let caps: Vec<i64> = (0..m).map(|_| gen::i64_in(rng, 0, 80)).collect();
+        Instance::new("tied", n, m, profits, weights, caps).unwrap()
+    }
+
+    /// The lazy selection reproduces the scan: the same solution, and the
+    /// rng left at the same position, for every list width 1–6.
+    #[test]
+    fn prop_lazy_dynamic_greedy_matches_scan() {
+        prop_check!(|rng| (arb_tied_instance(rng), rng.next_u64()), |input| {
+            let (inst, seed) = input;
+            for rcl in 1..=6 {
+                let mut scan_rng = Xoshiro256::seed_from_u64(*seed);
+                let mut lazy_rng = scan_rng.clone();
+                let scan = dynamic_randomized_greedy_scan(inst, &mut scan_rng, rcl);
+                let lazy = dynamic_randomized_greedy_lazy(inst, &mut lazy_rng, rcl);
+                assert_eq!(scan.bits(), lazy.bits(), "rcl {rcl}");
+                assert_eq!(scan_rng, lazy_rng, "rcl {rcl}: rng positions differ");
+            }
+        });
+    }
+
+    /// The same on benchmark-shaped instances, where the lazy path is the
+    /// one `dynamic_randomized_greedy` takes.
+    #[test]
+    fn lazy_dynamic_greedy_matches_scan_on_gk_instances() {
+        use crate::generate::{gk_instance, GkSpec};
+        for seed in 0..3 {
+            let inst = gk_instance(
+                "g",
+                GkSpec {
+                    n: 250,
+                    m: 10,
+                    tightness: 0.5,
+                    seed,
+                },
+            );
+            assert!(inst.n() * inst.m() >= LAZY_GREEDY_MIN_CELLS);
+            for rcl in 1..=6 {
+                let mut scan_rng = Xoshiro256::seed_from_u64(seed + 100);
+                let mut lazy_rng = scan_rng.clone();
+                let scan = dynamic_randomized_greedy_scan(&inst, &mut scan_rng, rcl);
+                let lazy = dynamic_randomized_greedy(&inst, &mut lazy_rng, rcl);
+                assert_eq!(scan.bits(), lazy.bits(), "seed {seed} rcl {rcl}");
+                assert_eq!(scan_rng, lazy_rng, "seed {seed} rcl {rcl}");
+            }
+        }
     }
 
     #[test]

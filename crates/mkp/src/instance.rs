@@ -8,7 +8,9 @@
 //!
 //! All data are non-negative integers (`i64`), matching the classic benchmark
 //! suites; integer arithmetic keeps incremental evaluation exact and lets the
-//! exact solver certify optima without rounding concerns.
+//! exact solver certify optima without rounding concerns. Magnitudes are
+//! bounded by [`Instance::MAX_MAGNITUDE`] so that this arithmetic cannot
+//! overflow.
 
 use std::fmt;
 
@@ -27,6 +29,12 @@ pub enum InstanceError {
         what: &'static str,
         index: usize,
         value: i64,
+    },
+    /// A capacity, the profit sum or the weight sum exceeds
+    /// [`Instance::MAX_MAGNITUDE`]; `index` names the capacity.
+    TooLarge {
+        what: &'static str,
+        index: Option<usize>,
     },
     /// Item `j` cannot fit in any solution: some `a_ij > b_i`.
     // Not an error in general MKP, but generators should not emit such items;
@@ -48,6 +56,17 @@ impl fmt::Display for InstanceError {
             }
             InstanceError::NegativeData { what, index, value } => {
                 write!(f, "{what}[{index}] = {value} is negative")
+            }
+            InstanceError::TooLarge { what, index } => {
+                match index {
+                    Some(i) => write!(f, "{what}[{i}]")?,
+                    None => write!(f, "{what}")?,
+                }
+                write!(
+                    f,
+                    " exceeds {}, so loads or objective values could overflow",
+                    Instance::MAX_MAGNITUDE
+                )
             }
             InstanceError::_Reserved => write!(f, "reserved"),
         }
@@ -79,6 +98,18 @@ pub struct Instance {
 }
 
 impl Instance {
+    /// Largest admissible capacity, profit sum and weight sum (the sum of
+    /// every `a_ij`): `i64::MAX / 2`.
+    ///
+    /// A load is a sum of distinct items' weights, so `load_i + a_ij`
+    /// never exceeds the weight sum, and a value never exceeds the profit
+    /// sum. A slack `b_i − load_i` lies in `[−MAX_MAGNITUDE,
+    /// MAX_MAGNITUDE]`, so `slack + 1` and the sum or difference of any two
+    /// such quantities fit in `i64`; so does a per-item weight sum
+    /// `Σ_i a_ij`. The lazy dynamic greedy relies on this: its monotone
+    /// utilities assume these never wrap.
+    pub const MAX_MAGNITUDE: i64 = i64::MAX / 2;
+
     /// Construct an instance from row-major weights (`weights[i * n + j]`).
     pub fn new(
         name: impl Into<String>,
@@ -97,9 +128,10 @@ impl Instance {
                 got: profits.len(),
             });
         }
-        if weights.len() != n * m {
+        let cells = n.checked_mul(m);
+        if cells != Some(weights.len()) {
             return Err(InstanceError::WeightShape {
-                expected: n * m,
+                expected: cells.unwrap_or(usize::MAX),
                 got: weights.len(),
             });
         }
@@ -109,30 +141,20 @@ impl Instance {
                 got: capacities.len(),
             });
         }
-        for (j, &c) in profits.iter().enumerate() {
-            if c < 0 {
-                return Err(InstanceError::NegativeData {
-                    what: "profit",
-                    index: j,
-                    value: c,
-                });
-            }
-        }
-        for (k, &a) in weights.iter().enumerate() {
-            if a < 0 {
-                return Err(InstanceError::NegativeData {
-                    what: "weight",
-                    index: k,
-                    value: a,
-                });
-            }
-        }
+        check_entries(&profits, "profit", "profit sum")?;
+        check_entries(&weights, "weight", "weight sum")?;
         for (i, &b) in capacities.iter().enumerate() {
             if b < 0 {
                 return Err(InstanceError::NegativeData {
                     what: "capacity",
                     index: i,
                     value: b,
+                });
+            }
+            if b > Self::MAX_MAGNITUDE {
+                return Err(InstanceError::TooLarge {
+                    what: "capacity",
+                    index: Some(i),
                 });
             }
         }
@@ -259,6 +281,30 @@ impl Instance {
     }
 }
 
+/// Check that `values` are non-negative and that their sum stays within
+/// [`Instance::MAX_MAGNITUDE`], in one pass.
+fn check_entries(
+    values: &[i64],
+    what: &'static str,
+    sum_what: &'static str,
+) -> Result<(), InstanceError> {
+    let mut sum = 0u64;
+    for (index, &value) in values.iter().enumerate() {
+        if value < 0 {
+            return Err(InstanceError::NegativeData { what, index, value });
+        }
+        // `sum` ≤ MAX_MAGNITUDE < 2^62 and `value` < 2^63: no wrap in u64.
+        sum += value as u64;
+        if sum > Instance::MAX_MAGNITUDE as u64 {
+            return Err(InstanceError::TooLarge {
+                what: sum_what,
+                index: None,
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,6 +392,48 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn rejects_data_that_could_overflow() {
+        let max = i64::MAX;
+        let err = Instance::new("e", 3, 1, vec![5, 4, 3], vec![1, 1, 1], vec![max]).unwrap_err();
+        assert_eq!(
+            err,
+            InstanceError::TooLarge {
+                what: "capacity",
+                index: Some(0)
+            }
+        );
+        // Two items of weight i64::MAX: their load would wrap.
+        let err = Instance::new("e", 2, 1, vec![1, 1], vec![max, max], vec![max / 2]).unwrap_err();
+        assert!(matches!(
+            err,
+            InstanceError::TooLarge {
+                what: "weight sum",
+                ..
+            }
+        ));
+        // The sum, not a single entry, must stay within the limit.
+        let half = Instance::MAX_MAGNITUDE / 2 + 1;
+        let err = Instance::new("e", 2, 1, vec![half, half], vec![1, 1], vec![2]).unwrap_err();
+        assert!(matches!(
+            err,
+            InstanceError::TooLarge {
+                what: "profit sum",
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("overflow"), "{err}");
+        // Exactly at the limit is fine.
+        let lim = Instance::MAX_MAGNITUDE;
+        Instance::new("e", 2, 1, vec![lim, 0], vec![lim - 1, 1], vec![lim]).unwrap();
+    }
+
+    #[test]
+    fn rejects_a_shape_whose_cell_count_overflows() {
+        let err = Instance::new("e", 2, usize::MAX, vec![1, 2], vec![1, 2], vec![]).unwrap_err();
+        assert!(matches!(err, InstanceError::WeightShape { .. }));
     }
 
     #[test]

@@ -155,6 +155,12 @@ impl LpProblem {
         self.a[i * self.n + j]
     }
 
+    /// Row `i` of the matrix, one entry per structural variable.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.a[i * self.n..(i + 1) * self.n]
+    }
+
     /// Right-hand sides.
     #[inline]
     pub fn b(&self) -> &[f64] {

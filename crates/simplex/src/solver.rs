@@ -97,9 +97,9 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Dual values `y = c_B B⁻¹`.
-    fn duals(&self) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
+    /// Dual values `y = c_B B⁻¹`, written into `y`.
+    fn duals(&self, y: &mut [f64]) {
+        y.fill(0.0);
         for (k, &bk) in self.basis.iter().enumerate() {
             let cb = self.cost(bk);
             if cb != 0.0 {
@@ -108,22 +108,23 @@ impl<'a> Simplex<'a> {
                 }
             }
         }
-        y
     }
 
-    /// Reduced cost of nonbasic variable `q` given duals `y`.
-    fn reduced_cost(&self, q: usize, y: &[f64]) -> f64 {
-        if q < self.n {
-            let mut d = self.p.c()[q];
-            for i in 0..self.m {
-                let a = self.p.a(i, q);
-                if a != 0.0 {
-                    d -= y[i] * a;
-                }
+    /// Reduced costs `d = c − Aᵀy` of all `n + m` variables, priced one
+    /// constraint row at a time: the matrix is row-major, so this reads it
+    /// sequentially. Each `d_j` still subtracts its terms in row order and
+    /// skips zero entries, so its bits are those of a column walk.
+    fn price(&self, y: &[f64], d: &mut [f64]) {
+        let n = self.n;
+        d[..n].copy_from_slice(self.p.c());
+        for i in 0..self.m {
+            let yi = y[i];
+            for (dj, &a) in d[..n].iter_mut().zip(self.p.row(i)) {
+                // `x − 0.0` is `x` for every x, so this is the skip,
+                // written so the loop vectorizes.
+                *dj -= if a != 0.0 { yi * a } else { 0.0 };
             }
-            d
-        } else {
-            -y[q - self.n]
+            d[n + i] = -yi;
         }
     }
 
@@ -131,17 +132,20 @@ impl<'a> Simplex<'a> {
         let limit = 200 * (self.n + self.m + 10);
         let mut col = vec![0.0; self.m];
         let mut w = vec![0.0; self.m];
+        let mut y = vec![0.0; self.m];
+        let mut d = vec![0.0; self.n + self.m];
+        self.duals(&mut y);
+        self.price(&y, &mut d);
         loop {
             if self.pivots > limit {
                 return Err(LpError::IterationLimit { limit });
             }
-            let y = self.duals();
-            let entering = self.choose_entering(&y);
-            let Some((q, d)) = entering else {
+            let entering = self.choose_entering(&d);
+            let Some((q, dq)) = entering else {
                 return Ok(self.extract(&y));
             };
             // Direction of change of x_q: +1 when rising from lower bound.
-            let dir: f64 = if d > 0.0 { 1.0 } else { -1.0 };
+            let dir: f64 = if dq > 0.0 { 1.0 } else { -1.0 };
             self.column(q, &mut col);
             // w = B⁻¹ A_q
             for (k, wk) in w.iter_mut().enumerate() {
@@ -183,7 +187,8 @@ impl<'a> Simplex<'a> {
 
             match leaving {
                 None => {
-                    // Bound flip: x_q jumps to its other bound, basis unchanged.
+                    // Bound flip: x_q jumps to its other bound. The basis is
+                    // unchanged, and with it y and d.
                     for k in 0..self.m {
                         self.xb[k] -= t * dir * w[k];
                     }
@@ -210,42 +215,31 @@ impl<'a> Simplex<'a> {
                     if self.pivots.is_multiple_of(REINVERT_EVERY) {
                         self.reinvert();
                     }
+                    self.duals(&mut y);
+                    self.price(&y, &mut d);
                 }
             }
         }
     }
 
-    /// Entering-variable choice: Dantzig (largest |reduced cost|) normally,
-    /// Bland (lowest eligible index) under a degenerate streak.
-    fn choose_entering(&self, y: &[f64]) -> Option<(usize, f64)> {
+    /// Entering-variable choice over the reduced costs `d`: Dantzig
+    /// (largest |reduced cost|) normally, Bland (lowest eligible index)
+    /// under a degenerate streak.
+    fn choose_entering(&self, d: &[f64]) -> Option<(usize, f64)> {
         let bland = self.degenerate_streak >= BLAND_AFTER_DEGENERATE;
         let mut best: Option<(usize, f64)> = None;
-        for q in 0..self.n + self.m {
-            let eligible_d = match self.status[q] {
-                Status::Basic => continue,
-                Status::AtLower => {
-                    let d = self.reduced_cost(q, y);
-                    if d > TOL {
-                        Some(d)
-                    } else {
-                        None
-                    }
-                }
-                Status::AtUpper => {
-                    let d = self.reduced_cost(q, y);
-                    if d < -TOL {
-                        Some(d)
-                    } else {
-                        None
-                    }
-                }
+        for (q, &dq) in d.iter().enumerate() {
+            let eligible = match self.status[q] {
+                Status::Basic => false,
+                Status::AtLower => dq > TOL,
+                Status::AtUpper => dq < -TOL,
             };
-            if let Some(d) = eligible_d {
+            if eligible {
                 if bland {
-                    return Some((q, d));
+                    return Some((q, dq));
                 }
-                if best.is_none_or(|(_, bd)| d.abs() > bd.abs()) {
-                    best = Some((q, d));
+                if best.is_none_or(|(_, bd)| dq.abs() > bd.abs()) {
+                    best = Some((q, dq));
                 }
             }
         }
@@ -581,6 +575,16 @@ mod tests {
         assert!((p.objective_of(&s.x) - s.objective).abs() < 1e-9);
     }
 
+    /// The LP relaxation of an MKP instance (`0 ≤ x_j ≤ 1`).
+    fn mkp_lp(inst: &mkp::Instance) -> LpProblem {
+        let c: Vec<f64> = inst.profits().iter().map(|&v| v as f64).collect();
+        let a: Vec<f64> = (0..inst.m())
+            .flat_map(|i| inst.constraint_row(i).iter().map(|&w| w as f64))
+            .collect();
+        let b: Vec<f64> = inst.capacities().iter().map(|&v| v as f64).collect();
+        LpProblem::new(c, a, b, vec![1.0; inst.n()]).unwrap()
+    }
+
     #[test]
     fn larger_random_lp_is_stable() {
         // 30 constraints × 200 vars exercises reinversion and bound flips.
@@ -595,23 +599,86 @@ mod tests {
                 seed: 5,
             },
         );
-        let n = inst.n();
-        let m = inst.m();
-        let c: Vec<f64> = inst.profits().iter().map(|&v| v as f64).collect();
-        let mut a = vec![0.0; m * n];
-        for i in 0..m {
-            for (j, &w) in inst.constraint_row(i).iter().enumerate() {
-                a[i * n + j] = w as f64;
-            }
-        }
-        let b: Vec<f64> = inst.capacities().iter().map(|&v| v as f64).collect();
-        let p = LpProblem::new(c, a, b, vec![1.0; n]).unwrap();
+        let p = mkp_lp(&inst);
         let s = solve(&p).unwrap();
         assert!(p.is_feasible(&s.x, 1e-5));
         // Bound must dominate the greedy feasible integer value.
         let ratios = mkp::eval::Ratios::new(&inst);
         let g = mkp::greedy::greedy(&inst, &ratios);
         assert!(s.objective + 1e-6 >= g.value() as f64);
+    }
+
+    /// FNV-1a over the little-endian bit patterns of `values`.
+    fn fnv_bits(values: &[f64]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The pivot path is pinned across versions: pivot count, objective
+    /// bits, and hashes of the x and dual bits, as the column-priced
+    /// solver produced them. A pricing or ratio-test change that moves
+    /// any pivot changes these.
+    #[test]
+    fn pivot_paths_are_pinned() {
+        use mkp::generate::{gk_instance, large_instance, GkSpec, LargeSpec};
+        let gk = |n, m| {
+            gk_instance(
+                "gk",
+                GkSpec {
+                    n,
+                    m,
+                    tightness: 0.5,
+                    seed: 4,
+                },
+            )
+        };
+        let large = large_instance(
+            "large",
+            LargeSpec {
+                n: 500,
+                m: 25,
+                tightness: 0.25,
+                correlation: 0.5,
+                seed: 12,
+            },
+        );
+        let cases = [
+            (
+                gk(250, 10),
+                235,
+                0x40fa_556e_7774_0f37,
+                0x299f_1a8d_dc7c_0410,
+                0x0f2f_dc25_b919_e57c,
+            ),
+            (
+                gk(500, 25),
+                468,
+                0x410a_fa2a_00b2_ff9f,
+                0xad22_27ba_1c41_5bfc,
+                0x78b4_a4fb_644f_7aba,
+            ),
+            (
+                large,
+                330,
+                0x40f4_c685_489f_aace,
+                0x9f0b_8d92_355b_70ff,
+                0x66b5_a59a_28bf_5191,
+            ),
+        ];
+        for (inst, pivots, objective, x, duals) in cases {
+            let s = solve(&mkp_lp(&inst)).unwrap();
+            let shape = format!("{} {}x{}", inst.name(), inst.m(), inst.n());
+            assert_eq!(s.pivots, pivots, "{shape}: pivots");
+            assert_eq!(s.objective.to_bits(), objective, "{shape}: objective");
+            assert_eq!(fnv_bits(&s.x), x, "{shape}: x");
+            assert_eq!(fnv_bits(&s.duals), duals, "{shape}: duals");
+        }
     }
 
     /// Random LPs: solver returns a feasible point whose objective

@@ -242,3 +242,52 @@ fn core_policy_beats_or_matches_its_own_greedy_start() {
         );
     }
 }
+
+#[test]
+fn large_class_outputs_are_pinned_across_versions() {
+    // Every other test here compares two runs of one build, so none of
+    // them would notice a change in the greedy's choices or the simplex's
+    // pivot path. These values were recorded before the master's
+    // construction and LP were optimised; the optimisations must keep
+    // them exactly. n·m = 10,000 puts the ISP restarts on the lazy greedy.
+    let inst = large_instance(
+        "pinned",
+        LargeSpec {
+            n: 1000,
+            m: 10,
+            tightness: 0.5,
+            correlation: 0.8,
+            seed: 12,
+        },
+    );
+    let cfg = RunConfig {
+        p: 2,
+        rounds: 8,
+        report_timeout: Duration::from_secs(60),
+        ..RunConfig::new(480_000, 3)
+    };
+    let expected = [
+        (
+            Mode::CooperativeAdaptive,
+            392_261,
+            492_793,
+            [
+                392_043, 392_043, 392_043, 392_043, 392_261, 392_261, 392_261, 392_261,
+            ],
+        ),
+        (
+            Mode::Core,
+            392_261,
+            490_702,
+            [
+                392_043, 392_043, 392_043, 392_043, 392_261, 392_261, 392_261, 392_261,
+            ],
+        ),
+    ];
+    for (mode, best, total_evals, round_best) in expected {
+        let r = run_mode(&inst, mode, &cfg);
+        assert_eq!(r.best.value(), best, "{mode:?}: best value");
+        assert_eq!(r.total_evals, total_evals, "{mode:?}: total evals");
+        assert_eq!(r.round_best, round_best, "{mode:?}: round bests");
+    }
+}
