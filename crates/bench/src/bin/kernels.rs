@@ -13,12 +13,14 @@
 //! Default JSON report: `results/kernels.json`.
 
 use mkp::eval::Ratios;
-use mkp::generate::{fp_instance, gk_instance, GkSpec};
+use mkp::generate::{fp_instance, gk_instance, large_instance, GkSpec, LargeSpec};
 use mkp::greedy::greedy;
 use mkp::{BitVec, Xoshiro256};
 use mkp_bench::harness::{black_box, Harness};
 use mkp_tabu::history::History;
-use mkp_tabu::intensify::swap_intensification;
+use mkp_tabu::intensify::{
+    drop_refill_intensification, ejection_chain_intensification, swap_intensification,
+};
 use mkp_tabu::moves::{apply_move, MoveStats};
 use mkp_tabu::oscillate::strategic_oscillation;
 use mkp_tabu::tabu_list::Recency;
@@ -79,6 +81,34 @@ fn bench_intensification(h: &mut Harness) {
     h.bench("strategic_oscillation 10x250 depth6", || {
         let mut sol = base.clone();
         strategic_oscillation(&inst, &ratios, &mut sol, 6, &mut MoveStats::default());
+        black_box(sol.value())
+    });
+    h.bench("drop_refill 10x250", || {
+        let mut sol = base.clone();
+        drop_refill_intensification(&inst, &ratios, &mut sol, &mut MoveStats::default());
+        black_box(sol.value())
+    });
+    h.bench("ejection_chain 10x250", || {
+        let mut sol = base.clone();
+        ejection_chain_intensification(&inst, &mut sol, &mut MoveStats::default(), 3);
+        black_box(sol.value())
+    });
+    // The large class at 25×500: more constraints, of which an entrant
+    // violates only a few, which is what the ejection step's cost follows.
+    let large = large_instance(
+        "b",
+        LargeSpec {
+            n: 500,
+            m: 25,
+            tightness: 0.5,
+            correlation: 0.5,
+            seed: 5,
+        },
+    );
+    let large_base = greedy(&large, &Ratios::new(&large));
+    h.bench("ejection_chain 25x500", || {
+        let mut sol = large_base.clone();
+        ejection_chain_intensification(&large, &mut sol, &mut MoveStats::default(), 3);
         black_box(sol.value())
     });
 }

@@ -81,8 +81,9 @@ impl std::error::Error for InstanceError {}
 /// whole-constraint scans such as finding the most saturated constraint) and
 /// once item-major (for the hot add/drop load updates, which touch all `m`
 /// weights of a single item — keeping them contiguous is the cache-friendly
-/// layout). `m` is small (≤ 30 in every benchmark here) so the duplication is
-/// cheap.
+/// layout). `m` is small next to `n` (≤ 30 in the paper's benchmarks, 100
+/// in the large class's 100×2500 instances), so the duplication costs at
+/// most one more copy of the weight matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     name: String,

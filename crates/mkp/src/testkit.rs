@@ -369,6 +369,28 @@ pub mod gen {
         rng.next_u64() & 1 == 1
     }
 
+    /// An instance of up to 59 items and 5 constraints built to hit the
+    /// degenerate cases of ranking kernels: values are small, so scores
+    /// tie often; about one item in four weighs nothing on every
+    /// constraint; profits may be zero; and a capacity may be zero.
+    pub fn tied_instance(rng: &mut Xoshiro256) -> crate::Instance {
+        let n = usize_in(rng, 2, 60);
+        let m = usize_in(rng, 1, 6);
+        let profits: Vec<i64> = (0..n).map(|_| i64_in(rng, 0, 9)).collect();
+        let weightless: Vec<bool> = (0..n).map(|_| usize_in(rng, 0, 4) == 0).collect();
+        let weights: Vec<i64> = (0..n * m)
+            .map(|k| {
+                if weightless[k % n] {
+                    0
+                } else {
+                    i64_in(rng, 1, 9)
+                }
+            })
+            .collect();
+        let caps: Vec<i64> = (0..m).map(|_| i64_in(rng, 0, 80)).collect();
+        crate::Instance::new("tied", n, m, profits, weights, caps).unwrap()
+    }
+
     /// Vector with a uniform length in `[min_len, max_len]`, elements
     /// drawn by `element`.
     pub fn vec_of<T>(

@@ -1,9 +1,28 @@
-//! Intensification by component swapping (paper §3.2, first procedure).
+//! Intensification kernels run on the best solution of the last
+//! local-search loop (paper Fig. 1, step 11). Every kernel only ever keeps
+//! a strict improvement, so each one leaves the solution feasible and no
+//! worse. Costs are per pass; a kernel repeats its pass until one finds
+//! nothing.
 //!
-//! Starting from the best solution of the last local-search loop, exchange a
-//! packed component `i` against an unpacked component `j` with `c_j > c_i`
-//! whenever the exchange keeps the knapsack feasible. Each profitable
-//! feasible couple is applied, strictly increasing the objective.
+//! * [`swap_intensification`] — the paper's component swapping (§3.2,
+//!   first procedure): exchange a packed item for a more profitable
+//!   unpacked one whenever the exchange keeps the knapsack feasible.
+//!   O(|packed| · (m + n·⌈m/4⌉)) at worst, with O(m/4) the lane fits test;
+//!   the profit-ordered entrant scan usually stops far earlier.
+//! * [`lateral_swap_fill`] — equal-profit, strictly lighter 1-1 swaps that
+//!   free capacity, then one dynamic refill. O(|packed| · (m + n)): weights
+//!   are only read for the rare profit ties.
+//! * [`drop_refill_intensification`] — expel one packed item and rebuild
+//!   greedily (one-for-many trades). Each expelled item costs a refill of
+//!   O(adds · n) lane fits tests plus an O(m) utility per fitting
+//!   candidate.
+//! * [`ejection_chain_intensification`] — Glover's bounded ejection chain
+//!   (many-for-one trades). Each ejection step costs O(m + |V|·|packed|),
+//!   V being the constraints the entrant violates, plus the refill's
+//!   O(adds · n · m) after the entrant is in.
+//!
+//! The fifth kernel, strategic oscillation, lives in
+//! [`crate::oscillate`].
 
 use crate::moves::MoveStats;
 use mkp::eval::Ratios;
@@ -151,7 +170,7 @@ pub fn lateral_swap_fill(
 ///
 /// This explores all 1-to-many exchanges reachable by the greedy fill —
 /// the "one big item vs several small ones" trades that neither profitable
-/// nor lateral 1-1 swaps can see. O(cardinality · n) per pass.
+/// nor lateral 1-1 swaps can see. One refill per packed item per pass.
 pub fn drop_refill_intensification(
     inst: &Instance,
     ratios: &Ratios,
@@ -219,7 +238,113 @@ pub fn drop_refill_intensification(
 /// violated constraints, insert it, refill dynamically, and keep the result
 /// when it strictly improves. Explores many-for-one trades that
 /// [`drop_refill_intensification`] (one-for-many) cannot reach.
+///
+/// A victim's pressure is its weight summed over the violated constraints
+/// V only, accumulated constraint row by constraint row, so a step costs
+/// O(m + |V|·|packed|) rather than O(m·|packed|). Every item's sum still
+/// adds the same terms in the same (ascending-constraint) order from 0.0,
+/// so each score, and with it every choice, is the full scan's to the bit;
+/// a step counts `|packed|` candidate evaluations, as the per-item scan
+/// did. The trial solution and the scoring buffers are reused across
+/// entrants, so a call allocates the same five buffers whatever n is.
 pub fn ejection_chain_intensification(
+    inst: &Instance,
+    sol: &mut Solution,
+    stats: &mut MoveStats,
+    max_eject: usize,
+) -> usize {
+    let mut trial = sol.clone();
+    let mut violated: Vec<usize> = Vec::with_capacity(inst.m());
+    let mut packed: Vec<usize> = Vec::with_capacity(inst.n());
+    let mut pressure: Vec<f64> = Vec::with_capacity(inst.n());
+    let mut improvements = 0;
+    loop {
+        let mut improved = false;
+        for j in 0..inst.n() {
+            if sol.contains(j) {
+                continue;
+            }
+            violated_constraints(inst, sol, j, &mut violated);
+            if violated.is_empty() {
+                continue; // fitting items are the greedy fill's business
+            }
+            trial.clone_from(sol);
+            let mut ejected = 0;
+            let fits = loop {
+                if ejected == max_eject {
+                    break false;
+                }
+                // Eject the packed item pressing hardest (weight per unit
+                // profit) on the constraints item j currently violates.
+                packed.clear();
+                packed.extend(trial.bits().iter_ones());
+                stats.candidate_evals += packed.len() as u64;
+                pressure.clear();
+                pressure.resize(packed.len(), 0.0);
+                for &i in &violated {
+                    let row = inst.constraint_row(i);
+                    for (p, &k) in pressure.iter_mut().zip(&packed) {
+                        *p += row[k] as f64;
+                    }
+                }
+                let mut victim: Option<(usize, f64)> = None;
+                for (&k, &p) in packed.iter().zip(&pressure) {
+                    let score = p / inst.profit(k).max(1) as f64;
+                    if score > 0.0 && victim.is_none_or(|(_, s)| score > s) {
+                        victim = Some((k, score));
+                    }
+                }
+                let Some((k, _)) = victim else {
+                    break false; // violation not caused by packed items
+                };
+                trial.drop(inst, k);
+                ejected += 1;
+                violated_constraints(inst, &trial, j, &mut violated);
+                if violated.is_empty() {
+                    break true;
+                }
+            };
+            if !fits {
+                continue;
+            }
+            trial.add(inst, j);
+            mkp::greedy::dynamic_greedy_fill(inst, &mut trial);
+            if trial.value() > sol.value() {
+                std::mem::swap(sol, &mut trial);
+                improvements += 1;
+                improved = true;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    debug_assert!(sol.is_feasible(inst));
+    improvements
+}
+
+/// Collect into `out`, ascending, the constraints that adding item `j`
+/// to `sol` would violate. Empty exactly when `sol.fits(inst, j)`.
+fn violated_constraints(inst: &Instance, sol: &Solution, j: usize, out: &mut Vec<usize>) {
+    out.clear();
+    let rows = sol
+        .loads()
+        .iter()
+        .zip(inst.item_weights(j))
+        .zip(inst.capacities());
+    for (i, ((&load, &a), &cap)) in rows.enumerate() {
+        if load + a > cap {
+            out.push(i);
+        }
+    }
+}
+
+/// [`ejection_chain_intensification`] as it was before violated-row
+/// scoring: every step scores each packed item over all `m` constraints,
+/// and every tried entrant clones the solution. The oracle the kernel is
+/// held to (the refill is checked against its own oracle in `mkp`).
+#[cfg(test)]
+fn ejection_chain_reference(
     inst: &Instance,
     sol: &mut Solution,
     stats: &mut MoveStats,
@@ -282,8 +407,10 @@ pub fn ejection_chain_intensification(
 mod tests {
     use super::*;
     use mkp::eval::Ratios;
-    use mkp::generate::uncorrelated_instance;
+    use mkp::generate::{gk_instance, large_instance, uncorrelated_instance, GkSpec, LargeSpec};
     use mkp::greedy::random_feasible;
+    use mkp::prop_check;
+    use mkp::testkit::gen;
     use mkp::{BitVec, Instance, Xoshiro256};
 
     #[test]
@@ -471,6 +598,115 @@ mod tests {
             assert!(sol.value() >= before);
             assert!(sol.is_feasible(&inst));
             assert!(sol.check_consistent(&inst));
+        }
+    }
+
+    /// The kernel makes the reference's choices to the bit, returns the
+    /// same count and charges the same evaluations, on tied instances
+    /// (zero profits, weightless items, zero capacities) from maximal and
+    /// thinned random feasible starts, for every ejection bound 0–4.
+    #[test]
+    fn prop_ejection_chain_matches_reference() {
+        prop_check!(|rng| (gen::tied_instance(rng), rng.next_u64()), |input| {
+            let (inst, seed) = input;
+            let mut rng = Xoshiro256::seed_from_u64(*seed);
+            let maximal = random_feasible(inst, &mut rng);
+            let mut thinned = maximal.clone();
+            for j in maximal.bits().iter_ones() {
+                if gen::boolean(&mut rng) {
+                    thinned.drop(inst, j);
+                }
+            }
+            for start in [&maximal, &thinned] {
+                for max_eject in 0..=4 {
+                    let mut expected = start.clone();
+                    let mut expected_stats = MoveStats::default();
+                    let expected_count = ejection_chain_reference(
+                        inst,
+                        &mut expected,
+                        &mut expected_stats,
+                        max_eject,
+                    );
+                    let mut got = start.clone();
+                    let mut got_stats = MoveStats::default();
+                    let got_count =
+                        ejection_chain_intensification(inst, &mut got, &mut got_stats, max_eject);
+                    assert_eq!(got.bits(), expected.bits(), "max_eject {max_eject}");
+                    assert_eq!(got_count, expected_count, "max_eject {max_eject}");
+                    assert_eq!(
+                        got_stats.candidate_evals, expected_stats.candidate_evals,
+                        "max_eject {max_eject}"
+                    );
+                    assert!(got.check_consistent(inst));
+                }
+            }
+        });
+    }
+
+    /// The two benchmark-shaped instances the golden values below run on:
+    /// GK 10×250 and the large class at 25×500.
+    fn golden_instances() -> [Instance; 2] {
+        let gk = gk_instance(
+            "g",
+            GkSpec {
+                n: 250,
+                m: 10,
+                tightness: 0.5,
+                seed: 3,
+            },
+        );
+        let large = large_instance(
+            "l",
+            LargeSpec {
+                n: 500,
+                m: 25,
+                tightness: 0.5,
+                correlation: 0.5,
+                seed: 5,
+            },
+        );
+        [gk, large]
+    }
+
+    /// (value, improvements, candidate evaluations, bit fingerprint) from
+    /// the greedy start, recorded before the ejection chain scored only the
+    /// violated constraints; any change to either kernel's choices or
+    /// evaluation count shows here.
+    #[test]
+    fn intensification_outputs_are_pinned_across_versions() {
+        let expected: [[(i64, usize, u64, u64); 2]; 2] = [
+            [
+                (107_730, 14, 68_336, 0x279e_7453_a13f_8395),
+                (106_949, 5, 41_890, 0x346f_1d6a_b5d6_75a6),
+            ],
+            [
+                (155_252, 16, 254_942, 0x7be6_d3f4_a39f_c7d8),
+                (154_455, 15, 298_460, 0x59cd_8814_d84d_9f2d),
+            ],
+        ];
+        for (inst, [ejection, drop_refill]) in golden_instances().iter().zip(expected) {
+            let ratios = Ratios::new(inst);
+            let start = mkp::greedy::greedy(inst, &ratios);
+            let mut sol = start.clone();
+            let mut stats = MoveStats::default();
+            let count = ejection_chain_intensification(inst, &mut sol, &mut stats, 3);
+            let got = (
+                sol.value(),
+                count,
+                stats.candidate_evals,
+                sol.bits().fingerprint(),
+            );
+            assert_eq!(got, ejection, "{}: ejection chain", inst.name());
+            let mut sol = start;
+            let mut stats = MoveStats::default();
+            let count = drop_refill_intensification(inst, &ratios, &mut sol, &mut stats);
+            let got = (
+                sol.value(),
+                count,
+                stats.candidate_evals,
+                sol.bits().fingerprint(),
+            );
+            assert_eq!(got, drop_refill, "{}: drop-refill", inst.name());
         }
     }
 

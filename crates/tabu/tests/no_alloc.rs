@@ -1,18 +1,23 @@
 //! Regression gate: the best-of-K neighborhood scan must not touch the
 //! heap once its scratch buffers are warm. A counting global allocator
 //! watches a long steady-state run of [`best_of_k_move_in`]; any
-//! allocation (or reallocation) on the hot path fails the test.
+//! allocation (or reallocation) on the hot path fails the test. The
+//! ejection chain may allocate its scratch once per call, never per item.
 //!
 //! This lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide; for the same reason the tests
+//! take turns (`SERIAL`), so one test's allocations never land in
+//! another's armed window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use mkp::eval::Ratios;
 use mkp::generate::{gk_instance, GkSpec};
 use mkp::greedy::greedy;
 use mkp::Xoshiro256;
+use mkp_tabu::intensify::ejection_chain_intensification;
 use mkp_tabu::moves::MoveStats;
 use mkp_tabu::neighborhood::{best_of_k_move_in, NeighborhoodScratch};
 use mkp_tabu::tabu_list::Recency;
@@ -53,9 +58,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Take this binary's turn. A failing test poisons the lock, but it guards
+/// no data, so the next test can still run.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn apply_move_steady_state_is_allocation_free() {
     use mkp_tabu::moves::apply_move;
+    let _serial = serial();
     let inst = gk_instance(
         "na2",
         GkSpec {
@@ -113,6 +129,7 @@ fn apply_move_steady_state_is_allocation_free() {
 
 #[test]
 fn best_of_k_steady_state_is_allocation_free() {
+    let _serial = serial();
     let inst = gk_instance(
         "na",
         GkSpec {
@@ -151,6 +168,7 @@ fn best_of_k_steady_state_is_allocation_free() {
         now += 1;
     }
 
+    let before = ALLOCS.load(Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..10_000 {
         best_of_k_move_in(
@@ -172,9 +190,47 @@ fn best_of_k_steady_state_is_allocation_free() {
     }
     ARMED.store(false, Ordering::SeqCst);
 
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(
         allocs, 0,
         "best_of_k_move_in allocated {allocs} time(s) over 10k steady-state moves"
     );
+}
+
+/// One ejection-chain call allocates its trial solution and scoring
+/// buffers up front and reuses them for every entrant it tries, so the
+/// count is the same small constant at 250 items as at 500 (allocating
+/// per tried item, it was twice the number of entrants tried).
+#[test]
+fn ejection_chain_allocates_a_constant_per_call() {
+    let _serial = serial();
+    for (n, m) in [(250, 10), (500, 25)] {
+        let inst = gk_instance(
+            "ej",
+            GkSpec {
+                n,
+                m,
+                tightness: 0.5,
+                seed: 7,
+            },
+        );
+        let start = greedy(&inst, &Ratios::new(&inst));
+        // Warm-up call: nothing lazily initialised is charged below.
+        ejection_chain_intensification(&inst, &mut start.clone(), &mut MoveStats::default(), 3);
+        let mut sol = start.clone();
+        let mut stats = MoveStats::default();
+        let before = ALLOCS.load(Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        let improvements = ejection_chain_intensification(&inst, &mut sol, &mut stats, 3);
+        ARMED.store(false, Ordering::SeqCst);
+        let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+        assert!(
+            improvements > 0 && stats.candidate_evals > 0,
+            "{m}x{n}: the call must do real work for the count to mean anything"
+        );
+        assert!(
+            allocs <= 8,
+            "{m}x{n}: one ejection-chain call allocated {allocs} time(s)"
+        );
+    }
 }
