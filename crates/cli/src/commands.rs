@@ -324,6 +324,65 @@ fn parse_mode(args: &Args) -> Result<Mode, CliError> {
     })
 }
 
+/// The search flags `solve` and `submit` share, with their defaults:
+/// `--mode`, `--p`, `--rounds`, `--budget` (40,000 evaluations per item)
+/// and `--seed`.
+struct SearchFlags {
+    mode: Mode,
+    p: usize,
+    rounds: usize,
+    budget: u64,
+    seed: u64,
+}
+
+impl SearchFlags {
+    /// Parse the shared search flags for a run on `inst`; p, rounds and
+    /// budget must be positive.
+    fn parse(args: &Args, inst: &Instance) -> Result<SearchFlags, CliError> {
+        let flags = SearchFlags {
+            mode: parse_mode(args)?,
+            p: args.get("p", 4)?,
+            rounds: args.get("rounds", 12)?,
+            budget: args.get("budget", 40_000 * inst.n() as u64)?,
+            seed: args.get("seed", 7)?,
+        };
+        if flags.p == 0 || flags.rounds == 0 || flags.budget == 0 {
+            return Err(CliError::Invalid(
+                "p, rounds and budget must be positive".into(),
+            ));
+        }
+        Ok(flags)
+    }
+}
+
+/// An endpoint flag (`--listen`, `--connect`, `--clients`, `--slaves`),
+/// if given.
+fn endpoint_flag(args: &Args, flag: &str) -> Result<Option<Endpoint>, CliError> {
+    args.get_str(flag)
+        .map(Endpoint::parse)
+        .transpose()
+        .map_err(|e| CliError::Invalid(format!("--{flag}: {e}")))
+}
+
+/// An endpoint flag subcommand `cmd` cannot run without.
+fn required_endpoint(args: &Args, cmd: &str, flag: &str) -> Result<Endpoint, CliError> {
+    endpoint_flag(args, flag)?.ok_or_else(|| {
+        CliError::Invalid(format!(
+            "{cmd} needs --{flag} unix:PATH or --{flag} tcp:HOST:PORT"
+        ))
+    })
+}
+
+/// The `--net-fault` flag, armed as a shared send-path fault state.
+fn net_fault_flag(args: &Args) -> Result<Option<Arc<NetFaultState>>, CliError> {
+    let plan = args
+        .get_str("net-fault")
+        .map(NetFaultPlan::parse)
+        .transpose()
+        .map_err(CliError::Invalid)?;
+    Ok(plan.map(|plan| Arc::new(NetFaultState::new(plan))))
+}
+
 /// Longest accepted `--fault` delay: a delay past the largest plausible
 /// report deadline only wedges the test run it was meant to exercise.
 const MAX_FAULT_DELAY_MS: u64 = 86_400_000; // 24 h
@@ -399,11 +458,7 @@ fn parse_fault(raw: &str) -> Result<FaultPlan, CliError> {
 /// `mkp solve`.
 pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
     let inst = read_instance(args.positional(0, "instance.mkp")?)?;
-    let mode = parse_mode(args)?;
-    let p: usize = args.get("p", 4)?;
-    let rounds: usize = args.get("rounds", 12)?;
-    let budget: u64 = args.get("budget", 40_000 * inst.n() as u64)?;
-    let seed: u64 = args.get("seed", 7)?;
+    let search = SearchFlags::parse(args, &inst)?;
     let relink: bool = args.get("relink", false)?;
     let timeout: u64 = args.get(
         "timeout",
@@ -430,21 +485,11 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
             "--checkpoint-every needs --checkpoint FILE".into(),
         ));
     }
-    if p == 0 || rounds == 0 || budget == 0 || timeout == 0 {
-        return Err(CliError::Invalid(
-            "p, rounds, budget and timeout must be positive".into(),
-        ));
+    if timeout == 0 {
+        return Err(CliError::Invalid("timeout must be positive".into()));
     }
-    let listen = args
-        .get_str("listen")
-        .map(Endpoint::parse)
-        .transpose()
-        .map_err(|e| CliError::Invalid(format!("--listen: {e}")))?;
-    let net_fault = args
-        .get_str("net-fault")
-        .map(NetFaultPlan::parse)
-        .transpose()
-        .map_err(CliError::Invalid)?;
+    let listen = endpoint_flag(args, "listen")?;
+    let net_fault = net_fault_flag(args)?;
     if net_fault.is_some() && listen.is_none() {
         return Err(CliError::Invalid(
             "--net-fault injects faults into the socket transport and needs --listen; \
@@ -471,29 +516,26 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
     }
 
     let cfg = RunConfig {
-        p,
-        rounds,
+        p: search.p,
+        rounds: search.rounds,
         relink,
         report_timeout: Duration::from_secs(timeout),
         max_restarts: restarts,
         restart_backoff: Duration::from_millis(backoff),
         slave_patience: patience.map(Duration::from_secs),
         checkpoint,
-        ..RunConfig::new(budget, seed)
+        ..RunConfig::new(search.budget, search.seed)
     };
     cfg.validate().map_err(CliError::Invalid)?;
     let report = match &listen {
-        Some(endpoint) => {
-            let fault_state = net_fault.map(|plan| Arc::new(NetFaultState::new(plan)));
-            run_remote_with(&inst, mode, &cfg, endpoint, fault_state)
-        }
+        Some(endpoint) => run_remote_with(&inst, search.mode, &cfg, endpoint, net_fault),
         None => {
             let mut engine = Engine::new(cfg.p);
             if let Some(plan) = fault {
                 engine.inject_fault(plan);
             }
             match args.get_str("resume") {
-                None => engine.run(&inst, mode, &cfg),
+                None => engine.run(&inst, search.mode, &cfg),
                 Some(path) => {
                     // The snapshot, not --mode, decides the policy: resuming
                     // under a different mode could not reproduce the
@@ -578,11 +620,7 @@ pub fn cmd_slave(args: &Args) -> Result<String, CliError> {
                 .into(),
         ));
     }
-    let raw = args.get_str("connect").ok_or_else(|| {
-        CliError::Invalid("slave needs --connect unix:PATH or --connect tcp:HOST:PORT".into())
-    })?;
-    let endpoint =
-        Endpoint::parse(raw).map_err(|e| CliError::Invalid(format!("--connect: {e}")))?;
+    let endpoint = required_endpoint(args, "slave", "connect")?;
     let patience: u64 = args.get("patience", DEFAULT_SLAVE_PATIENCE_SECS)?;
     if patience == 0 {
         return Err(CliError::Invalid(
@@ -591,12 +629,7 @@ pub fn cmd_slave(args: &Args) -> Result<String, CliError> {
                 .into(),
         ));
     }
-    let fault = args
-        .get_str("net-fault")
-        .map(NetFaultPlan::parse)
-        .transpose()
-        .map_err(CliError::Invalid)?
-        .map(|plan| Arc::new(NetFaultState::new(plan)));
+    let fault = net_fault_flag(args)?;
     match serve_slave_with(&endpoint, Duration::from_secs(patience), fault)
         .map_err(CliError::Engine)?
     {
@@ -657,11 +690,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
                 .into(),
         ));
     }
-    let clients = args.get_str("clients").ok_or_else(|| {
-        CliError::Invalid("serve needs --clients unix:PATH or --clients tcp:HOST:PORT".into())
-    })?;
-    let clients =
-        Endpoint::parse(clients).map_err(|e| CliError::Invalid(format!("--clients: {e}")))?;
+    let clients = required_endpoint(args, "serve", "clients")?;
     let p: usize = args.get("p", 4)?;
     let quantum: usize = args.get("quantum", 1)?;
     let max_queue: usize = args.get("max-queue", 16)?;
@@ -673,12 +702,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
             "p, quantum, max-queue, max-inflight and patience must be positive".into(),
         ));
     }
-    let backend = match args.get_str("slaves") {
-        Some(raw) => ServeBackend::Socket {
-            slaves: Endpoint::parse(raw)
-                .map_err(|e| CliError::Invalid(format!("--slaves: {e}")))?,
-            p,
-        },
+    let backend = match endpoint_flag(args, "slaves")? {
+        Some(slaves) => ServeBackend::Socket { slaves, p },
         None => ServeBackend::InProc { p },
     };
     let mut cfg = ServeConfig {
@@ -722,22 +747,12 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
 /// `mkp submit`.
 pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
     let inst = read_instance(args.positional(0, "instance.mkp")?)?;
-    let raw = args.get_str("connect").ok_or_else(|| {
-        CliError::Invalid("submit needs --connect unix:PATH or --connect tcp:HOST:PORT".into())
-    })?;
-    let endpoint =
-        Endpoint::parse(raw).map_err(|e| CliError::Invalid(format!("--connect: {e}")))?;
-    let mode = parse_mode(args)?;
-    let p: usize = args.get("p", 4)?;
-    let rounds: usize = args.get("rounds", 12)?;
-    let budget: u64 = args.get("budget", 40_000 * inst.n() as u64)?;
-    let seed: u64 = args.get("seed", 7)?;
+    let endpoint = required_endpoint(args, "submit", "connect")?;
+    let search = SearchFlags::parse(args, &inst)?;
     let deadline_ms: u64 = args.get("deadline-ms", 0)?;
     let patience: u64 = args.get("patience", DEFAULT_SLAVE_PATIENCE_SECS)?;
-    if p == 0 || rounds == 0 || budget == 0 || patience == 0 {
-        return Err(CliError::Invalid(
-            "p, rounds, budget and patience must be positive".into(),
-        ));
+    if patience == 0 {
+        return Err(CliError::Invalid("patience must be positive".into()));
     }
     let attach: u64 = args.get("attach", 0)?;
     if args.get_str("attach").is_some() && attach == 0 {
@@ -755,11 +770,11 @@ pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
         })
     } else {
         let spec = SubmitSpec {
-            mode,
-            p,
-            rounds,
-            budget_evals: budget,
-            seed,
+            mode: search.mode,
+            p: search.p,
+            rounds: search.rounds,
+            budget_evals: search.budget,
+            seed: search.seed,
             deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         };
         submit_job(

@@ -51,9 +51,7 @@ use mkp::restrict::Restriction;
 use mkp::{Instance, Solution, Xoshiro256};
 use mkp_tabu::moves::MoveStats;
 use mkp_tabu::{search, Budget, TsConfig};
-use pvm_lite::{
-    Collectives, CommError, FaultAction, FaultPlan, TaskOutcome, Transport, WorkerPool,
-};
+use pvm_lite::{CommStats, FaultAction, FaultPlan, TaskOutcome, Transport, WorkerPool};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -400,17 +398,7 @@ impl Engine {
         park_after: Option<usize>,
     ) -> Result<SliceOutcome, EngineError> {
         assert!(cfg.p >= 1 && cfg.rounds >= 1);
-        let mut policy = match &resume {
-            Some(snap) => {
-                if snap.mode != mode {
-                    return Err(EngineError::Unsupported {
-                        detail: format!("snapshot was taken under {:?}, not {mode:?}", snap.mode),
-                    });
-                }
-                validated_resume_policy(inst, snap, cfg)?
-            }
-            None => policy_for(mode),
-        };
+        let mut policy = slice_policy(inst, mode, cfg, resume.as_ref())?;
         let ctl = MasterCtl {
             park_after,
             stop_on_exit: true,
@@ -485,10 +473,7 @@ impl Engine {
         // joined (the join is the synchronization point for the relaxed
         // counter atomics).
         for (tid, comm) in self.pool.last_comm_stats().iter().enumerate() {
-            tel.add(tid, Counter::MsgsSent, comm.sent);
-            tel.add(tid, Counter::MsgsReceived, comm.received);
-            tel.add(tid, Counter::BytesSent, comm.bytes_sent);
-            tel.add(tid, Counter::BytesReceived, comm.bytes_received);
+            fold_comm_stats(&tel, tid, comm);
         }
 
         // The master only observes *silence* from a lost slave (a missed
@@ -542,9 +527,17 @@ impl Engine {
     }
 }
 
+/// Record task `tid`'s transport totals as its message and byte counters.
+pub(crate) fn fold_comm_stats(tel: &Telemetry, tid: usize, comm: &CommStats) {
+    tel.add(tid, Counter::MsgsSent, comm.sent);
+    tel.add(tid, Counter::MsgsReceived, comm.received);
+    tel.add(tid, Counter::BytesSent, comm.bytes_sent);
+    tel.add(tid, Counter::BytesReceived, comm.bytes_received);
+}
+
 /// Unwrap a [`SliceOutcome`] from a run that set no park bound — parking
 /// is impossible there, so a parked outcome is an engine bug.
-fn finished_only(outcome: SliceOutcome) -> Result<ModeReport, EngineError> {
+pub(crate) fn finished_only(outcome: SliceOutcome) -> Result<ModeReport, EngineError> {
     match outcome {
         SliceOutcome::Finished(report) => Ok(*report),
         SliceOutcome::Parked(_) => Err(EngineError::Internal {
@@ -553,9 +546,30 @@ fn finished_only(outcome: SliceOutcome) -> Result<ModeReport, EngineError> {
     }
 }
 
+/// The policy a slice of `mode` runs: a fresh one, or — continuing
+/// `resume` — the snapshot's, once its mode matches and it validates. The
+/// shared admission path of [`Engine::run_slice`] and the job server's
+/// socket slices.
+pub(crate) fn slice_policy(
+    inst: &Instance,
+    mode: Mode,
+    cfg: &RunConfig,
+    resume: Option<&Snapshot>,
+) -> Result<Box<dyn CoopPolicy>, EngineError> {
+    let Some(snap) = resume else {
+        return Ok(policy_for(mode));
+    };
+    if snap.mode != mode {
+        return Err(EngineError::Unsupported {
+            detail: format!("snapshot was taken under {:?}, not {mode:?}", snap.mode),
+        });
+    }
+    validated_resume_policy(inst, snap, cfg)
+}
+
 /// Validate `snap` against `inst`/`cfg` and hand back the restorable
-/// policy — the shared admission path of [`Engine::resume`] and
-/// [`Engine::run_slice`].
+/// policy — the admission check of [`Engine::resume`] and
+/// [`slice_policy`].
 pub(crate) fn validated_resume_policy(
     inst: &Instance,
     snap: &Snapshot,
@@ -682,6 +696,17 @@ impl Workers {
             history_iterations: report.history_iterations,
         };
     }
+
+    /// Record that worker `k` rejoined: the incarnation started by
+    /// restart `attempt` ([`begin_rebirth`]) reported its redo of `round`.
+    fn confirm_rebirth(&mut self, k: usize, round: usize, attempt: usize, tel: &Telemetry) {
+        self.resurrections.push(Resurrection {
+            worker: k,
+            round,
+            attempt,
+        });
+        tel.event(0, EventKind::Resurrection, round, k as i64);
+    }
 }
 
 /// The exponential-backoff delay before restart attempt
@@ -692,44 +717,41 @@ fn backoff_delay(cfg: &RunConfig, attempts_so_far: usize) -> Duration {
         .saturating_mul(1u32 << attempts_so_far.min(16))
 }
 
-/// Gather reports from the workers flagged in `need` under a single
-/// deadline, clearing each flag as its report lands. Reports from
-/// un-needed workers (quarantined, already reported this round) and from
-/// superseded incarnations (stale epoch) are dropped silently; `need`
-/// entries still set on return are the workers that missed the deadline.
-fn gather_reports<C: Transport>(
+/// The master's one receive path, shared by both delivery schemes: block
+/// until the next report from a `wanted` worker arrives, or `deadline`
+/// passes (`None`: wait forever). Reports from unwanted workers
+/// (quarantined, already reported this round) and from superseded
+/// incarnations (stale epoch) are dropped and counted; anything else that
+/// is not a decodable report from a worker task is a protocol violation.
+/// `Ok(None)` means the deadline passed or every sender is gone.
+fn next_report<C: Transport>(
     ctx: &C,
+    deadline: Option<Instant>,
     epochs: &[u64],
-    timeout: Duration,
-    need: &mut [bool],
+    wanted: &[bool],
     tel: &Telemetry,
-) -> Result<Vec<(usize, ReportMsg)>, EngineError> {
-    let active = epochs.len();
-    let mut got = Vec::new();
-    let mut outstanding = need.iter().filter(|&&b| b).count();
-    let deadline = Instant::now().checked_add(timeout);
-    while outstanding > 0 {
+) -> Result<Option<(usize, ReportMsg)>, EngineError> {
+    loop {
         let remaining = match deadline {
             None => Duration::MAX,
             Some(deadline) => {
                 let now = Instant::now();
                 if now >= deadline {
-                    break;
+                    return Ok(None);
                 }
                 deadline - now
             }
         };
-        let env = match ctx.recv_timeout(remaining) {
-            Ok(env) => env,
-            Err(CommError::Timeout) => break,
-            Err(_) => break, // every sender gone: nothing will arrive
+        // A timeout, or every sender gone: nothing more will arrive.
+        let Ok(env) = ctx.recv_timeout(remaining) else {
+            return Ok(None);
         };
-        let Some(k) = env.from.checked_sub(1).filter(|&k| k < active) else {
+        let Some(k) = env.from.checked_sub(1).filter(|&k| k < epochs.len()) else {
             return Err(EngineError::ProtocolViolation {
                 detail: format!("report from out-of-range task {}", env.from),
             });
         };
-        if !need[k] {
+        if !wanted[k] {
             tel.add(0, Counter::StaleIgnored, 1);
             continue; // stale: quarantined or already reported
         }
@@ -751,19 +773,98 @@ fn gather_reports<C: Transport>(
             continue; // a superseded incarnation's report
         }
         tel.add(0, Counter::ReportsReceived, 1);
+        return Ok(Some((k, report)));
+    }
+}
+
+/// Gather reports from the workers flagged in `need` under a single
+/// deadline, clearing each flag as its report lands; `need` entries still
+/// set on return are the workers that missed the deadline.
+fn gather_reports<C: Transport>(
+    ctx: &C,
+    epochs: &[u64],
+    timeout: Duration,
+    need: &mut [bool],
+    tel: &Telemetry,
+) -> Result<Vec<(usize, ReportMsg)>, EngineError> {
+    let deadline = Instant::now().checked_add(timeout);
+    let mut got = Vec::new();
+    while need.contains(&true) {
+        let Some((k, report)) = next_report(ctx, deadline, epochs, need, tel)? else {
+            break;
+        };
         need[k] = false;
-        outstanding -= 1;
         got.push((k, report));
     }
     Ok(got)
 }
 
-/// Try to bring worker `k` back mid-round (DESIGN.md §10: lost → backoff →
-/// respawn → reseed → rejoined): respawn its task, re-send the problem,
-/// transplant its History, redo `assign` with a bumped epoch and an
-/// elite-seeded start, and wait for the redo report. Consumes restart
-/// budget per attempt; returns the redo report on success, `None` when the
-/// budget ran dry.
+/// How a [`begin_rebirth`] attempt ended.
+enum Rebirth {
+    /// The transport cannot produce a new incarnation (supervision
+    /// retired).
+    Refused,
+    /// The fresh incarnation died before the redo reached it; the attempt
+    /// is spent.
+    Lost,
+    /// The redo is on its way; its report confirms restart `attempt`.
+    Sent { attempt: usize },
+}
+
+/// Start the next restart attempt for worker `k` (DESIGN.md §10: lost →
+/// backoff → respawn → reseed): back off, spend a restart credit, bump
+/// the epoch, respawn the task, re-send the problem, transplant its
+/// History, and redo `assign` under the new epoch from an elite-seeded
+/// start. The caller checks the restart budget first and waits for the
+/// redo's report; both delivery schemes rebirth through here.
+#[allow(clippy::too_many_arguments)] // the full recovery context
+fn begin_rebirth<C: Transport>(
+    ctx: &C,
+    problem: &ProblemMsg,
+    workers: &mut Workers,
+    cfg: &RunConfig,
+    k: usize,
+    assign: &AssignMsg,
+    elite: &[Solution],
+    tel: &Telemetry,
+) -> Rebirth {
+    std::thread::sleep(backoff_delay(cfg, workers.restarts_used[k]));
+    workers.restarts_used[k] += 1;
+    tel.add(0, Counter::Restarts, 1);
+    let attempt = workers.restarts_used[k];
+    workers.epochs[k] += 1;
+    if !ctx.respawn(k + 1) {
+        return Rebirth::Refused;
+    }
+    // A send failure means the fresh incarnation died before its mailbox
+    // drained.
+    if ctx.send(k + 1, tags::PROBLEM, problem).is_err() {
+        return Rebirth::Lost;
+    }
+    tel.add(0, Counter::ProblemMsgsSent, 1);
+    if ctx.send(k + 1, tags::SEED, &workers.histories[k]).is_err() {
+        return Rebirth::Lost;
+    }
+    tel.add(0, Counter::SeedMsgsSent, 1);
+    let mut redo = assign.clone();
+    redo.epoch = workers.epochs[k];
+    if !elite.is_empty() && redo.cell.is_none() {
+        // Reseed from the master's B-best elite instead of the dead
+        // incarnation's private trajectory; rotate through the bank so
+        // repeated attempts explore different restarts.
+        redo.initial = elite[(attempt - 1) % elite.len()].bits().clone();
+    }
+    if ctx.send(k + 1, tags::ASSIGN, &redo).is_err() {
+        return Rebirth::Lost;
+    }
+    tel.add(0, Counter::AssignMsgsSent, 1);
+    Rebirth::Sent { attempt }
+}
+
+/// Try to bring worker `k` back mid-round: rebirth attempts
+/// ([`begin_rebirth`]), each followed by a wait for the redo report, while
+/// the restart budget lasts. Returns the redo report on success, `None`
+/// when the budget ran dry or supervision refused.
 #[allow(clippy::too_many_arguments)] // the full recovery context
 fn resurrect<C: Transport>(
     ctx: &C,
@@ -777,46 +878,15 @@ fn resurrect<C: Transport>(
     tel: &Telemetry,
 ) -> Result<Option<ReportMsg>, EngineError> {
     while workers.restarts_used[k] < cfg.max_restarts {
-        std::thread::sleep(backoff_delay(cfg, workers.restarts_used[k]));
-        workers.restarts_used[k] += 1;
-        tel.add(0, Counter::Restarts, 1);
-        let attempt = workers.restarts_used[k];
-        workers.epochs[k] += 1;
-        if !ctx.respawn(k + 1) {
-            return Ok(None); // supervision retired: no rebirth possible
-        }
-        // A send failure means the fresh incarnation died before its
-        // mailbox drained — burn the attempt and back off longer.
-        if ctx.send(k + 1, tags::PROBLEM, problem).is_err() {
-            continue;
-        }
-        tel.add(0, Counter::ProblemMsgsSent, 1);
-        if ctx.send(k + 1, tags::SEED, &workers.histories[k]).is_err() {
-            continue;
-        }
-        tel.add(0, Counter::SeedMsgsSent, 1);
-        let mut redo = assign.clone();
-        redo.epoch = workers.epochs[k];
-        if !elite.is_empty() && redo.cell.is_none() {
-            // Reseed from the master's B-best elite instead of the dead
-            // incarnation's private trajectory; rotate through the bank so
-            // repeated attempts explore different restarts.
-            redo.initial = elite[(attempt - 1) % elite.len()].bits().clone();
-        }
-        if ctx.send(k + 1, tags::ASSIGN, &redo).is_err() {
-            continue;
-        }
-        tel.add(0, Counter::AssignMsgsSent, 1);
-        let mut need = vec![false; workers.epochs.len()];
-        need[k] = true;
-        let mut got = gather_reports(ctx, &workers.epochs, cfg.report_timeout, &mut need, tel)?;
-        if let Some((_, report)) = got.pop() {
-            workers.resurrections.push(Resurrection {
-                worker: k,
-                round,
-                attempt,
-            });
-            tel.event(0, EventKind::Resurrection, round, k as i64);
+        let attempt = match begin_rebirth(ctx, problem, workers, cfg, k, assign, elite, tel) {
+            Rebirth::Refused => return Ok(None),
+            Rebirth::Lost => continue, // burn the attempt and back off longer
+            Rebirth::Sent { attempt } => attempt,
+        };
+        let deadline = Instant::now().checked_add(cfg.report_timeout);
+        let only_k: Vec<bool> = (0..workers.epochs.len()).map(|j| j == k).collect();
+        if let Some((_, report)) = next_report(ctx, deadline, &workers.epochs, &only_k, tel)? {
+            workers.confirm_rebirth(k, round, attempt, tel);
             return Ok(Some(report));
         }
     }
@@ -1173,130 +1243,56 @@ pub(crate) fn master_loop<C: Transport>(
                     // timeout budget is per expected report, not per arrival —
                     // stale stragglers burning the clock don't extend it).
                     let deadline = Instant::now().checked_add(cfg.report_timeout);
-                    let gather_span = tel.span(0, SpanKind::Gather);
-                    let deadline_expired = loop {
-                        let remaining = match deadline {
-                            None => Duration::MAX,
-                            Some(deadline) => {
-                                let now = Instant::now();
-                                if now >= deadline {
-                                    break true;
-                                }
-                                deadline - now
-                            }
-                        };
-                        match ctx.recv_timeout(remaining) {
-                            Ok(env) => {
-                                let Some(k) = env.from.checked_sub(1).filter(|&k| k < active)
-                                else {
-                                    return Err(EngineError::ProtocolViolation {
-                                        detail: format!(
-                                            "report from out-of-range task {}",
-                                            env.from
-                                        ),
-                                    });
-                                };
-                                if !workers.alive[k] {
-                                    tel.add(0, Counter::StaleIgnored, 1);
-                                    continue; // stale report from a quarantined worker
-                                }
-                                if env.tag != tags::REPORT {
-                                    return Err(EngineError::ProtocolViolation {
-                                        detail: format!(
-                                            "unexpected tag {} from task {} (expected {})",
-                                            env.tag,
-                                            env.from,
-                                            tags::REPORT
-                                        ),
-                                    });
-                                }
-                                let report: ReportMsg =
-                                    env.decode().map_err(|e| EngineError::ProtocolViolation {
-                                        detail: format!(
-                                            "undecodable report from task {}: {e:?}",
-                                            env.from
-                                        ),
-                                    })?;
-                                if report.epoch != workers.epochs[k] {
-                                    tel.add(0, Counter::EpochsDropped, 1);
-                                    continue; // a superseded incarnation's report
-                                }
-                                if let Some((round, attempt)) = rebirth[k].take() {
-                                    workers.resurrections.push(Resurrection {
-                                        worker: k,
-                                        round,
-                                        attempt,
-                                    });
-                                    tel.event(0, EventKind::Resurrection, round, k as i64);
-                                }
-                                workers.bank_history(k, &report);
-                                tel.add(0, Counter::ReportsReceived, 1);
-                                buffer.insert((arrived[k], k), report);
-                                arrived[k] += 1;
-                                break false;
-                            }
-                            Err(CommError::Timeout) => break true,
-                            Err(_) => break true, // every sender gone: nothing will arrive
-                        }
+                    let received = {
+                        let _gather_span = tel.span(0, SpanKind::Gather);
+                        next_report(ctx, deadline, &workers.epochs, &workers.alive, tel)?
                     };
-                    drop(gather_span);
+                    if let Some((k, report)) = received {
+                        if let Some((round, attempt)) = rebirth[k].take() {
+                            workers.confirm_rebirth(k, round, attempt, tel);
+                        }
+                        workers.bank_history(k, &report);
+                        buffer.insert((arrived[k], k), report);
+                        arrived[k] += 1;
+                        continue;
+                    }
                     // The deadline expired: every live worker still owing a
                     // report is out of time. While a worker's restart budget
-                    // lasts the master respawns it and re-sends the
-                    // outstanding assignment (one attempt per expiry); past
+                    // lasts the master starts one rebirth per expiry; past
                     // the budget it is quarantined. Each expiry thus either
                     // consumes a restart credit or quarantines a worker, and
                     // both are finite — the loop terminates.
-                    if deadline_expired {
-                        for k in 0..active {
-                            if !workers.alive[k] || assigned[k] <= arrived[k] {
-                                continue;
-                            }
-                            let round = arrived[k];
-                            if workers.restarts_used[k] < cfg.max_restarts {
-                                std::thread::sleep(backoff_delay(cfg, workers.restarts_used[k]));
-                                workers.restarts_used[k] += 1;
-                                tel.add(0, Counter::Restarts, 1);
-                                let attempt = workers.restarts_used[k];
-                                workers.epochs[k] += 1;
-                                rebirth[k] = None;
-                                if ctx.respawn(k + 1) {
-                                    let mut redo = sent[k]
-                                        .clone()
-                                        .expect("an owed report implies a stored assignment");
-                                    redo.epoch = workers.epochs[k];
-                                    if !state.elite.is_empty() && redo.cell.is_none() {
-                                        redo.initial = state.elite
-                                            [(attempt - 1) % state.elite.len()]
-                                        .bits()
-                                        .clone();
-                                    }
-                                    let mut ok = ctx.send(k + 1, tags::PROBLEM, &problem).is_ok();
-                                    if ok {
-                                        tel.add(0, Counter::ProblemMsgsSent, 1);
-                                        ok = ctx
-                                            .send(k + 1, tags::SEED, &workers.histories[k])
-                                            .is_ok();
-                                    }
-                                    if ok {
-                                        tel.add(0, Counter::SeedMsgsSent, 1);
-                                        ok = ctx.send(k + 1, tags::ASSIGN, &redo).is_ok();
-                                    }
-                                    if ok {
-                                        tel.add(0, Counter::AssignMsgsSent, 1);
-                                        rebirth[k] = Some((round, attempt));
-                                    }
-                                }
-                                // Whether or not the rebirth took, the worker
-                                // still owes its report; the next deadline
-                                // window decides.
-                                continue;
-                            }
-                            if !workers.mark_lost(k, round, LossCause::Deadline, tel) {
-                                return Err(EngineError::AllWorkersLost {
-                                    losses: workers.losses.clone(),
-                                });
-                            }
+                    for k in 0..active {
+                        if !workers.alive[k] || assigned[k] <= arrived[k] {
+                            continue;
+                        }
+                        let round = arrived[k];
+                        if workers.restarts_used[k] < cfg.max_restarts {
+                            let assign = sent[k]
+                                .as_ref()
+                                .expect("an owed report implies a stored assignment");
+                            // Whether or not the rebirth took, the worker
+                            // still owes its report; the next deadline
+                            // window decides.
+                            rebirth[k] = match begin_rebirth(
+                                ctx,
+                                &problem,
+                                &mut workers,
+                                cfg,
+                                k,
+                                assign,
+                                &state.elite,
+                                tel,
+                            ) {
+                                Rebirth::Sent { attempt } => Some((round, attempt)),
+                                Rebirth::Refused | Rebirth::Lost => None,
+                            };
+                            continue;
+                        }
+                        if !workers.mark_lost(k, round, LossCause::Deadline, tel) {
+                            return Err(EngineError::AllWorkersLost {
+                                losses: workers.losses.clone(),
+                            });
                         }
                     }
                 }

@@ -63,8 +63,7 @@
 //! every job parked durably and releases the slaves with one STOP.
 
 use crate::engine::{
-    master_loop, policy_for, validated_resume_policy, Delivery, Engine, EngineError, MasterCtl,
-    SliceOutcome,
+    master_loop, policy_for, slice_policy, Delivery, Engine, EngineError, MasterCtl, SliceOutcome,
 };
 use crate::journal::{Journal, Record};
 use crate::messages::{pack_bits, tags, unpack_bits, ProblemMsg};
@@ -72,12 +71,12 @@ use crate::runner::{Mode, ModeReport, RunConfig};
 use crate::snapshot::Snapshot;
 use crate::telemetry::Telemetry;
 use mkp::{BitVec, Instance, Solution};
-use pvm_lite::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pvm_lite::codec::{CodecError, PackBuffer, UnpackBuffer, Wire};
 use pvm_lite::{Endpoint, FramedConn, FramedListener, SocketHub, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -646,7 +645,7 @@ pub fn serve(
         )
     })?;
 
-    let (tx, rx) = unbounded();
+    let (tx, rx) = mpsc::channel();
     let stop = Arc::new(AtomicBool::new(false));
     let accept = {
         let stop = Arc::clone(&stop);
@@ -1427,21 +1426,7 @@ fn socket_slice(
     job: &Job,
     resume: Option<Snapshot>,
 ) -> Result<SliceOutcome, EngineError> {
-    let mut policy = match &resume {
-        Some(snap) => {
-            if snap.mode != job.mode {
-                return Err(EngineError::Internal {
-                    detail: format!(
-                        "parked state is for mode {} but the job runs {}",
-                        snap.mode.label(),
-                        job.mode.label()
-                    ),
-                });
-            }
-            validated_resume_policy(&job.inst, snap, &job.cfg)?
-        }
-        None => policy_for(job.mode),
-    };
+    let mut policy = slice_policy(&job.inst, job.mode, &job.cfg, resume.as_ref())?;
     let ctl = MasterCtl {
         park_after: job.park_after,
         stop_on_exit: false,

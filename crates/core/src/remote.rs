@@ -18,7 +18,8 @@
 //! reborn slave's stale reports never reach the round loop.
 
 use crate::engine::{
-    master_loop, policy_for, slave_loop, EngineError, MasterCtl, SlaveExit, SliceOutcome,
+    finished_only, fold_comm_stats, master_loop, policy_for, slave_loop, EngineError, MasterCtl,
+    SlaveExit,
 };
 use crate::runner::{Mode, ModeReport, RunConfig};
 use crate::telemetry::{Counter, Telemetry};
@@ -94,25 +95,15 @@ pub fn run_remote_with(
         &tel,
     );
 
-    let comm = Transport::comm_stats(&hub);
-    tel.add(0, Counter::MsgsSent, comm.sent);
-    tel.add(0, Counter::MsgsReceived, comm.received);
-    tel.add(0, Counter::BytesSent, comm.bytes_sent);
-    tel.add(0, Counter::BytesReceived, comm.bytes_received);
+    fold_comm_stats(&tel, 0, &Transport::comm_stats(&hub));
     let hub_stats = hub.hub_stats();
     tel.add(0, Counter::Reconnects, hub_stats.reconnects);
     tel.add(0, Counter::FencedDrops, hub_stats.fenced_drops);
     tel.add(0, Counter::CorruptDrops, hub_stats.corrupt_drops);
 
-    result.and_then(|outcome| match outcome {
-        SliceOutcome::Finished(mut report) => {
-            report.telemetry = tel.snapshot();
-            Ok(*report)
-        }
-        SliceOutcome::Parked(_) => Err(EngineError::Internal {
-            detail: "unbounded run returned a parked outcome".into(),
-        }),
-    })
+    let mut report = finished_only(result?)?;
+    report.telemetry = tel.snapshot();
+    Ok(report)
 }
 
 /// How a completed [`serve_slave`] ended.

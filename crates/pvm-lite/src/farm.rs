@@ -11,12 +11,12 @@
 //! By the convention of the paper's master/slave model, task 0 is the master
 //! and tasks `1..P+1` are the slaves — the library itself imposes no roles.
 
-use crate::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use crate::codec::{CodecError, Wire};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -71,6 +71,15 @@ impl fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
+
+impl From<RecvTimeoutError> for CommError {
+    fn from(e: RecvTimeoutError) -> Self {
+        match e {
+            RecvTimeoutError::Timeout => CommError::Timeout,
+            RecvTimeoutError::Disconnected => CommError::Disconnected,
+        }
+    }
+}
 
 /// Farm-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -308,13 +317,8 @@ impl TaskCtx {
     /// instead of a hang. Timeouts too large for an `Instant` deadline
     /// mean "wait forever" (see [`Receiver::recv_timeout`]).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, CommError> {
-        self.inbox
-            .recv_timeout(timeout)
-            .map_err(|e| match e {
-                RecvTimeoutError::Timeout => CommError::Timeout,
-                RecvTimeoutError::Disconnected => CommError::Disconnected,
-            })
-            .map(|env| self.deliver(env))
+        let env = self.inbox.recv_timeout(timeout)?;
+        Ok(self.deliver(env))
     }
 
     /// Non-blocking receive.
@@ -361,7 +365,7 @@ impl TaskCtx {
         if inner.launch.is_none() {
             return false;
         }
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = mpsc::channel::<Envelope>();
         let old = std::mem::replace(&mut inner.senders[tid], tx);
         inner.orphans.push(old);
         let fault = inner
@@ -500,7 +504,7 @@ pub struct WorkerPool {
 /// Spawn one pool worker: a thread serving jobs from its injector until
 /// the injector is dropped.
 fn spawn_worker(tid: TaskId) -> (Sender<Job>, std::thread::JoinHandle<()>) {
-    let (tx, rx) = unbounded::<Job>();
+    let (tx, rx) = mpsc::channel::<Job>();
     let handle = std::thread::Builder::new()
         .name(format!("pvm-worker-{tid}"))
         .spawn(move || {
@@ -640,12 +644,12 @@ impl WorkerPool {
         let mut senders = Vec::with_capacity(ntasks);
         let mut receivers = Vec::with_capacity(ntasks);
         for _ in 0..ntasks {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = mpsc::channel();
             senders.push(tx);
             receivers.push(rx);
         }
         let comm: Arc<Vec<CommCell>> = Arc::new((0..ntasks).map(|_| CommCell::default()).collect());
-        let (done_tx, done_rx) = unbounded::<(TaskId, Result<R, String>)>();
+        let (done_tx, done_rx) = mpsc::channel::<(TaskId, Result<R, String>)>();
 
         // The launch closure turns a (tid, ctx) pair into a dispatchable
         // job; stashing it in the shared supervision state is what lets a
@@ -931,6 +935,54 @@ mod tests {
         })
         .unwrap();
         assert!(r[0]);
+    }
+
+    #[test]
+    fn unbounded_recv_timeout_waits_for_late_messages_then_sees_disconnect() {
+        // `Duration::MAX` overflows any deadline: it must mean "wait
+        // forever" (what `Transport::recv` and the engine's no-deadline
+        // report wait pass), yet still end once no peer can ever send
+        // again. Inside a run every task holds a sender to its own
+        // mailbox, so the context here gets a single peer: a thread that
+        // sends late and then finishes.
+        let (tx, inbox) = mpsc::channel();
+        let ctx = TaskCtx {
+            tid: 0,
+            senders: RefCell::new(Vec::new()),
+            inbox,
+            fault: None,
+            supervision: Arc::new(Supervision {
+                inner: Mutex::new(SupervisionInner {
+                    senders: Vec::new(),
+                    injectors: Vec::new(),
+                    launch: None,
+                    extra_dispatched: 0,
+                    replacements: Vec::new(),
+                    orphans: Vec::new(),
+                    fault_plan: None,
+                }),
+            }),
+            comm: Arc::new(vec![CommCell::default()]),
+        };
+        let peer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let data = Num(8).to_bytes();
+            tx.send(Envelope {
+                from: 1,
+                tag: 3,
+                data,
+            })
+            .unwrap();
+        });
+        let env = ctx.recv_timeout(Duration::MAX).unwrap();
+        assert_eq!((env.from, env.tag), (1, 3));
+        assert_eq!(env.decode::<Num>().unwrap(), Num(8));
+        assert_eq!(
+            ctx.recv_timeout(Duration::MAX),
+            Err(CommError::Disconnected)
+        );
+        peer.join().unwrap();
+        assert_eq!(ctx.comm_stats().received, 1);
     }
 
     #[test]

@@ -39,9 +39,7 @@
 
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod codec;
-pub mod collectives;
 pub mod farm;
 pub mod frame;
 pub mod netfault;
@@ -49,7 +47,6 @@ pub mod socket;
 pub mod transport;
 
 pub use codec::{fnv1a_64, CodecError, PackBuffer, UnpackBuffer, Wire};
-pub use collectives::{CollectiveError, Collectives, PartialGather};
 pub use farm::{
     run_farm, CommError, CommStats, Envelope, FarmError, FaultAction, FaultPlan, TaskCtx, TaskId,
     TaskOutcome, WorkerPool,

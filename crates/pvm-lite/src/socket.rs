@@ -6,7 +6,7 @@
 //!   connects to the master's listener, performs the handshake below, and
 //!   then exchanges [`Envelope`]s as length-prefixed frames
 //!   ([`crate::frame`]) over the stream. A background reader thread feeds
-//!   an in-tree channel so timed receives work exactly like the
+//!   a `std::sync::mpsc` channel so timed receives work exactly like the
 //!   in-process mailboxes.
 //! * [`SocketHub`] — the *master* endpoint: a listener owning one *slot*
 //!   per slave task. Incoming connections are handshaken and installed
@@ -37,7 +37,6 @@
 //!
 //! [`Transport::respawn`]: crate::Transport::respawn
 
-use crate::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::codec::{CodecError, PackBuffer, UnpackBuffer, Wire};
 use crate::farm::{CommCell, CommError, CommStats, Envelope, TaskId};
 use crate::frame::{read_frame, write_frame, FrameError, FRAME_HEADER_LEN};
@@ -49,6 +48,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -434,7 +434,7 @@ impl SocketTransport {
             )));
         }
 
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = mpsc::channel::<Envelope>();
         let corrupt_drops = Arc::new(AtomicU64::new(0));
         let reader_stream = stream.try_clone()?;
         let reader_comm = Arc::clone(&comm);
@@ -569,10 +569,7 @@ impl Transport for SocketTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, CommError> {
-        self.inbox.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => CommError::Timeout,
-            RecvTimeoutError::Disconnected => CommError::Disconnected,
-        })
+        Ok(self.inbox.recv_timeout(timeout)?)
     }
 
     fn try_recv(&self) -> Option<Envelope> {
@@ -650,7 +647,10 @@ impl HubShared {
 /// in the module docs.
 pub struct SocketHub {
     shared: Arc<HubShared>,
-    inbox: Receiver<(u64, Envelope)>,
+    /// Behind a lock only so the hub stays `Sync` (a std `Receiver` is
+    /// not): the master is the inbox's one reader, and `respawn` never
+    /// touches it.
+    inbox: Mutex<Receiver<(u64, Envelope)>>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     /// Patience for a replacement connection inside `respawn`.
     reconnect_patience: Duration,
@@ -763,7 +763,7 @@ impl SocketHub {
             shutdown: AtomicBool::new(false),
             fault,
         });
-        let (inbox_tx, inbox_rx) = unbounded::<(u64, Envelope)>();
+        let (inbox_tx, inbox_rx) = mpsc::channel::<(u64, Envelope)>();
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("mkp-hub-accept".to_string())
@@ -771,7 +771,7 @@ impl SocketHub {
             .expect("spawn hub accept thread");
         Ok(SocketHub {
             shared,
-            inbox: inbox_rx,
+            inbox: Mutex::new(inbox_rx),
             accept_thread: Some(accept_thread),
             reconnect_patience,
             unlink,
@@ -806,6 +806,19 @@ impl SocketHub {
             fenced_drops: self.shared.fenced_drops.load(Ordering::Relaxed),
             corrupt_drops: self.shared.corrupt_drops.load(Ordering::Relaxed),
         }
+    }
+
+    /// Pass a received frame on, counted at the transport boundary — or
+    /// drop it (counted as fenced) when its connection generation was
+    /// superseded by a respawn.
+    fn admit(&self, (generation, env): (u64, Envelope)) -> Option<Envelope> {
+        let fenced = generation <= self.shared.lock_slots()[env.from - 1].fenced;
+        if fenced {
+            self.shared.fenced_drops.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.shared.comm.count_received(env.data.len() as u64);
+        Some(env)
     }
 }
 
@@ -939,42 +952,25 @@ impl Transport for SocketHub {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, CommError> {
+        let inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
         let deadline = Instant::now().checked_add(timeout);
         loop {
             let remaining = match deadline {
                 None => Duration::MAX,
                 Some(deadline) => deadline.saturating_duration_since(Instant::now()),
             };
-            let (generation, env) = self.inbox.recv_timeout(remaining).map_err(|e| match e {
-                RecvTimeoutError::Timeout => CommError::Timeout,
-                RecvTimeoutError::Disconnected => CommError::Disconnected,
-            })?;
-            let fenced = {
-                let slots = self.shared.lock_slots();
-                generation <= slots[env.from - 1].fenced
-            };
-            if fenced {
-                self.shared.fenced_drops.fetch_add(1, Ordering::Relaxed);
-                continue; // a superseded connection's leftover frame
+            if let Some(env) = self.admit(inbox.recv_timeout(remaining)?) {
+                return Ok(env);
             }
-            self.shared.comm.count_received(env.data.len() as u64);
-            return Ok(env);
         }
     }
 
     fn try_recv(&self) -> Option<Envelope> {
+        let inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            let (generation, env) = self.inbox.try_recv().ok()?;
-            let fenced = {
-                let slots = self.shared.lock_slots();
-                generation <= slots[env.from - 1].fenced
-            };
-            if fenced {
-                self.shared.fenced_drops.fetch_add(1, Ordering::Relaxed);
-                continue;
+            if let Some(env) = self.admit(inbox.try_recv().ok()?) {
+                return Some(env);
             }
-            self.shared.comm.count_received(env.data.len() as u64);
-            return Some(env);
         }
     }
 

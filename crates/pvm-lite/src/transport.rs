@@ -1,13 +1,14 @@
 //! The [`Transport`] trait: the communication surface the cooperation
 //! protocol is written against.
 //!
-//! Everything upstairs — the collectives, the engine's master and slave
-//! loops — addresses peers by dense [`TaskId`], exchanges tagged
-//! [`Envelope`]s, and observes failures as [`CommError`]. This trait
-//! captures exactly that surface so the same protocol code runs over two
-//! very different substrates:
+//! Everything upstairs — the engine's master and slave loops — addresses
+//! peers by dense [`TaskId`], exchanges tagged [`Envelope`]s, and
+//! observes failures as [`CommError`]. This trait captures exactly that
+//! surface (plus the one collective the protocol needs,
+//! [`broadcast`](Transport::broadcast)) so the same protocol code runs
+//! over two very different substrates:
 //!
-//! * **`InProc`** — today's channel-backed mailboxes ([`TaskCtx`]); the
+//! * **`InProc`** — the `std::sync::mpsc` mailboxes of [`TaskCtx`]; the
 //!   trait impl delegates to the inherent methods, so behavior (and
 //!   bit-level determinism) is unchanged.
 //! * **Sockets** — [`crate::socket`]: the same envelopes as
@@ -64,6 +65,15 @@ pub trait Transport {
     /// Pack and send a typed message.
     fn send<T: Wire>(&self, to: TaskId, tag: u32, msg: &T) -> Result<(), CommError> {
         self.send_bytes(to, tag, msg.to_bytes())
+    }
+
+    /// Pack `msg` once and send it to every other task (`pvm_mcast`).
+    fn broadcast<T: Wire>(&self, tag: u32, msg: &T) -> Result<(), CommError> {
+        let bytes = msg.to_bytes();
+        for to in (0..self.ntasks()).filter(|&to| to != self.tid()) {
+            self.send_bytes(to, tag, bytes.clone())?;
+        }
+        Ok(())
     }
 
     /// Block until a message arrives.
@@ -161,6 +171,21 @@ mod tests {
     fn inproc_satisfies_the_trait() {
         let r = run_farm(2, |ctx| ping(&ctx)).unwrap();
         assert_eq!(r[0], 21);
+    }
+
+    #[test]
+    fn broadcast_reaches_everyone() {
+        let r = run_farm(4, |ctx| {
+            if ctx.tid() == 0 {
+                ctx.broadcast(1, &Num(99)).unwrap();
+                0
+            } else {
+                let env = ctx.recv_timeout(Duration::from_secs(5)).unwrap();
+                env.decode::<Num>().unwrap().0
+            }
+        })
+        .unwrap();
+        assert_eq!(r, vec![0, 99, 99, 99]);
     }
 
     #[test]

@@ -55,8 +55,8 @@ cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 step "release build (offline, locked)"
 cargo build --release --offline --locked
 
-step "tests (offline)"
-cargo test -q --offline --locked
+step "tests (offline, every workspace package)"
+cargo test -q --offline --locked --workspace
 
 step "telemetry tests (deterministic counters, spans, event ring)"
 cargo test -q --offline --locked --test telemetry

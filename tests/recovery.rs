@@ -111,37 +111,48 @@ fn resurrection_outcomes_are_deterministic() {
 fn exhausted_restart_budget_degrades_to_quarantine() {
     // kill-repeat murders every incarnation on its first delivery, so the
     // restart budget must run dry and the run must fall back to the old
-    // degradation behavior: quarantine, survivors finish.
+    // degradation behavior: quarantine, survivors finish — in both
+    // delivery schemes.
     let inst = small_instance();
-    let mut engine = Engine::new(4);
-    engine.inject_fault(fault_at_round(1, 1, FaultAction::KillRepeatedly));
     let cfg = healing_cfg(7);
-    let r = engine.run(&inst, Mode::CooperativeAdaptive, &cfg).unwrap();
-    assert!(r.best.is_feasible(&inst));
-    assert!(r.is_degraded(), "budget exhaustion must quarantine");
-    assert_eq!(r.lost_workers.len(), 1, "{:?}", r.lost_workers);
-    assert_eq!(r.lost_workers[0].worker, 1);
-    // Every budgeted attempt was spent before giving up, none succeeded.
-    assert!(
-        r.resurrections.is_empty(),
-        "a kill-repeat incarnation cannot report: {:?}",
-        r.resurrections
-    );
-    assert_eq!(r.round_best.len(), cfg.rounds, "survivors must finish");
-    // The telemetry trace shows the whole arc: every budgeted restart was
-    // attempted, then the worker was quarantined — exactly once.
-    assert_eq!(
-        r.telemetry.counter(0, Counter::Restarts),
-        cfg.max_restarts as u64
-    );
-    let quarantines: Vec<&parallel_tabu::Event> = r
-        .telemetry
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::Quarantine)
-        .collect();
-    assert_eq!(quarantines.len(), 1);
-    assert_eq!(quarantines[0].value, 1, "event names the worker");
+    for mode in [Mode::CooperativeAdaptive, Mode::Asynchronous] {
+        let mut engine = Engine::new(4);
+        engine.inject_fault(fault_at_round(1, 1, FaultAction::KillRepeatedly));
+        let r = engine.run(&inst, mode, &cfg).unwrap();
+        assert!(r.best.is_feasible(&inst), "{mode:?} infeasible");
+        assert!(
+            r.is_degraded(),
+            "{mode:?}: budget exhaustion must quarantine"
+        );
+        assert_eq!(r.lost_workers.len(), 1, "{mode:?}: {:?}", r.lost_workers);
+        assert_eq!(r.lost_workers[0].worker, 1, "{mode:?}");
+        // Every budgeted attempt was spent before giving up, none succeeded.
+        assert!(
+            r.resurrections.is_empty(),
+            "{mode:?}: a kill-repeat incarnation cannot report: {:?}",
+            r.resurrections
+        );
+        assert_eq!(
+            r.round_best.len(),
+            cfg.rounds,
+            "{mode:?}: survivors must finish"
+        );
+        // The telemetry trace shows the whole arc: every budgeted restart
+        // was attempted, then the worker was quarantined — exactly once.
+        assert_eq!(
+            r.telemetry.counter(0, Counter::Restarts),
+            cfg.max_restarts as u64,
+            "{mode:?}"
+        );
+        let quarantines: Vec<&parallel_tabu::Event> = r
+            .telemetry
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Quarantine)
+            .collect();
+        assert_eq!(quarantines.len(), 1, "{mode:?}");
+        assert_eq!(quarantines[0].value, 1, "{mode:?}: event names the worker");
+    }
 }
 
 #[test]
