@@ -23,7 +23,10 @@
 
 use crate::engine::{assignment_seed, CoopPolicy, Delivery};
 use crate::isp::IspState;
-use crate::messages::{pack_bits, unpack_bits, AssignMsg, ReportMsg};
+use crate::messages::{
+    pack_bits, pack_solutions, pack_strategy, unpack_bits, unpack_solutions, unpack_strategy,
+    AssignMsg, ReportMsg,
+};
 use crate::runner::{Mode, RunConfig};
 use crate::score::Score;
 use crate::sgp::{elite_dispersion, next_strategy};
@@ -237,14 +240,9 @@ impl CoopPolicy for FarmPolicy {
         let mut buf = PackBuffer::new();
         buf.put_usize(self.strategies.len());
         for s in &self.strategies {
-            buf.put_usize(s.tabu_tenure);
-            buf.put_usize(s.nb_drop);
-            buf.put_usize(s.nb_local);
+            pack_strategy(s, &mut buf);
         }
-        buf.put_usize(self.initials.len());
-        for sol in &self.initials {
-            pack_bits(sol.bits(), &mut buf);
-        }
+        pack_solutions(&self.initials, &mut buf);
         buf.put_usize(self.scores.len());
         for score in &self.scores {
             buf.put_u64(score.value() as u64);
@@ -271,27 +269,11 @@ impl CoopPolicy for FarmPolicy {
         let mut buf = UnpackBuffer::new(blob);
 
         let n = buf.get_usize().map_err(decode)?;
-        let mut strategies = Vec::with_capacity(n.min(p));
-        for _ in 0..n {
-            strategies.push(Strategy {
-                tabu_tenure: buf.get_usize().map_err(decode)?,
-                nb_drop: buf.get_usize().map_err(decode)?,
-                nb_local: buf.get_usize().map_err(decode)?,
-            });
-        }
-        let n = buf.get_usize().map_err(decode)?;
-        let mut initials = Vec::with_capacity(n.min(p));
-        for _ in 0..n {
-            let bits = unpack_bits(&mut buf).map_err(decode)?;
-            if bits.len() != inst.n() {
-                return Err(format!(
-                    "initial solution has {} variables, instance has {}",
-                    bits.len(),
-                    inst.n()
-                ));
-            }
-            initials.push(Solution::from_bits(inst, bits));
-        }
+        let strategies = (0..n)
+            .map(|_| unpack_strategy(&mut buf))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(decode)?;
+        let initials = unpack_solutions(&mut buf, inst)?;
         let n = buf.get_usize().map_err(decode)?;
         let mut scores = Vec::with_capacity(n.min(p));
         for _ in 0..n {

@@ -241,32 +241,6 @@ enum TaskOut {
     Slave,
 }
 
-/// Master-side exit control for one [`master_loop`] invocation.
-///
-/// The defaults reproduce the classic one-shot run: never park, STOP the
-/// farm on the way out. The job server overrides both to time-slice one
-/// persistent farm across jobs — parking at quantum boundaries and
-/// keeping the slaves alive between slices.
-pub(crate) struct MasterCtl {
-    /// Park (snapshot and return) after this many newly executed rounds
-    /// if the run has not finished first. `None` runs to completion.
-    /// Requires synchronous delivery and a snapshot-capable policy.
-    pub(crate) park_after: Option<usize>,
-    /// Whether to fan out STOP (and notify orphans) on exit. In-process
-    /// pools need it to fold the farm; the job server keeps its remote
-    /// slaves alive between slices and STOPs only at shutdown.
-    pub(crate) stop_on_exit: bool,
-}
-
-impl Default for MasterCtl {
-    fn default() -> Self {
-        MasterCtl {
-            park_after: None,
-            stop_on_exit: true,
-        }
-    }
-}
-
 /// How a bounded run slice ended (see [`Engine::run_slice`]).
 #[derive(Debug)]
 pub enum SliceOutcome {
@@ -357,8 +331,7 @@ impl Engine {
         mode: Mode,
         cfg: &RunConfig,
     ) -> Result<ModeReport, EngineError> {
-        assert!(cfg.p >= 1 && cfg.rounds >= 1);
-        self.run_policy(inst, &mut *policy_for(mode), cfg)
+        finished_only(self.run_slice(inst, mode, cfg, None, None)?)
     }
 
     /// Continue a checkpointed run from `snap` (written by an earlier run
@@ -372,14 +345,7 @@ impl Engine {
         snap: Snapshot,
         cfg: &RunConfig,
     ) -> Result<ModeReport, EngineError> {
-        let mut policy = validated_resume_policy(inst, &snap, cfg)?;
-        finished_only(self.run_policy_inner(
-            inst,
-            &mut *policy,
-            cfg,
-            Some(snap),
-            &MasterCtl::default(),
-        )?)
+        finished_only(self.run_slice(inst, snap.mode, cfg, Some(snap), None)?)
     }
 
     /// Run at most `park_after` rounds of `mode` (all of them if `None`),
@@ -388,7 +354,9 @@ impl Engine {
     /// complete state at a round boundary — the same artifact a periodic
     /// checkpoint writes — so a chain of slices is bit-identical to one
     /// uninterrupted run. This is the preemption primitive behind the job
-    /// server's time-slicing ([`crate::jobserver`]).
+    /// server's time-slicing ([`crate::jobserver`]). A slice that cannot
+    /// run as configured fails with [`EngineError::Unsupported`] before
+    /// the pool hears anything.
     pub fn run_slice(
         &mut self,
         inst: &Instance,
@@ -398,42 +366,7 @@ impl Engine {
         park_after: Option<usize>,
     ) -> Result<SliceOutcome, EngineError> {
         assert!(cfg.p >= 1 && cfg.rounds >= 1);
-        let mut policy = slice_policy(inst, mode, cfg, resume.as_ref())?;
-        let ctl = MasterCtl {
-            park_after,
-            stop_on_exit: true,
-        };
-        self.run_policy_inner(inst, &mut *policy, cfg, resume, &ctl)
-    }
-
-    /// Run a custom policy (the extension point behind [`run`](Engine::run)).
-    pub fn run_policy(
-        &mut self,
-        inst: &Instance,
-        policy: &mut dyn CoopPolicy,
-        cfg: &RunConfig,
-    ) -> Result<ModeReport, EngineError> {
-        finished_only(self.run_policy_inner(inst, policy, cfg, None, &MasterCtl::default())?)
-    }
-
-    fn run_policy_inner(
-        &mut self,
-        inst: &Instance,
-        policy: &mut dyn CoopPolicy,
-        cfg: &RunConfig,
-        resume: Option<Snapshot>,
-        ctl: &MasterCtl,
-    ) -> Result<SliceOutcome, EngineError> {
-        if let Err(detail) = cfg.validate() {
-            return Err(EngineError::Unsupported { detail });
-        }
-        if cfg.checkpoint.is_some() && policy.delivery() == Delivery::Pipelined {
-            return Err(EngineError::Unsupported {
-                detail: "checkpointing requires synchronous delivery: the pipelined ATS \
-                         master has no consistent round boundary to snapshot"
-                    .to_string(),
-            });
-        }
+        let policy = admit(inst, mode, cfg, resume.as_ref(), park_after)?;
         let active = policy.active_workers(cfg);
         assert!(active >= 1, "a run needs at least one active worker");
         self.ensure_capacity(active + 1);
@@ -453,16 +386,17 @@ impl Engine {
 
         // Only task 0 touches the policy (and consumes the resume
         // snapshot), but the job closure is shared by every pool thread;
-        // the mutexes document that to the compiler.
+        // the mutexes document that to the compiler. The master releases
+        // the farm however its loop returned.
         let policy = Mutex::new(policy);
         let resume = Mutex::new(resume);
         let outcomes = self.pool.run_collect(|ctx| {
             if Transport::tid(&ctx) == 0 {
                 let mut policy = policy.lock().unwrap_or_else(PoisonError::into_inner);
                 let resume = resume.lock().unwrap_or_else(PoisonError::into_inner).take();
-                TaskOut::Master(
-                    master_loop(&ctx, inst, &mut **policy, cfg, resume, ctl, &tel).map(Box::new),
-                )
+                let result = master_loop(&ctx, inst, &mut **policy, cfg, resume, park_after, &tel);
+                stop_farm(&ctx);
+                TaskOut::Master(result.map(Box::new))
             } else {
                 slave_loop(&ctx, cfg.patience(), &tel);
                 TaskOut::Slave
@@ -546,78 +480,108 @@ pub(crate) fn finished_only(outcome: SliceOutcome) -> Result<ModeReport, EngineE
     }
 }
 
-/// The policy a slice of `mode` runs: a fresh one, or — continuing
-/// `resume` — the snapshot's, once its mode matches and it validates. The
-/// shared admission path of [`Engine::run_slice`] and the job server's
-/// socket slices.
-pub(crate) fn slice_policy(
+/// Admit a slice of `mode` before any message leaves the master: build
+/// its policy — fresh, or restored from `resume`'s blob once the snapshot
+/// matches the run — and run every check that can reject the slice as
+/// configured. Every farm owner admits first (the engine's pool, the
+/// remote master's hub, the job server's socket slices), so a rejected
+/// slice never strands a slave waiting for its problem.
+pub(crate) fn admit(
     inst: &Instance,
     mode: Mode,
     cfg: &RunConfig,
     resume: Option<&Snapshot>,
-) -> Result<Box<dyn CoopPolicy>, EngineError> {
-    let Some(snap) = resume else {
-        return Ok(policy_for(mode));
-    };
-    if snap.mode != mode {
-        return Err(EngineError::Unsupported {
-            detail: format!("snapshot was taken under {:?}, not {mode:?}", snap.mode),
-        });
-    }
-    validated_resume_policy(inst, snap, cfg)
-}
-
-/// Validate `snap` against `inst`/`cfg` and hand back the restorable
-/// policy — the admission check of [`Engine::resume`] and
-/// [`slice_policy`].
-pub(crate) fn validated_resume_policy(
-    inst: &Instance,
-    snap: &Snapshot,
-    cfg: &RunConfig,
+    park_after: Option<usize>,
 ) -> Result<Box<dyn CoopPolicy>, EngineError> {
     let reject = |detail: String| Err(EngineError::Unsupported { detail });
-    if snap.fingerprint != instance_fingerprint(inst) {
-        return reject("snapshot was taken from a different instance".to_string());
+    let mut policy = policy_for(mode);
+    let pipelined = policy.delivery() == Delivery::Pipelined;
+    if let Some(snap) = resume {
+        if snap.mode != mode {
+            return reject(format!(
+                "snapshot was taken under {:?}, not {mode:?}",
+                snap.mode
+            ));
+        }
+        if snap.fingerprint != instance_fingerprint(inst) {
+            return reject("snapshot was taken from a different instance".to_string());
+        }
+        if snap.cfg_digest != config_digest(cfg) {
+            return reject(
+                "snapshot was taken under a different search configuration \
+                 (p, rounds, budget, seed, ISP/SGP and relink must match the original run)"
+                    .to_string(),
+            );
+        }
+        let active = policy.active_workers(cfg);
+        let rounds = policy.rounds(cfg);
+        if pipelined {
+            return reject("pipelined modes cannot be checkpointed or resumed".to_string());
+        }
+        if snap.alive.len() != active
+            || snap.epochs.len() != active
+            || snap.restarts_used.len() != active
+            || snap.histories.len() != active
+        {
+            return reject(format!(
+                "snapshot worker tables hold {} workers, run configures {active}",
+                snap.alive.len()
+            ));
+        }
+        if snap.next_round == 0
+            || snap.next_round >= rounds
+            || snap.round_best.len() != snap.next_round
+        {
+            return reject(format!(
+                "snapshot round counter {} is outside the resumable range 1..{rounds}",
+                snap.next_round
+            ));
+        }
+        if snap.rng == [0u64; 4] {
+            return reject("snapshot rng state is degenerate".to_string());
+        }
+        if !snap.alive.contains(&true) {
+            return Err(EngineError::AllWorkersLost {
+                losses: snap.losses.clone(),
+            });
+        }
     }
-    if snap.cfg_digest != config_digest(cfg) {
+    if let Err(detail) = cfg.validate() {
+        return reject(detail);
+    }
+    if cfg.checkpoint.is_some() && pipelined {
         return reject(
-            "snapshot was taken under a different search configuration \
-             (p, rounds, budget, seed, ISP/SGP and relink must match the original run)"
+            "checkpointing requires synchronous delivery: the pipelined ATS \
+             master has no consistent round boundary to snapshot"
                 .to_string(),
         );
     }
-    let policy = policy_for(snap.mode);
-    let active = policy.active_workers(cfg);
-    let rounds = policy.rounds(cfg);
-    if policy.delivery() == Delivery::Pipelined {
-        return reject("pipelined modes cannot be checkpointed or resumed".to_string());
+    match park_after {
+        Some(0) => return reject("park_after must be at least one round".to_string()),
+        Some(_) if pipelined => {
+            return reject("pipelined modes have no round boundary to park at".to_string())
+        }
+        _ => {}
     }
-    if snap.alive.len() != active
-        || snap.epochs.len() != active
-        || snap.restarts_used.len() != active
-        || snap.histories.len() != active
-    {
-        return reject(format!(
-            "snapshot worker tables hold {} workers, run configures {active}",
-            snap.alive.len()
-        ));
-    }
-    if snap.next_round == 0 || snap.next_round >= rounds || snap.round_best.len() != snap.next_round
-    {
-        return reject(format!(
-            "snapshot round counter {} is outside the resumable range 1..{rounds}",
-            snap.next_round
-        ));
-    }
-    if snap.rng == [0u64; 4] {
-        return reject("snapshot rng state is degenerate".to_string());
-    }
-    if !snap.alive.iter().any(|&a| a) {
-        return Err(EngineError::AllWorkersLost {
-            losses: snap.losses.clone(),
-        });
+    if let Some(snap) = resume {
+        policy
+            .restore(inst, cfg, &snap.policy)
+            .map_err(|detail| EngineError::Unsupported {
+                detail: format!("policy state does not restore: {detail}"),
+            })?;
     }
     Ok(policy)
+}
+
+/// Release the farm: STOP every slave task, idle ones included, and any
+/// superseded incarnation still blocked on an orphaned mailbox. Called by
+/// the farm's owner once its last slice is over, however that slice
+/// ended.
+pub(crate) fn stop_farm<C: Transport>(ctx: &C) {
+    for slave in 1..ctx.ntasks() {
+        let _ = ctx.send_bytes(slave, tags::STOP, Vec::new());
+    }
+    ctx.notify_orphans(tags::STOP);
 }
 
 /// Dispatch a mode to its policy.
@@ -673,10 +637,15 @@ impl Workers {
         }
     }
 
-    /// Quarantine worker `k` (idempotent). Returns whether any worker is
-    /// still alive — `false` is the caller's cue to give up with
-    /// [`EngineError::AllWorkersLost`].
-    fn mark_lost(&mut self, k: usize, round: usize, cause: LossCause, tel: &Telemetry) -> bool {
+    /// Quarantine worker `k` (idempotent). Fails with
+    /// [`EngineError::AllWorkersLost`] once no worker is left alive.
+    fn mark_lost(
+        &mut self,
+        k: usize,
+        round: usize,
+        cause: LossCause,
+        tel: &Telemetry,
+    ) -> Result<(), EngineError> {
         if self.alive[k] {
             self.alive[k] = false;
             self.losses.push(WorkerLoss {
@@ -686,7 +655,13 @@ impl Workers {
             });
             tel.event(0, EventKind::Quarantine, round, k as i64);
         }
-        self.alive.iter().any(|&a| a)
+        if self.alive.contains(&true) {
+            Ok(())
+        } else {
+            Err(EngineError::AllWorkersLost {
+                losses: self.losses.clone(),
+            })
+        }
     }
 
     /// Bank the History a report carries as the worker's latest memory.
@@ -847,18 +822,34 @@ fn begin_rebirth<C: Transport>(
     }
     tel.add(0, Counter::SeedMsgsSent, 1);
     let mut redo = assign.clone();
-    redo.epoch = workers.epochs[k];
     if !elite.is_empty() && redo.cell.is_none() {
         // Reseed from the master's B-best elite instead of the dead
         // incarnation's private trajectory; rotate through the bank so
         // repeated attempts explore different restarts.
         redo.initial = elite[(attempt - 1) % elite.len()].bits().clone();
     }
-    if ctx.send(k + 1, tags::ASSIGN, &redo).is_err() {
+    if !send_assignment(ctx, k, &mut redo, workers.epochs[k], tel) {
         return Rebirth::Lost;
     }
-    tel.add(0, Counter::AssignMsgsSent, 1);
     Rebirth::Sent { attempt }
+}
+
+/// Stamp `assign` with worker `k`'s incarnation `epoch` and send it,
+/// counting it if it left: the one ASSIGN path of both delivery schemes
+/// and of a rebirth's redo. Returns whether the send succeeded.
+fn send_assignment<C: Transport>(
+    ctx: &C,
+    k: usize,
+    assign: &mut AssignMsg,
+    epoch: u64,
+    tel: &Telemetry,
+) -> bool {
+    assign.epoch = epoch;
+    let sent = ctx.send(k + 1, tags::ASSIGN, assign).is_ok();
+    if sent {
+        tel.add(0, Counter::AssignMsgsSent, 1);
+    }
+    sent
 }
 
 /// Try to bring worker `k` back mid-round: rebirth attempts
@@ -900,39 +891,32 @@ fn resurrect<C: Transport>(
 /// *quarantined*: dropped from assignment and collection, its loss
 /// recorded, the round loop continuing with the survivors. Only losing the
 /// last worker aborts the run.
+///
+/// The caller has [`admit`]ted the slice, so `policy` already holds
+/// `resume`'s restored state, and it owns the farm: it calls
+/// [`stop_farm`] however this returns, unless it keeps the slaves for a
+/// later slice. With `park_after` set, the slice parks (snapshots and
+/// returns) after that many newly executed rounds unless the run finished
+/// first.
 pub(crate) fn master_loop<C: Transport>(
     ctx: &C,
     inst: &Instance,
     policy: &mut dyn CoopPolicy,
     cfg: &RunConfig,
     resume: Option<Snapshot>,
-    ctl: &MasterCtl,
+    park_after: Option<usize>,
     tel: &Telemetry,
 ) -> Result<SliceOutcome, EngineError> {
     let start = Instant::now();
     let active = policy.active_workers(cfg);
     let rounds = policy.rounds(cfg);
     assert!(active < ctx.ntasks(), "pool too small for {active} workers");
-    if let Some(park) = ctl.park_after {
-        // Checked before the broadcast: nothing is in flight yet, so the
-        // early return cannot strand a slave waiting for instructions.
-        if park == 0 {
-            return Err(EngineError::Unsupported {
-                detail: "park_after must be at least one round".to_string(),
-            });
-        }
-        if policy.delivery() == Delivery::Pipelined {
-            return Err(EngineError::Unsupported {
-                detail: "pipelined modes have no round boundary to park at".to_string(),
-            });
-        }
-    }
 
     // "Read and send to slaves problem data" (Fig. 2) — a pvm_mcast. Idle
     // pool workers beyond `active` also receive it; they simply never get
-    // an assignment and fold on the final STOP. Every pool thread is fresh
-    // or healed at run start, so a failure here is a pool bug, not a
-    // recoverable worker loss.
+    // an assignment and fold on the owner's final STOP. Every pool thread
+    // is fresh or healed at run start, so a failure here is a pool bug,
+    // not a recoverable worker loss.
     let problem = ProblemMsg::from_instance(inst);
     ctx.broadcast(tags::PROBLEM, &problem)
         .map_err(|e| EngineError::Internal {
@@ -958,11 +942,6 @@ pub(crate) fn master_loop<C: Transport>(
             (rng, state, Workers::fresh(active), 0)
         }
         Some(snap) => {
-            policy
-                .restore(inst, cfg, &snap.policy)
-                .map_err(|detail| EngineError::Unsupported {
-                    detail: format!("policy state does not restore: {detail}"),
-                })?;
             let state = MasterState {
                 global_best: Some(Solution::from_bits(inst, snap.global_best.clone())),
                 round_best: snap.round_best.clone(),
@@ -997,323 +976,242 @@ pub(crate) fn master_loop<C: Transport>(
     };
     drop(resume);
 
-    // The round loop proper, pulled into a closure so that *every* exit —
-    // success, park, all-workers-lost, protocol violation, checkpoint
-    // failure — still flows through the STOP fan-out below (when this
-    // invocation owns the farm's shutdown). Returning early without
-    // stopping the slaves would leave them blocked on their mailboxes for
-    // a full patience window, wedging the pool. `Ok(Some(snap))` means the
-    // slice parked at a round boundary instead of finishing.
-    let mut run_rounds = || -> Result<Option<Box<Snapshot>>, EngineError> {
-        match policy.delivery() {
-            Delivery::Synchronous => {
-                for round in start_round..rounds {
-                    let _round_span = tel.span(0, SpanKind::Round);
-                    // Launch the surviving slave searches. The sent assignment
-                    // is kept per worker so a resurrection can redo it.
-                    let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
-                    let mut send_failed = vec![false; active];
-                    {
-                        let _assign_span = tel.span(0, SpanKind::Assign);
-                        for k in 0..active {
-                            if !workers.alive[k] {
-                                continue;
-                            }
-                            let mut assign = policy.assign(k, round, inst, cfg, &mut rng);
-                            assign.epoch = workers.epochs[k];
-                            send_failed[k] = ctx.send(k + 1, tags::ASSIGN, &assign).is_err();
-                            if !send_failed[k] {
-                                tel.add(0, Counter::AssignMsgsSent, 1);
-                            }
-                            sent[k] = Some(assign);
-                        }
-                    }
-
-                    // Rendezvous: gather the survivors' reports (slaves finish
-                    // ≈ simultaneously because the eval budget, not
-                    // wall-clock, bounds each search). One deadline covers the
-                    // whole gather; a worker that misses it is resurrected
-                    // while its restart budget lasts, then quarantined. The
-                    // reports are processed in slave-id order below, so the
-                    // update is deterministic regardless of arrival order.
-                    let mut need: Vec<bool> = (0..active)
-                        .map(|k| workers.alive[k] && !send_failed[k])
-                        .collect();
-                    let mut reports = {
-                        let _gather_span = tel.span(0, SpanKind::Gather);
-                        gather_reports(ctx, &workers.epochs, cfg.report_timeout, &mut need, tel)?
-                    };
+    match policy.delivery() {
+        Delivery::Synchronous => {
+            for round in start_round..rounds {
+                let _round_span = tel.span(0, SpanKind::Round);
+                // Launch the surviving slave searches. The sent assignment
+                // is kept per worker so a resurrection can redo it.
+                let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
+                let mut send_failed = vec![false; active];
+                {
+                    let _assign_span = tel.span(0, SpanKind::Assign);
                     for k in 0..active {
                         if !workers.alive[k] {
                             continue;
                         }
-                        let missed = need[k] || send_failed[k];
-                        if !missed {
-                            continue;
+                        let mut assign = policy.assign(k, round, inst, cfg, &mut rng);
+                        send_failed[k] =
+                            !send_assignment(ctx, k, &mut assign, workers.epochs[k], tel);
+                        sent[k] = Some(assign);
+                    }
+                }
+
+                // Rendezvous: gather the survivors' reports (slaves finish
+                // ≈ simultaneously because the eval budget, not
+                // wall-clock, bounds each search). One deadline covers the
+                // whole gather; a worker that misses it is resurrected
+                // while its restart budget lasts, then quarantined. The
+                // reports are processed in slave-id order below, so the
+                // update is deterministic regardless of arrival order.
+                let mut need: Vec<bool> = (0..active)
+                    .map(|k| workers.alive[k] && !send_failed[k])
+                    .collect();
+                let mut reports = {
+                    let _gather_span = tel.span(0, SpanKind::Gather);
+                    gather_reports(ctx, &workers.epochs, cfg.report_timeout, &mut need, tel)?
+                };
+                for k in 0..active {
+                    if !workers.alive[k] {
+                        continue;
+                    }
+                    let missed = need[k] || send_failed[k];
+                    if !missed {
+                        continue;
+                    }
+                    let assign = sent[k].as_ref().expect("alive workers were assigned");
+                    match resurrect(
+                        ctx,
+                        &problem,
+                        &mut workers,
+                        cfg,
+                        k,
+                        round,
+                        assign,
+                        &state.elite,
+                        tel,
+                    )? {
+                        Some(report) => reports.push((k, report)),
+                        None => {
+                            let cause = if send_failed[k] {
+                                LossCause::Unreachable
+                            } else {
+                                LossCause::Deadline
+                            };
+                            workers.mark_lost(k, round, cause, tel)?;
                         }
-                        let assign = sent[k].as_ref().expect("alive workers were assigned");
-                        match resurrect(
+                    }
+                }
+                reports.sort_by_key(|&(k, _)| k);
+                for (k, report) in &reports {
+                    workers.bank_history(*k, report);
+                }
+
+                // Optional master-side exploitation: relink the two best
+                // distinct slave solutions (information neither slave holds
+                // alone).
+                if policy.relink(cfg) {
+                    state.total_evals += relink_round(inst, &reports, &mut state.global_best)?;
+                }
+
+                for (k, report) in &reports {
+                    state.process_report(*k, round, report, policy, inst, cfg, &mut rng, tel)?;
+                }
+                state.close_round()?;
+
+                // Periodic checkpoint and quantum-boundary park share one
+                // snapshot: the state as of the top of `round + 1`. The
+                // final round is never snapshotted — the run is over. A
+                // parked slice is thus the identical artifact a periodic
+                // checkpoint writes, so a resumed job continues
+                // bit-identically to one that never parked.
+                let checkpoint = cfg
+                    .checkpoint
+                    .as_ref()
+                    .filter(|cp| (round + 1) % cp.every == 0);
+                let park = park_after.is_some_and(|park| round + 1 - start_round >= park);
+                if round + 1 < rounds && (checkpoint.is_some() || park) {
+                    let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
+                    let snap =
+                        build_snapshot(policy, inst, cfg, round + 1, &rng, &state, &workers)?;
+                    if let Some(cp) = checkpoint {
+                        let nbytes = snap.to_file_bytes().len() as u64;
+                        snap.save(&cp.path).map_err(|e| EngineError::Internal {
+                            detail: format!("checkpoint write failed: {e}"),
+                        })?;
+                        tel.add(0, Counter::CheckpointsWritten, 1);
+                        tel.add(0, Counter::CheckpointBytes, nbytes);
+                        tel.event(0, EventKind::Checkpoint, round + 1, nbytes as i64);
+                    }
+                    if park {
+                        return Ok(SliceOutcome::Parked(Box::new(snap)));
+                    }
+                }
+            }
+        }
+        Delivery::Pipelined => {
+            // Reports arrive in scheduler order; `arrived[k]` counts how
+            // many worker `k` has sent, which *is* the logical round of its
+            // next arrival (per-worker channels are FIFO). The buffer plus
+            // the (round, worker) cursor turn that arrival stream into a
+            // deterministic processing order — and each processed report
+            // immediately releases that worker's next assignment, so no
+            // worker ever waits for a rendezvous. `assigned[k]` counts
+            // assignments sent, so `assigned[k] > arrived[k]` means worker
+            // `k` owes a report — the workers a deadline expiry resurrects
+            // or quarantines.
+            let mut arrived = vec![0usize; active];
+            let mut assigned = vec![0usize; active];
+            let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
+            // A rebirth in flight: (round it redoes, attempt); confirmed
+            // into a Resurrection record when the redo report arrives.
+            let mut rebirth: Vec<Option<(usize, usize)>> = vec![None; active];
+            let mut buffer: BTreeMap<(usize, usize), ReportMsg> = BTreeMap::new();
+            let mut cursor = (0usize, 0usize);
+            // The pipeline has no rendezvous, so one Round span covers the
+            // whole asynchronous run; Assign/Gather spans nest inside it.
+            let _round_span = tel.span(0, SpanKind::Round);
+
+            // Bootstrap: every worker gets its round-0 assignment.
+            for k in 0..active {
+                let _assign_span = tel.span(0, SpanKind::Assign);
+                let mut assign = policy.assign(k, 0, inst, cfg, &mut rng);
+                if send_assignment(ctx, k, &mut assign, workers.epochs[k], tel) {
+                    assigned[k] = 1;
+                } else {
+                    workers.mark_lost(k, 0, LossCause::Unreachable, tel)?;
+                }
+                sent[k] = Some(assign);
+            }
+
+            'outer: loop {
+                // Drain: process buffered reports in logical order. A
+                // quarantined worker's never-coming report is skipped so
+                // the cursor keeps rotating over the survivors; a live
+                // worker's missing report sends us to the wait below.
+                loop {
+                    let (round, k) = cursor;
+                    if round >= rounds {
+                        break 'outer;
+                    }
+                    if let Some(report) = buffer.remove(&cursor) {
+                        state
+                            .process_report(k, round, &report, policy, inst, cfg, &mut rng, tel)?;
+                        if round + 1 < rounds && workers.alive[k] {
+                            let _assign_span = tel.span(0, SpanKind::Assign);
+                            let mut assign = policy.assign(k, round + 1, inst, cfg, &mut rng);
+                            if send_assignment(ctx, k, &mut assign, workers.epochs[k], tel) {
+                                assigned[k] += 1;
+                            } else {
+                                workers.mark_lost(k, round + 1, LossCause::Unreachable, tel)?;
+                            }
+                            sent[k] = Some(assign);
+                        }
+                    } else if workers.alive[k] {
+                        break; // report still in flight: wait for it
+                    }
+                    cursor = if k + 1 < active {
+                        (round, k + 1)
+                    } else {
+                        state.close_round()?;
+                        (round + 1, 0)
+                    };
+                }
+
+                // Wait for one more report under a single deadline (the
+                // timeout budget is per expected report, not per arrival —
+                // stale stragglers burning the clock don't extend it).
+                let deadline = Instant::now().checked_add(cfg.report_timeout);
+                let received = {
+                    let _gather_span = tel.span(0, SpanKind::Gather);
+                    next_report(ctx, deadline, &workers.epochs, &workers.alive, tel)?
+                };
+                if let Some((k, report)) = received {
+                    if let Some((round, attempt)) = rebirth[k].take() {
+                        workers.confirm_rebirth(k, round, attempt, tel);
+                    }
+                    workers.bank_history(k, &report);
+                    buffer.insert((arrived[k], k), report);
+                    arrived[k] += 1;
+                    continue;
+                }
+                // The deadline expired: every live worker still owing a
+                // report is out of time. While a worker's restart budget
+                // lasts the master starts one rebirth per expiry; past
+                // the budget it is quarantined. Each expiry thus either
+                // consumes a restart credit or quarantines a worker, and
+                // both are finite — the loop terminates.
+                for k in 0..active {
+                    if !workers.alive[k] || assigned[k] <= arrived[k] {
+                        continue;
+                    }
+                    let round = arrived[k];
+                    if workers.restarts_used[k] < cfg.max_restarts {
+                        let assign = sent[k]
+                            .as_ref()
+                            .expect("an owed report implies a stored assignment");
+                        // Whether or not the rebirth took, the worker
+                        // still owes its report; the next deadline
+                        // window decides.
+                        rebirth[k] = match begin_rebirth(
                             ctx,
                             &problem,
                             &mut workers,
                             cfg,
                             k,
-                            round,
                             assign,
                             &state.elite,
                             tel,
-                        )? {
-                            Some(report) => reports.push((k, report)),
-                            None => {
-                                let cause = if send_failed[k] {
-                                    LossCause::Unreachable
-                                } else {
-                                    LossCause::Deadline
-                                };
-                                if !workers.mark_lost(k, round, cause, tel) {
-                                    return Err(EngineError::AllWorkersLost {
-                                        losses: workers.losses.clone(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    reports.sort_by_key(|&(k, _)| k);
-                    for (k, report) in &reports {
-                        workers.bank_history(*k, report);
-                    }
-
-                    // Optional master-side exploitation: relink the two best
-                    // distinct slave solutions (information neither slave holds
-                    // alone).
-                    if policy.relink(cfg) {
-                        state.total_evals += relink_round(inst, &reports, &mut state.global_best)?;
-                    }
-
-                    for (k, report) in &reports {
-                        state
-                            .process_report(*k, round, report, policy, inst, cfg, &mut rng, tel)?;
-                    }
-                    let best = state
-                        .global_best
-                        .as_ref()
-                        .ok_or_else(|| EngineError::Internal {
-                            detail: "no global best after a processed round".into(),
-                        })?;
-                    state.round_best.push(best.value());
-
-                    // Periodic checkpoint: the state as of the top of
-                    // `round + 1`. The final round is never checkpointed —
-                    // the run is over.
-                    if let Some(cp) = &cfg.checkpoint {
-                        if (round + 1) % cp.every == 0 && round + 1 < rounds {
-                            let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
-                            let snap = build_snapshot(
-                                policy,
-                                inst,
-                                cfg,
-                                round + 1,
-                                &rng,
-                                &state,
-                                &workers,
-                            )?;
-                            let nbytes = snap.to_file_bytes().len() as u64;
-                            snap.save(&cp.path).map_err(|e| EngineError::Internal {
-                                detail: format!("checkpoint write failed: {e}"),
-                            })?;
-                            tel.add(0, Counter::CheckpointsWritten, 1);
-                            tel.add(0, Counter::CheckpointBytes, nbytes);
-                            tel.event(0, EventKind::Checkpoint, round + 1, nbytes as i64);
-                        }
-                    }
-
-                    // Quantum boundary: park once the slice's round budget
-                    // is spent and the run is not already over. The parked
-                    // snapshot is the identical artifact a periodic
-                    // checkpoint writes, so a resumed job continues
-                    // bit-identically to one that never parked.
-                    if let Some(park) = ctl.park_after {
-                        if round + 1 < rounds && round + 1 - start_round >= park {
-                            let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
-                            let snap = build_snapshot(
-                                policy,
-                                inst,
-                                cfg,
-                                round + 1,
-                                &rng,
-                                &state,
-                                &workers,
-                            )?;
-                            return Ok(Some(Box::new(snap)));
-                        }
-                    }
-                }
-            }
-            Delivery::Pipelined => {
-                // Reports arrive in scheduler order; `arrived[k]` counts how
-                // many worker `k` has sent, which *is* the logical round of its
-                // next arrival (per-worker channels are FIFO). The buffer plus
-                // the (round, worker) cursor turn that arrival stream into a
-                // deterministic processing order — and each processed report
-                // immediately releases that worker's next assignment, so no
-                // worker ever waits for a rendezvous. `assigned[k]` counts
-                // assignments sent, so `assigned[k] > arrived[k]` means worker
-                // `k` owes a report — the workers a deadline expiry resurrects
-                // or quarantines.
-                let mut arrived = vec![0usize; active];
-                let mut assigned = vec![0usize; active];
-                let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
-                // A rebirth in flight: (round it redoes, attempt); confirmed
-                // into a Resurrection record when the redo report arrives.
-                let mut rebirth: Vec<Option<(usize, usize)>> = vec![None; active];
-                let mut buffer: BTreeMap<(usize, usize), ReportMsg> = BTreeMap::new();
-                let mut cursor = (0usize, 0usize);
-                // The pipeline has no rendezvous, so one Round span covers the
-                // whole asynchronous run; Assign/Gather spans nest inside it.
-                let _round_span = tel.span(0, SpanKind::Round);
-
-                // Bootstrap: every worker gets its round-0 assignment.
-                for k in 0..active {
-                    let _assign_span = tel.span(0, SpanKind::Assign);
-                    let mut assign = policy.assign(k, 0, inst, cfg, &mut rng);
-                    assign.epoch = workers.epochs[k];
-                    let ok = ctx.send(k + 1, tags::ASSIGN, &assign).is_ok();
-                    sent[k] = Some(assign);
-                    if ok {
-                        assigned[k] = 1;
-                        tel.add(0, Counter::AssignMsgsSent, 1);
-                    } else if !workers.mark_lost(k, 0, LossCause::Unreachable, tel) {
-                        return Err(EngineError::AllWorkersLost {
-                            losses: workers.losses.clone(),
-                        });
-                    }
-                }
-
-                'outer: loop {
-                    // Drain: process buffered reports in logical order. A
-                    // quarantined worker's never-coming report is skipped so
-                    // the cursor keeps rotating over the survivors; a live
-                    // worker's missing report sends us to the wait below.
-                    loop {
-                        let (round, k) = cursor;
-                        if round >= rounds {
-                            break 'outer;
-                        }
-                        if let Some(report) = buffer.remove(&cursor) {
-                            state.process_report(
-                                k, round, &report, policy, inst, cfg, &mut rng, tel,
-                            )?;
-                            if round + 1 < rounds && workers.alive[k] {
-                                let _assign_span = tel.span(0, SpanKind::Assign);
-                                let mut assign = policy.assign(k, round + 1, inst, cfg, &mut rng);
-                                assign.epoch = workers.epochs[k];
-                                let ok = ctx.send(k + 1, tags::ASSIGN, &assign).is_ok();
-                                sent[k] = Some(assign);
-                                if ok {
-                                    assigned[k] += 1;
-                                    tel.add(0, Counter::AssignMsgsSent, 1);
-                                } else if !workers.mark_lost(
-                                    k,
-                                    round + 1,
-                                    LossCause::Unreachable,
-                                    tel,
-                                ) {
-                                    return Err(EngineError::AllWorkersLost {
-                                        losses: workers.losses.clone(),
-                                    });
-                                }
-                            }
-                        } else if workers.alive[k] {
-                            break; // report still in flight: wait for it
-                        }
-                        cursor = if k + 1 < active {
-                            (round, k + 1)
-                        } else {
-                            let best = state.global_best.as_ref().ok_or_else(|| {
-                                EngineError::Internal {
-                                    detail: "no global best after a processed round".into(),
-                                }
-                            })?;
-                            state.round_best.push(best.value());
-                            (round + 1, 0)
+                        ) {
+                            Rebirth::Sent { attempt } => Some((round, attempt)),
+                            Rebirth::Refused | Rebirth::Lost => None,
                         };
-                    }
-
-                    // Wait for one more report under a single deadline (the
-                    // timeout budget is per expected report, not per arrival —
-                    // stale stragglers burning the clock don't extend it).
-                    let deadline = Instant::now().checked_add(cfg.report_timeout);
-                    let received = {
-                        let _gather_span = tel.span(0, SpanKind::Gather);
-                        next_report(ctx, deadline, &workers.epochs, &workers.alive, tel)?
-                    };
-                    if let Some((k, report)) = received {
-                        if let Some((round, attempt)) = rebirth[k].take() {
-                            workers.confirm_rebirth(k, round, attempt, tel);
-                        }
-                        workers.bank_history(k, &report);
-                        buffer.insert((arrived[k], k), report);
-                        arrived[k] += 1;
                         continue;
                     }
-                    // The deadline expired: every live worker still owing a
-                    // report is out of time. While a worker's restart budget
-                    // lasts the master starts one rebirth per expiry; past
-                    // the budget it is quarantined. Each expiry thus either
-                    // consumes a restart credit or quarantines a worker, and
-                    // both are finite — the loop terminates.
-                    for k in 0..active {
-                        if !workers.alive[k] || assigned[k] <= arrived[k] {
-                            continue;
-                        }
-                        let round = arrived[k];
-                        if workers.restarts_used[k] < cfg.max_restarts {
-                            let assign = sent[k]
-                                .as_ref()
-                                .expect("an owed report implies a stored assignment");
-                            // Whether or not the rebirth took, the worker
-                            // still owes its report; the next deadline
-                            // window decides.
-                            rebirth[k] = match begin_rebirth(
-                                ctx,
-                                &problem,
-                                &mut workers,
-                                cfg,
-                                k,
-                                assign,
-                                &state.elite,
-                                tel,
-                            ) {
-                                Rebirth::Sent { attempt } => Some((round, attempt)),
-                                Rebirth::Refused | Rebirth::Lost => None,
-                            };
-                            continue;
-                        }
-                        if !workers.mark_lost(k, round, LossCause::Deadline, tel) {
-                            return Err(EngineError::AllWorkersLost {
-                                losses: workers.losses.clone(),
-                            });
-                        }
-                    }
+                    workers.mark_lost(k, round, LossCause::Deadline, tel)?;
                 }
             }
         }
-        Ok(None)
-    };
-    let round_result = run_rounds();
-
-    // Fold the farm: STOP every pool worker, including idle ones, plus any
-    // superseded incarnations still blocked on their orphaned mailboxes.
-    // A caller that keeps the farm alive across slices (the job server)
-    // opts out and STOPs once, at shutdown.
-    if ctl.stop_on_exit {
-        for slave in 1..ctx.ntasks() {
-            let _ = ctx.send_bytes(slave, tags::STOP, Vec::new());
-        }
-        ctx.notify_orphans(tags::STOP);
-    }
-    if let Some(snap) = round_result? {
-        return Ok(SliceOutcome::Parked(snap));
     }
 
     let best = state.global_best.ok_or_else(|| EngineError::Internal {
@@ -1401,6 +1299,19 @@ impl MasterState {
         self.elite.push(sol.clone());
         self.elite.sort_by_key(|s| std::cmp::Reverse(s.value()));
         self.elite.truncate(ELITE_CAP);
+    }
+
+    /// Close a processed round: append the global best's value to the
+    /// per-round curve.
+    fn close_round(&mut self) -> Result<(), EngineError> {
+        let best = self
+            .global_best
+            .as_ref()
+            .ok_or_else(|| EngineError::Internal {
+                detail: "no global best after a processed round".into(),
+            })?;
+        self.round_best.push(best.value());
+        Ok(())
     }
 
     /// Fold one report: counters, global best, elite, then the policy's
@@ -1495,14 +1406,15 @@ pub(crate) enum SlaveExit {
     Lost,
 }
 
-/// The slave loop: receive a problem, then serve assignments until the
-/// stop message (or a dead master) ends the task. A [`tags::SEED`]
-/// message transplants the long-term History of a previous incarnation
-/// (rebirth) or a checkpointed run (resume) into this one. A *new*
-/// [`tags::PROBLEM`] mid-loop replaces the instance and resets the
-/// per-problem memory — that is how one persistent slave serves
-/// consecutive jobs under the job server, which broadcasts each job's
-/// problem at the top of every slice instead of STOPping between jobs.
+/// The slave loop: serve the master's instructions until the stop message
+/// (or a dead master) ends the task. A [`tags::PROBLEM`] sets the instance
+/// and starts a fresh long-term memory — that is also how one persistent
+/// slave serves consecutive jobs under the job server, which broadcasts
+/// each job's problem at the top of every slice instead of STOPping
+/// between jobs. A [`tags::SEED`] message transplants the long-term
+/// History of a previous incarnation (rebirth) or a checkpointed run
+/// (resume) into this one. A STOP before any problem ends the slave
+/// cleanly; a SEED or ASSIGN before one is a protocol violation.
 ///
 /// `patience` is how long the slave waits for each instruction before
 /// concluding the master is gone — in-process callers pass
@@ -1512,21 +1424,11 @@ pub(crate) enum SlaveExit {
 /// assignment arrives.
 pub(crate) fn slave_loop<C: Transport>(ctx: &C, patience: Duration, tel: &Telemetry) -> SlaveExit {
     let tid = ctx.tid();
-    let env = match ctx.recv_timeout(patience) {
-        Ok(env) => env,
-        Err(_) => return SlaveExit::Lost, // master died before the broadcast
-    };
-    assert_eq!(env.tag, tags::PROBLEM, "protocol violation");
-    let mut inst = env
-        .decode::<ProblemMsg>()
-        .expect("well-formed problem")
-        .into_instance();
-    let mut ratios = Ratios::new(&inst);
-    // The long-term frequency memory survives across rounds: each round's
-    // diversification then targets regions this slave has never visited in
-    // the whole session, which is what makes later rounds productive.
-    let mut history = mkp_tabu::history::History::new(inst.n());
-
+    // The current problem, its ratios and the long-term frequency memory.
+    // The memory survives across rounds: each round's diversification
+    // then targets regions this slave has never visited in the whole
+    // session, which is what makes later rounds productive.
+    let mut job: Option<(Instance, Ratios, mkp_tabu::history::History)> = None;
     loop {
         let env = match ctx.recv_timeout(patience) {
             Ok(env) => env,
@@ -1535,22 +1437,25 @@ pub(crate) fn slave_loop<C: Transport>(ctx: &C, patience: Duration, tel: &Teleme
         match env.tag {
             tags::STOP => return SlaveExit::Stopped,
             tags::PROBLEM => {
-                // The next job's instance: per-problem state starts over.
-                // (A resumed job re-seeds the History right after, via
-                // SEED, exactly as a checkpoint resume does.)
-                inst = env
+                // A resumed job re-seeds the History right after, via
+                // SEED, exactly as a checkpoint resume does.
+                let inst = env
                     .decode::<ProblemMsg>()
                     .expect("well-formed problem")
                     .into_instance();
-                ratios = Ratios::new(&inst);
-                history = mkp_tabu::history::History::new(inst.n());
+                let ratios = Ratios::new(&inst);
+                let history = mkp_tabu::history::History::new(inst.n());
+                job = Some((inst, ratios, history));
             }
             tags::SEED => {
+                let (inst, _, history) = job
+                    .as_mut()
+                    .expect("protocol violation: SEED before PROBLEM");
                 let seed: SeedMsg = env.decode().expect("well-formed seed");
                 // An empty seed means the worker had no banked memory yet;
                 // keep the fresh History in that case.
                 if seed.history_counts.len() == inst.n() {
-                    history = mkp_tabu::history::History::from_parts(
+                    *history = mkp_tabu::history::History::from_parts(
                         seed.history_counts,
                         seed.history_iterations,
                     );
@@ -1558,10 +1463,13 @@ pub(crate) fn slave_loop<C: Transport>(ctx: &C, patience: Duration, tel: &Teleme
                 }
             }
             tags::ASSIGN => {
+                let (inst, ratios, history) = job
+                    .as_mut()
+                    .expect("protocol violation: ASSIGN before PROBLEM");
                 let assign: AssignMsg = env.decode().expect("well-formed assignment");
                 let (mut msg, stats) = {
                     let _ts_span = tel.span(tid, SpanKind::TsInner);
-                    serve_assignment(&inst, &ratios, &mut history, &assign)
+                    serve_assignment(inst, ratios, history, &assign)
                 };
                 tel.add(tid, Counter::MovesExecuted, stats.moves);
                 tel.add(tid, Counter::CandidateEvals, stats.candidate_evals);
@@ -1598,124 +1506,91 @@ fn serve_assignment(
     assign: &AssignMsg,
 ) -> (ReportMsg, MoveStats) {
     let mut rng = Xoshiro256::seed_from_u64(assign.seed);
-
-    if let Some(cell) = &assign.cell {
+    let budget = Budget::evals(assign.budget_evals);
+    let report = match &assign.cell {
         // Decomposition cell (DTS): fix the split variables, search the
         // sub-space, lift the result back to the full space.
-        let forced_in: Vec<usize> = cell.forced_in.iter().map(|&j| j as usize).collect();
-        let forced_out: Vec<usize> = cell.forced_out.iter().map(|&j| j as usize).collect();
-        return match Restriction::new(inst, &forced_in, &forced_out) {
-            Ok(restriction) => {
-                let sub = restriction.instance();
-                let sub_ratios = Ratios::new(sub);
-                let mut ts = TsConfig::default_for(sub.n());
-                let init = if cell.seeded {
-                    // CORE: project the master-chosen start onto the free
-                    // variables, repair it inside the reduced space, and
-                    // honor the master's (SGP-tuned) strategy.
-                    ts.strategy = assign.strategy;
-                    let mut sol = Solution::from_bits(sub, restriction.project(&assign.initial));
-                    mkp::greedy::project_feasible(sub, &sub_ratios, &mut sol);
-                    mkp::greedy::greedy_fill(sub, &sub_ratios, &mut sol);
-                    sol
-                } else {
-                    // DTS: the slave builds its own randomized start.
-                    dynamic_randomized_greedy(sub, &mut rng, 4)
-                };
-                let report = search::run(
-                    sub,
-                    &sub_ratios,
-                    init,
-                    &ts,
-                    Budget::evals(assign.budget_evals),
-                    &mut rng,
-                );
-                let lifted = restriction.lift(inst, &report.best);
-                // A seeded (CORE) master runs ISP/SGP and needs the elite
-                // pool lifted back; the DTS master has no SGP to feed, and
-                // sub-space elites don't lift for free.
-                let elite = if cell.seeded {
-                    report
-                        .elite
-                        .iter()
-                        .map(|s| restriction.lift(inst, s).bits().clone())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let msg = ReportMsg {
-                    best: lifted.bits().clone(),
-                    elite,
-                    // Report the start in full-space terms when the master
-                    // chose it (SGP compares it against full-space finals).
-                    initial_value: if cell.seeded {
-                        report.initial_value + restriction.offset()
+        Some(cell) => {
+            let forced_in: Vec<usize> = cell.forced_in.iter().map(|&j| j as usize).collect();
+            let forced_out: Vec<usize> = cell.forced_out.iter().map(|&j| j as usize).collect();
+            match Restriction::new(inst, &forced_in, &forced_out) {
+                Ok(restriction) => {
+                    let sub = restriction.instance();
+                    let sub_ratios = Ratios::new(sub);
+                    let mut ts = TsConfig::default_for(sub.n());
+                    let init = if cell.seeded {
+                        // CORE: project the master-chosen start onto the free
+                        // variables, repair it inside the reduced space, and
+                        // honor the master's (SGP-tuned) strategy.
+                        ts.strategy = assign.strategy;
+                        let mut sol =
+                            Solution::from_bits(sub, restriction.project(&assign.initial));
+                        mkp::greedy::project_feasible(sub, &sub_ratios, &mut sol);
+                        mkp::greedy::greedy_fill(sub, &sub_ratios, &mut sol);
+                        sol
                     } else {
-                        report.initial_value
-                    },
-                    best_value: lifted.value(),
-                    moves: report.stats.moves,
-                    evals: report.stats.candidate_evals,
-                    epoch: 0,
-                    history_counts: Vec::new(),
-                    history_iterations: 0,
-                };
-                (msg, report.stats)
+                        // DTS: the slave builds its own randomized start.
+                        dynamic_randomized_greedy(sub, &mut rng, 4)
+                    };
+                    let mut report = search::run(sub, &sub_ratios, init, &ts, budget, &mut rng);
+                    report.best = restriction.lift(inst, &report.best);
+                    if cell.seeded {
+                        // A seeded (CORE) master runs ISP/SGP: it needs the
+                        // elite pool lifted back and the start in
+                        // full-space terms (SGP compares it against
+                        // full-space finals).
+                        report.elite = report
+                            .elite
+                            .iter()
+                            .map(|s| restriction.lift(inst, s))
+                            .collect();
+                        report.initial_value += restriction.offset();
+                    } else {
+                        // The DTS master has no SGP to feed, and sub-space
+                        // elites don't lift for free.
+                        report.elite.clear();
+                    }
+                    report
+                }
+                Err(_) => {
+                    // Infeasible (or empty) cell: the worker searches the
+                    // full space instead of idling. A seeded master picked
+                    // a valid full-space start — keep it; DTS workers build
+                    // their own.
+                    let init = if cell.seeded {
+                        let mut sol = Solution::from_bits(inst, assign.initial.clone());
+                        mkp::greedy::project_feasible(inst, ratios, &mut sol);
+                        mkp::greedy::greedy_fill(inst, ratios, &mut sol);
+                        sol
+                    } else {
+                        dynamic_randomized_greedy(inst, &mut rng, 4)
+                    };
+                    let mut ts = TsConfig::default_for(inst.n());
+                    ts.strategy = assign.strategy;
+                    search::run(inst, ratios, init, &ts, budget, &mut rng)
+                }
             }
-            Err(_) => {
-                // Infeasible (or empty) cell: the worker searches the full
-                // space instead of idling. A seeded master picked a valid
-                // full-space start — keep it; DTS workers build their own.
-                let init = if cell.seeded {
-                    let mut sol = Solution::from_bits(inst, assign.initial.clone());
-                    mkp::greedy::project_feasible(inst, ratios, &mut sol);
-                    mkp::greedy::greedy_fill(inst, ratios, &mut sol);
-                    sol
-                } else {
-                    dynamic_randomized_greedy(inst, &mut rng, 4)
-                };
-                let mut ts = TsConfig::default_for(inst.n());
-                ts.strategy = assign.strategy;
-                let report = search::run(
-                    inst,
-                    ratios,
-                    init,
-                    &ts,
-                    Budget::evals(assign.budget_evals),
-                    &mut rng,
-                );
-                let msg = ReportMsg {
-                    best: report.best.bits().clone(),
-                    elite: report.elite.iter().map(|s| s.bits().clone()).collect(),
-                    initial_value: report.initial_value,
-                    best_value: report.best.value(),
-                    moves: report.stats.moves,
-                    evals: report.stats.candidate_evals,
-                    epoch: 0,
-                    history_counts: Vec::new(),
-                    history_iterations: 0,
-                };
-                (msg, report.stats)
-            }
-        };
-    }
-
-    // Trajectory assignment: continue from the master-chosen start with the
-    // master-chosen strategy.
-    let initial = Solution::from_bits(inst, assign.initial.clone());
-    let mut ts = TsConfig::default_for(inst.n());
-    ts.strategy = assign.strategy;
-    let mut memory = mkp_tabu::tabu_list::Recency::new(inst.n(), assign.strategy.tabu_tenure);
-    let report = search::run_with_memory(
-        inst,
-        ratios,
-        initial,
-        &ts,
-        Budget::evals(assign.budget_evals),
-        &mut rng,
-        &mut memory,
-        history,
-    );
+        }
+        // Trajectory assignment: continue from the master-chosen start with
+        // the master-chosen strategy.
+        None => {
+            let initial = Solution::from_bits(inst, assign.initial.clone());
+            let mut ts = TsConfig::default_for(inst.n());
+            ts.strategy = assign.strategy;
+            let mut memory =
+                mkp_tabu::tabu_list::Recency::new(inst.n(), assign.strategy.tabu_tenure);
+            search::run_with_memory(
+                inst,
+                ratios,
+                initial,
+                &ts,
+                budget,
+                &mut rng,
+                &mut memory,
+                history,
+            )
+        }
+    };
     let msg = ReportMsg {
         best: report.best.bits().clone(),
         elite: report.elite.iter().map(|s| s.bits().clone()).collect(),
@@ -1735,6 +1610,7 @@ mod tests {
     use super::*;
     use crate::runner::CheckpointCfg;
     use mkp::generate::{gk_instance, GkSpec};
+    use pvm_lite::CommError;
 
     fn inst() -> Instance {
         gk_instance(
@@ -1863,6 +1739,147 @@ mod tests {
         cfg.slave_patience = Some(Duration::from_secs(1));
         let err = engine.run(&inst, Mode::Cooperative, &cfg).unwrap_err();
         assert!(matches!(err, EngineError::Unsupported { .. }));
+    }
+
+    #[test]
+    fn rejected_slices_do_not_strand_the_farm() {
+        // Admission runs before the problem broadcast, so a rejected slice
+        // returns at once instead of after every slave's patience (9 s
+        // here).
+        let inst = inst();
+        let mut cfg = cfg();
+        cfg.report_timeout = Duration::from_secs(2);
+        let mut engine = Engine::new(3);
+        let slice = engine.run_slice(&inst, Mode::CooperativeAdaptive, &cfg, None, Some(1));
+        let Ok(SliceOutcome::Parked(mut torn)) = slice else {
+            panic!("a three-round slice parks after one round: {slice:?}");
+        };
+        torn.policy.truncate(3);
+        let cases = [
+            (Mode::Asynchronous, None, Some(1)),
+            (Mode::CooperativeAdaptive, None, Some(0)),
+            (Mode::CooperativeAdaptive, Some(*torn), None),
+        ];
+        for (mode, resume, park_after) in cases {
+            let start = Instant::now();
+            let err = engine
+                .run_slice(&inst, mode, &cfg, resume, park_after)
+                .unwrap_err();
+            let took = start.elapsed();
+            assert!(
+                matches!(err, EngineError::Unsupported { .. }),
+                "{mode:?}: {err}"
+            );
+            assert!(took < cfg.report_timeout, "{mode:?} took {took:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_farm_stopped_before_any_problem_ends_cleanly() {
+        // A job server that shuts down before its first job STOPs slaves
+        // that never saw a problem.
+        let tel = Telemetry::new(3);
+        let exits = pvm_lite::run_farm(3, |ctx| {
+            if Transport::tid(&ctx) == 0 {
+                stop_farm(&ctx);
+                None
+            } else {
+                Some(slave_loop(&ctx, Duration::from_secs(5), &tel))
+            }
+        })
+        .unwrap();
+        assert_eq!(exits[1..], [Some(SlaveExit::Stopped); 2]);
+    }
+
+    /// The master's endpoint with worker 1's mailbox closed to
+    /// assignments: every ASSIGN to it fails from its `from`-th on.
+    struct DeafWorker<'a> {
+        ctx: &'a pvm_lite::TaskCtx,
+        from: usize,
+        assigns: std::cell::Cell<usize>,
+    }
+
+    impl Transport for DeafWorker<'_> {
+        fn tid(&self) -> pvm_lite::TaskId {
+            Transport::tid(self.ctx)
+        }
+
+        fn ntasks(&self) -> usize {
+            Transport::ntasks(self.ctx)
+        }
+
+        fn send_bytes(&self, to: usize, tag: u32, data: Vec<u8>) -> Result<(), CommError> {
+            if to == 2 && tag == tags::ASSIGN {
+                let n = self.assigns.replace(self.assigns.get() + 1);
+                if n >= self.from {
+                    return Err(CommError::PeerGone { to });
+                }
+            }
+            Transport::send_bytes(self.ctx, to, tag, data)
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<pvm_lite::Envelope, CommError> {
+            Transport::recv_timeout(self.ctx, timeout)
+        }
+
+        fn try_recv(&self) -> Option<pvm_lite::Envelope> {
+            Transport::try_recv(self.ctx)
+        }
+
+        fn comm_stats(&self) -> CommStats {
+            Transport::comm_stats(self.ctx)
+        }
+    }
+
+    #[test]
+    fn an_unreachable_worker_is_quarantined_under_both_delivery_schemes() {
+        // The synchronous launch, the pipelined bootstrap (n = 0) and the
+        // pipelined release (n = 1) each lose worker 1 at its n-th
+        // assignment, and the survivors finish every round.
+        let inst = inst();
+        let cfg = cfg();
+        for (mode, n) in [
+            (Mode::CooperativeAdaptive, 1),
+            (Mode::Asynchronous, 0),
+            (Mode::Asynchronous, 1),
+        ] {
+            let tel = Telemetry::new(cfg.p + 1);
+            let policy = Mutex::new(admit(&inst, mode, &cfg, None, None).unwrap());
+            let mut pool = WorkerPool::new(cfg.p + 1);
+            let outcomes = pool.run_collect(|ctx| {
+                if Transport::tid(&ctx) == 0 {
+                    let deaf = DeafWorker {
+                        ctx: &ctx,
+                        from: n,
+                        assigns: Default::default(),
+                    };
+                    let mut policy = policy.lock().unwrap();
+                    let result = master_loop(&deaf, &inst, &mut **policy, &cfg, None, None, &tel);
+                    stop_farm(&ctx);
+                    Some(result)
+                } else {
+                    slave_loop(&ctx, cfg.patience(), &tel);
+                    None
+                }
+            });
+            let Some(TaskOutcome::Done(Some(Ok(SliceOutcome::Finished(report))))) =
+                outcomes.into_iter().next()
+            else {
+                panic!("{mode:?} from {n}: the master did not finish");
+            };
+            let loss = WorkerLoss {
+                worker: 1,
+                round: n,
+                cause: LossCause::Unreachable,
+            };
+            assert_eq!(report.lost_workers, vec![loss], "{mode:?} from {n}");
+            assert_eq!(report.round_best.len(), cfg.rounds, "{mode:?} from {n}");
+            assert_eq!(
+                tel.counter(0, Counter::AssignMsgsSent),
+                (cfg.p * cfg.rounds - (cfg.rounds - n)) as u64,
+                "{mode:?} from {n}"
+            );
+        }
     }
 
     #[test]

@@ -35,13 +35,12 @@
 //! The farm behind the scheduler is one persistent pool for the whole
 //! server lifetime: in-process worker threads ([`ServeBackend::InProc`])
 //! or remote `mkp slave` processes on a [`SocketHub`]
-//! ([`ServeBackend::Socket`]). On the socket backend slaves are kept
-//! alive *between* slices (the engine's STOP fan-out is suppressed) and
-//! released with a single STOP broadcast at server shutdown, so `mkp
-//! slave` exits 0 after serving any number of jobs. A slave that dies
-//! mid-slice is handled by the engine's resurrection machinery as usual;
-//! a slave missing at the *start* of a slice fails that job's slice, not
-//! the server.
+//! ([`ServeBackend::Socket`]). On the socket backend the server owns the
+//! farm: its slaves stay alive *between* slices and are released with a
+//! single STOP broadcast at server shutdown, so `mkp slave` exits 0 after
+//! serving any number of jobs. A slave that dies mid-slice is handled by
+//! the engine's resurrection machinery as usual; a slave missing at the
+//! *start* of a slice fails that job's slice, not the server.
 //!
 //! # Durability (DESIGN.md §15)
 //!
@@ -63,10 +62,10 @@
 //! every job parked durably and releases the slaves with one STOP.
 
 use crate::engine::{
-    master_loop, policy_for, slice_policy, Delivery, Engine, EngineError, MasterCtl, SliceOutcome,
+    admit, master_loop, policy_for, stop_farm, Delivery, Engine, EngineError, SliceOutcome,
 };
 use crate::journal::{Journal, Record};
-use crate::messages::{pack_bits, tags, unpack_bits, ProblemMsg};
+use crate::messages::{pack_bits, unpack_bits, ProblemMsg};
 use crate::runner::{Mode, ModeReport, RunConfig};
 use crate::snapshot::Snapshot;
 use crate::telemetry::Telemetry;
@@ -692,9 +691,7 @@ pub fn serve(
         writer.shutdown();
     }
     if let Pool::Socket(hub) = &sched.pool {
-        for slot in 1..hub.ntasks() {
-            let _ = hub.send_bytes(slot, tags::STOP, Vec::new());
-        }
+        stop_farm(hub);
     }
     Ok(sched.stats)
 }
@@ -1426,13 +1423,10 @@ fn socket_slice(
     job: &Job,
     resume: Option<Snapshot>,
 ) -> Result<SliceOutcome, EngineError> {
-    let mut policy = slice_policy(&job.inst, job.mode, &job.cfg, resume.as_ref())?;
-    let ctl = MasterCtl {
-        park_after: job.park_after,
-        stop_on_exit: false,
-    };
+    let (inst, cfg) = (&job.inst, &job.cfg);
+    let mut policy = admit(inst, job.mode, cfg, resume.as_ref(), job.park_after)?;
     let tel = Telemetry::new(hub.ntasks());
-    master_loop(hub, &job.inst, &mut *policy, &job.cfg, resume, &ctl, &tel)
+    master_loop(hub, inst, &mut *policy, cfg, resume, job.park_after, &tel)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@
 //! This adds a macro level of intensification/diversification balancing on
 //! top of the classic single-thread mechanisms.
 //!
-//! The crate exposes the five search organizations compared in the paper's
-//! evaluation (plus its future-work extension), all driven by one reusable
-//! [`Engine`] whose persistent worker pool survives across runs; each mode
-//! is a thin [`CoopPolicy`]:
+//! The crate exposes eight search organizations: the four compared in the
+//! paper's evaluation, its future-work extension, and three search-space
+//! policies, all driven by one reusable [`Engine`] whose persistent worker
+//! pool survives across runs; each mode is a thin [`CoopPolicy`]:
 //!
 //! | mode | meaning |
 //! |------|---------|

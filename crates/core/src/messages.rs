@@ -122,6 +122,53 @@ pub(crate) fn unpack_bits(buf: &mut UnpackBuffer<'_>) -> Result<BitVec, CodecErr
     Ok(bits)
 }
 
+/// Pack a strategy triple; shared by [`AssignMsg`] and the policy blobs.
+pub(crate) fn pack_strategy(strategy: &Strategy, buf: &mut PackBuffer) {
+    buf.put_usize(strategy.tabu_tenure);
+    buf.put_usize(strategy.nb_drop);
+    buf.put_usize(strategy.nb_local);
+}
+
+pub(crate) fn unpack_strategy(buf: &mut UnpackBuffer<'_>) -> Result<Strategy, CodecError> {
+    Ok(Strategy {
+        tabu_tenure: buf.get_usize()?,
+        nb_drop: buf.get_usize()?,
+        nb_local: buf.get_usize()?,
+    })
+}
+
+/// Pack a solution list as its length, then each solution's bits: the
+/// policy blobs' per-worker starts and banks.
+pub(crate) fn pack_solutions(sols: &[Solution], buf: &mut PackBuffer) {
+    buf.put_usize(sols.len());
+    for sol in sols {
+        pack_bits(sol.bits(), buf);
+    }
+}
+
+/// Unpack a [`pack_solutions`] list over `inst`, rejecting a solution
+/// whose length is not the instance's.
+pub(crate) fn unpack_solutions(
+    buf: &mut UnpackBuffer<'_>,
+    inst: &Instance,
+) -> Result<Vec<Solution>, String> {
+    let decode = |e: CodecError| format!("solution list does not decode: {e:?}");
+    let count = buf.get_usize().map_err(decode)?;
+    let mut sols = Vec::new();
+    for _ in 0..count {
+        let bits = unpack_bits(buf).map_err(decode)?;
+        if bits.len() != inst.n() {
+            return Err(format!(
+                "solution has {} variables, instance has {}",
+                bits.len(),
+                inst.n()
+            ));
+        }
+        sols.push(Solution::from_bits(inst, bits));
+    }
+    Ok(sols)
+}
+
 /// A search-space cell for the decomposed mode (DTS): the split variables
 /// fixed in (`forced_in`) or out (`forced_out`) of the knapsack. The slave
 /// builds the [`mkp::restrict::Restriction`] itself so it can also lift the
@@ -180,9 +227,7 @@ impl AssignMsg {
 impl Wire for AssignMsg {
     fn pack(&self, buf: &mut PackBuffer) {
         pack_bits(&self.initial, buf);
-        buf.put_usize(self.strategy.tabu_tenure);
-        buf.put_usize(self.strategy.nb_drop);
-        buf.put_usize(self.strategy.nb_local);
+        pack_strategy(&self.strategy, buf);
         buf.put_u64(self.budget_evals);
         buf.put_u64(self.seed);
         buf.put_u64(self.epoch);
@@ -200,11 +245,7 @@ impl Wire for AssignMsg {
     fn unpack(buf: &mut UnpackBuffer<'_>) -> Result<Self, CodecError> {
         Ok(AssignMsg {
             initial: unpack_bits(buf)?,
-            strategy: Strategy {
-                tabu_tenure: buf.get_usize()?,
-                nb_drop: buf.get_usize()?,
-                nb_local: buf.get_usize()?,
-            },
+            strategy: unpack_strategy(buf)?,
             budget_evals: buf.get_u64()?,
             seed: buf.get_u64()?,
             epoch: buf.get_u64()?,

@@ -18,7 +18,7 @@
 //! reborn slave's stale reports never reach the round loop.
 
 use crate::engine::{
-    finished_only, fold_comm_stats, master_loop, policy_for, slave_loop, EngineError, MasterCtl,
+    admit, finished_only, fold_comm_stats, master_loop, slave_loop, stop_farm, EngineError,
     SlaveExit,
 };
 use crate::runner::{Mode, ModeReport, RunConfig};
@@ -61,10 +61,7 @@ pub fn run_remote_with(
     listen: &Endpoint,
     fault: Option<Arc<NetFaultState>>,
 ) -> Result<ModeReport, EngineError> {
-    if let Err(detail) = cfg.validate() {
-        return Err(EngineError::Unsupported { detail });
-    }
-    let mut policy = policy_for(mode);
+    let mut policy = admit(inst, mode, cfg, None, None)?;
     let active = policy.active_workers(cfg);
     let patience = cfg.patience();
     let hub = SocketHub::bind_with(listen, active, patience, fault).map_err(|e| {
@@ -85,15 +82,8 @@ pub fn run_remote_with(
     // Slot 0 is the master; remote slaves keep their own counters in their
     // own processes, so only the master row is filled here.
     let tel = Telemetry::new(hub.ntasks());
-    let result = master_loop(
-        &hub,
-        inst,
-        &mut *policy,
-        cfg,
-        None,
-        &MasterCtl::default(),
-        &tel,
-    );
+    let result = master_loop(&hub, inst, &mut *policy, cfg, None, None, &tel);
+    stop_farm(&hub);
 
     fold_comm_stats(&tel, 0, &Transport::comm_stats(&hub));
     let hub_stats = hub.hub_stats();

@@ -19,7 +19,9 @@
 //!   the cooperative modes are measured on the very-large suite.
 
 use crate::engine::{assignment_seed, CoopPolicy, Delivery};
-use crate::messages::{pack_bits, unpack_bits, AssignMsg, ReportMsg};
+use crate::messages::{
+    pack_solutions, pack_strategy, unpack_solutions, unpack_strategy, AssignMsg, ReportMsg,
+};
 use crate::runner::{Mode, RunConfig};
 use mkp::eval::Ratios;
 use mkp::greedy::{perturbed_greedy, randomized_repair};
@@ -146,14 +148,9 @@ impl CoopPolicy for RepairPolicy {
         let mut buf = PackBuffer::new();
         buf.put_usize(self.strategies.len());
         for s in &self.strategies {
-            buf.put_usize(s.tabu_tenure);
-            buf.put_usize(s.nb_drop);
-            buf.put_usize(s.nb_local);
+            pack_strategy(s, &mut buf);
         }
-        buf.put_usize(self.bank.len());
-        for sol in &self.bank {
-            pack_bits(sol.bits(), &mut buf);
-        }
+        pack_solutions(&self.bank, &mut buf);
         Some(buf.into_bytes())
     }
 
@@ -163,27 +160,11 @@ impl CoopPolicy for RepairPolicy {
         let mut buf = UnpackBuffer::new(blob);
 
         let count = buf.get_usize().map_err(decode)?;
-        let mut strategies = Vec::with_capacity(count.min(p));
-        for _ in 0..count {
-            strategies.push(Strategy {
-                tabu_tenure: buf.get_usize().map_err(decode)?,
-                nb_drop: buf.get_usize().map_err(decode)?,
-                nb_local: buf.get_usize().map_err(decode)?,
-            });
-        }
-        let count = buf.get_usize().map_err(decode)?;
-        let mut bank = Vec::with_capacity(count.min(p));
-        for _ in 0..count {
-            let bits = unpack_bits(&mut buf).map_err(decode)?;
-            if bits.len() != inst.n() {
-                return Err(format!(
-                    "bank solution has {} variables, instance has {}",
-                    bits.len(),
-                    inst.n()
-                ));
-            }
-            bank.push(Solution::from_bits(inst, bits));
-        }
+        let strategies = (0..count)
+            .map(|_| unpack_strategy(&mut buf))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(decode)?;
+        let bank = unpack_solutions(&mut buf, inst)?;
         if buf.remaining() != 0 {
             return Err(format!(
                 "{} trailing bytes in repair policy blob",

@@ -1,4 +1,4 @@
-//! Unified entry point over the six search modes.
+//! Unified entry point over the eight search modes.
 //!
 //! All modes consume the same *total* work budget (candidate evaluations,
 //! summed over every thread), which is the machine-independent stand-in for

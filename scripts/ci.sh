@@ -22,11 +22,14 @@ cleanup() {
   rm -f -- ${CLEANUP_FILES[@]+"${CLEANUP_FILES[@]}"}
 }
 trap cleanup EXIT
+# tmpfile VAR TEMPLATE — make a temp file from TEMPLATE, register it for
+# the EXIT trap and store its path in VAR. It must run in this shell: a
+# `$(...)` call runs in a subshell, which would drop the registration.
 tmpfile() {
   local f
-  f="$(mktemp "$1")"
+  f="$(mktemp "$2")"
   CLEANUP_FILES+=("$f")
-  printf '%s' "$f"
+  printf -v "$1" '%s' "$f"
 }
 
 # step NAME — close the previous step (printing its elapsed seconds, so a
@@ -74,7 +77,7 @@ step "bench regression gate (fresh smoke vs committed baseline)"
 cargo run --release --offline --locked -p mkp-bench --bin bench_diff
 
 step "engine smoke (all six modes, quick budget)"
-tmp_mkp="$(tmpfile /tmp/ci-smoke-XXXXXX.mkp)"
+tmpfile tmp_mkp /tmp/ci-smoke-XXXXXX.mkp
 cargo run --release --offline --locked -p mkp-cli -- \
   generate "$tmp_mkp" --class gk --n 40 --m 5 --seed 7
 for mode in seq its cts1 cts2 ats dts; do
@@ -110,8 +113,8 @@ step "telemetry smoke (metrics dumped, validated, deterministic)"
 # One synchronous mode and the sequential baseline: each must dump a
 # metrics document the in-tree validator accepts, and two identically
 # seeded runs must produce byte-identical files.
-tmp_m1="$(tmpfile /tmp/ci-metrics-XXXXXX.json)"
-tmp_m2="$(tmpfile /tmp/ci-metrics-XXXXXX.json)"
+tmpfile tmp_m1 /tmp/ci-metrics-XXXXXX.json
+tmpfile tmp_m2 /tmp/ci-metrics-XXXXXX.json
 for mode in seq cts1; do
   cargo run --release --offline --locked -p mkp-cli -- \
     solve "$tmp_mkp" --mode "$mode" --p 2 --rounds 2 --budget 40000 --seed 1 \
@@ -176,7 +179,7 @@ step "checkpoint/resume smoke (resume outlives a post-checkpoint kill)"
 # and killed at round 2 — after the snapshot is on disk — so the original
 # degrades (exit 2) while the file still holds the healthy state. Resuming
 # it must reproduce the reference objective exactly.
-tmp_snap="$(tmpfile /tmp/ci-snap-XXXXXX)"
+tmpfile tmp_snap /tmp/ci-snap-XXXXXX
 full="$(cargo run --release --offline --locked -p mkp-cli -- \
   solve "$tmp_mkp" --mode cts2 --p 4 --rounds 4 --budget 60000 --seed 1 \
   | grep '^best value')"
@@ -206,8 +209,8 @@ step "distributed smoke (two slave processes, one killed mid-run)"
 # The budget is sized so the run takes seconds — long enough that the kill
 # at 1s always lands mid-run, on this machine and on slower CI runners.
 mkp_bin=target/release/mkp
-tmp_sock="$(tmpfile /tmp/ci-dist-XXXXXX.sock)"
-tmp_dist="$(tmpfile /tmp/ci-dist-XXXXXX.out)"
+tmpfile tmp_sock /tmp/ci-dist-XXXXXX.sock
+tmpfile tmp_dist /tmp/ci-dist-XXXXXX.out
 "$mkp_bin" solve "$tmp_mkp" --mode cts2 --p 2 --rounds 6 --budget 240000000 \
   --seed 1 --timeout 5 --restarts 2 --backoff 10 \
   --listen "unix:$tmp_sock" > "$tmp_dist" 2>&1 &
@@ -263,12 +266,12 @@ step "jobserver smoke (3 concurrent jobs over 2 slave processes)"
 # and one whose 1 ms deadline must expire at a quantum boundary. Checks
 # the per-client stream ordering, the per-verdict exit codes, and that
 # server and slaves all shut down with exit 0.
-tmp_jobs_sock="$(tmpfile /tmp/ci-jobs-XXXXXX.sock)"
-tmp_slv_sock="$(tmpfile /tmp/ci-jslv-XXXXXX.sock)"
-tmp_serve="$(tmpfile /tmp/ci-serve-XXXXXX.out)"
-tmp_sub_a="$(tmpfile /tmp/ci-suba-XXXXXX.out)"
-tmp_sub_b="$(tmpfile /tmp/ci-subb-XXXXXX.out)"
-tmp_sub_c="$(tmpfile /tmp/ci-subc-XXXXXX.out)"
+tmpfile tmp_jobs_sock /tmp/ci-jobs-XXXXXX.sock
+tmpfile tmp_slv_sock /tmp/ci-jslv-XXXXXX.sock
+tmpfile tmp_serve /tmp/ci-serve-XXXXXX.out
+tmpfile tmp_sub_a /tmp/ci-suba-XXXXXX.out
+tmpfile tmp_sub_b /tmp/ci-subb-XXXXXX.out
+tmpfile tmp_sub_c /tmp/ci-subc-XXXXXX.out
 rm -f "$tmp_jobs_sock" "$tmp_slv_sock"   # mktemp made plain files; the sockets bind fresh
 "$mkp_bin" serve --clients "unix:$tmp_jobs_sock" --slaves "unix:$tmp_slv_sock" \
   --p 2 --max-jobs 3 --patience 60 > "$tmp_serve" 2>&1 &
@@ -357,10 +360,10 @@ step "server-crash smoke (kill -9 mid-job, restart recovers bit-identically)"
 # journal replays, the spool restores, the clients' idempotent resubmits
 # reattach on their own, and every job's value matches an uninterrupted
 # reference run exactly.
-tmp_crash_sock="$(tmpfile /tmp/ci-crash-XXXXXX.sock)"
-tmp_crash_slv="$(tmpfile /tmp/ci-crash-slv-XXXXXX.sock)"
+tmpfile tmp_crash_sock /tmp/ci-crash-XXXXXX.sock
+tmpfile tmp_crash_slv /tmp/ci-crash-slv-XXXXXX.sock
 tmp_state_dir="$(mktemp -d /tmp/ci-crash-state-XXXXXX)"
-tmp_crash_srv="$(tmpfile /tmp/ci-crash-srv-XXXXXX.out)"
+tmpfile tmp_crash_srv /tmp/ci-crash-srv-XXXXXX.out
 rm -f "$tmp_crash_sock" "$tmp_crash_slv"
 crash_seeds="11 22 33"
 declare -A crash_ref
@@ -385,7 +388,7 @@ CLEANUP_PIDS+=("$crash_slv2_pid")
 crash_sub_pids=()
 crash_sub_outs=()
 for seed in $crash_seeds; do
-  out="$(tmpfile /tmp/ci-crash-sub-XXXXXX.out)"
+  tmpfile out /tmp/ci-crash-sub-XXXXXX.out
   "$mkp_bin" submit "$tmp_mkp" --connect "unix:$tmp_crash_sock" --mode cts2 \
     --p 2 --rounds 4 --budget 150000000 --seed "$seed" --patience 60 \
     > "$out" 2>&1 &
@@ -457,9 +460,9 @@ step "net-fault smoke (corrupted frame is dropped, counted, and healed)"
 # A slave that corrupts its 2nd data frame: the master's checksum catches
 # it, drops the frame (counted as corrupt_drops in --metrics), times the
 # silent worker out, and heals it through the restart budget — exit 0.
-tmp_nf_sock="$(tmpfile /tmp/ci-nf-XXXXXX.sock)"
-tmp_nf_out="$(tmpfile /tmp/ci-nf-XXXXXX.out)"
-tmp_nf_metrics="$(tmpfile /tmp/ci-nf-XXXXXX.json)"
+tmpfile tmp_nf_sock /tmp/ci-nf-XXXXXX.sock
+tmpfile tmp_nf_out /tmp/ci-nf-XXXXXX.out
+tmpfile tmp_nf_metrics /tmp/ci-nf-XXXXXX.json
 rm -f "$tmp_nf_sock"
 "$mkp_bin" solve "$tmp_mkp" --mode cts2 --p 2 --rounds 3 --budget 60000 \
   --seed 1 --timeout 3 --restarts 2 --backoff 10 --listen "unix:$tmp_nf_sock" \
