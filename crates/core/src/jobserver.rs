@@ -48,10 +48,10 @@
 //! end: every accepted job is recorded in a write-ahead journal
 //! ([`crate::journal`]) at `<state_dir>/journal.mkpj`, the spool moves
 //! to `<state_dir>/spool/` so it survives the server, and per-slice
-//! incumbents, parks and terminal outcomes are journaled as they
-//! happen. A restarted server replays the journal, re-adopts the spool,
-//! and resumes every in-flight job *bit-identically* from its last
-//! parked snapshot. Clients reattach by durable job id (the `ATTACH`
+//! incumbents and terminal outcomes are journaled as they happen (a
+//! park's record is its spool file). A restarted server replays the
+//! journal, re-adopts the spool, and resumes every in-flight job
+//! *bit-identically* from its last parked snapshot. Clients reattach by durable job id (the `ATTACH`
 //! verb, [`attach_job`]) or transparently by idempotent resubmit token
 //! ([`submit_job`] retries its own SUBMIT with the same token after a
 //! link drop, and the server answers with the existing job instead of
@@ -103,7 +103,8 @@ pub(crate) mod jtags {
 mod jkind {
     /// `[job_id: u64 LE][SubmitMsg bytes]` — a job was admitted.
     pub const SUBMIT: u8 = 1;
-    /// `[job_id: u64 LE]` — the job parked; its snapshot is in the spool.
+    /// `[job_id: u64 LE]` — the job parked. Only older builds write it:
+    /// recovery takes a park from the spool file, so replay skips it.
     pub const PARKED: u8 = 2;
     /// `IncumbentMsg` bytes — the job's best value after a slice.
     pub const INCUMBENT: u8 = 3;
@@ -631,9 +632,6 @@ pub fn serve(
     };
     let listener = FramedListener::bind(listen)
         .map_err(|e| format!("cannot listen for clients on {listen}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure the client listener: {e}"))?;
     // Without a state dir the spool lives only as long as this call;
     // remember whether the directory is ours to remove afterwards.
     let made_spool = !cfg.spool_dir.exists();
@@ -685,8 +683,13 @@ pub fn serve(
             let _ = std::fs::remove_dir(&cfg.spool_dir);
         }
     }
+    // One connection of our own wakes the blocking accept, which then
+    // sees `stop`. If nothing answers the dial (the socket file was
+    // removed), the thread cannot be woken: leave it rather than hang.
     stop.store(true, Ordering::Relaxed);
-    let _ = accept.join();
+    if FramedConn::dial(listen).is_ok() || accept.is_finished() {
+        let _ = accept.join();
+    }
     for (_, writer) in sched.writers.drain() {
         writer.shutdown();
     }
@@ -696,26 +699,24 @@ pub fn serve(
     Ok(sched.stats)
 }
 
-/// Accept client connections and hand each a reader thread. Nonblocking
-/// so the `stop` flag is honored within one poll interval.
+/// Accept client connections and hand each a reader thread. Blocks in
+/// `accept`; [`serve`] sets `stop` and dials the listener once to end
+/// the loop. A signal (the SIGTERM drain) may interrupt the call.
 fn accept_loop(listener: FramedListener, tx: Sender<Event>, stop: Arc<AtomicBool>) {
     let mut next_client: u64 = 1;
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok(conn) => {
-                let client = next_client;
-                next_client += 1;
-                let tx = tx.clone();
-                std::thread::spawn(move || client_reader(client, conn, tx));
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+    loop {
+        let conn = match listener.accept() {
+            Ok(conn) => conn,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break, // listener died: the server is going down
+        };
+        if stop.load(Ordering::Relaxed) {
+            break;
         }
+        let client = next_client;
+        next_client += 1;
+        let tx = tx.clone();
+        std::thread::spawn(move || client_reader(client, conn, tx));
     }
 }
 
@@ -1087,14 +1088,14 @@ impl Scheduler {
                 };
                 job.last_incumbent = Some((incumbent.value, incumbent.round));
                 // Park: snapshot to the spool (atomic rename), then, on a
-                // durable server, journal the incumbent high-water mark
-                // and the park itself. After this a kill -9 costs at
-                // most the slice in progress.
+                // durable server, journal the incumbent high-water mark.
+                // Recovery takes the park from the spool file itself, so
+                // the park needs no record of its own. After this a
+                // kill -9 costs at most the slice in progress.
                 if let Err(e) = snap.save(&self.spool_path(id)) {
                     return self.fail(job, format!("cannot spool parked state: {e}"));
                 }
                 self.journal_append(jkind::INCUMBENT, &incumbent.to_bytes());
-                self.journal_append(jkind::PARKED, &id.to_le_bytes());
                 self.send(job.client, jtags::INCUMBENT, &incumbent);
                 job.state = JobState::Parked;
                 self.jobs.insert(id, job);
@@ -1193,8 +1194,8 @@ impl Scheduler {
     }
 
     /// Rewrite the journal down to what still matters: each live job's
-    /// SUBMIT (re-encoded with its remaining deadline), latest
-    /// incumbent and park marker, plus the retained terminal frames.
+    /// SUBMIT (re-encoded with its remaining deadline) and latest
+    /// incumbent, plus the retained terminal frames.
     /// Atomic (temp-and-rename) via [`Journal::compact`].
     fn compact_journal(&mut self) {
         if self.journal.is_none() {
@@ -1235,12 +1236,6 @@ impl Scheduler {
                 records.push(Record {
                     kind: jkind::INCUMBENT,
                     payload: incumbent.to_bytes(),
-                });
-            }
-            if matches!(job.state, JobState::Parked) {
-                records.push(Record {
-                    kind: jkind::PARKED,
-                    payload: id.to_le_bytes().to_vec(),
                 });
             }
         }
@@ -1897,6 +1892,127 @@ mod tests {
         let stats = server.join().unwrap().unwrap();
         assert_eq!(stats.recovered, 0);
         assert_eq!(stats.done, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Journals that older builds wrote hold one `PARKED` record per
+    /// park. This build no longer writes them, and must still recover
+    /// from a journal that has them.
+    #[test]
+    fn a_journal_with_legacy_parked_records_still_recovers() {
+        let dir = fresh_temp_dir("legacy-parked");
+        let ep = Endpoint::Unix(dir.join("clients.sock"));
+        let state = dir.join("state");
+        let journal_path = state.join("journal.mkpj");
+        let patience = Duration::from_secs(20);
+        let inst = tiny_instance(5);
+        let (mode, p, rounds, budget, seed) = (Mode::Cooperative, 2, 24, 240_000, 3);
+        let msg = SubmitMsg {
+            problem: ProblemMsg::from_instance(&inst),
+            mode: mode.code(),
+            p: p as u64,
+            rounds: rounds as u64,
+            budget_evals: budget,
+            seed,
+            deadline_ms: 0,
+            token: 0,
+        };
+
+        // First life: the job parks once, then the server drains.
+        let drain = Arc::new(AtomicBool::new(false));
+        let server = {
+            let ep = ep.clone();
+            let cfg = ServeConfig {
+                state_dir: Some(state.clone()),
+                drain: Some(Arc::clone(&drain)),
+                patience,
+                ..ServeConfig::default()
+            };
+            std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+        };
+        let mut conn = dial_retry(&ep, patience).unwrap();
+        conn.send(0, jtags::SUBMIT, &msg).unwrap();
+        // An INCUMBENT is sent after its park is spooled and journaled.
+        while conn.recv().unwrap().expect("server still up").tag != jtags::INCUMBENT {}
+        drain.store(true, Ordering::Relaxed);
+        let stats = server.join().unwrap().unwrap();
+        assert!(stats.drained);
+        assert_eq!(stats.done, 0, "the job must still be in flight");
+        let (records, _) = crate::journal::replay(&std::fs::read(&journal_path).unwrap());
+        assert!(records.iter().any(|r| r.kind == jkind::INCUMBENT));
+        assert!(records.iter().all(|r| r.kind != jkind::PARKED));
+
+        // What older builds appended on every park.
+        let (mut journal, _) = Journal::open(&journal_path).unwrap();
+        journal.append(jkind::PARKED, &1u64.to_le_bytes()).unwrap();
+        drop(journal);
+
+        // Second life: recover the job and run it to the end.
+        let cfg = ServeConfig {
+            max_jobs: 1,
+            state_dir: Some(state),
+            patience,
+            ..ServeConfig::default()
+        };
+        let stats = serve(&ep, ServeBackend::InProc { p: 2 }, &cfg).unwrap();
+        assert_eq!((stats.recovered, stats.done), (1, 1));
+        let (records, _) = crate::journal::replay(&std::fs::read(&journal_path).unwrap());
+        let done = records
+            .iter()
+            .find(|r| r.kind == jkind::DONE)
+            .expect("a DONE");
+        let report = DoneMsg::from_bytes(&done.payload).unwrap().report;
+        let solo = crate::runner::run_mode(
+            &inst,
+            mode,
+            &RunConfig {
+                p,
+                rounds,
+                ..RunConfig::new(budget, seed)
+            },
+        );
+        assert_eq!(report.best_value, solo.best.value());
+        assert_eq!(report.best_bits, *solo.best.bits());
+        assert_eq!(report.round_best, solo.round_best);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Run `body` on its own thread and fail, rather than hang, when it
+    /// has not finished within 10 s.
+    fn within_10s<R: Send + 'static>(what: &str, body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(body());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(r) => r,
+            Err(RecvTimeoutError::Timeout) => panic!("{what}: still running after 10 s"),
+            Err(RecvTimeoutError::Disconnected) => panic!("{what}: panicked"),
+        }
+    }
+
+    #[test]
+    fn a_server_drained_before_any_client_returns_without_hanging() {
+        let dir = fresh_temp_dir("idle-drain");
+        // A TCP address the OS just reported free.
+        let free = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        for ep in [
+            Endpoint::Unix(dir.join("clients.sock")),
+            Endpoint::Tcp(free.to_string()),
+        ] {
+            let cfg = ServeConfig {
+                drain: Some(Arc::new(AtomicBool::new(true))),
+                ..ServeConfig::default()
+            };
+            let stats = within_10s(&format!("draining an idle server on {ep}"), move || {
+                serve(&ep, ServeBackend::InProc { p: 1 }, &cfg).unwrap()
+            });
+            assert!(stats.drained);
+            assert_eq!(stats.accepted, 0);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -49,17 +49,13 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Handshake tags live outside the protocol's tag space (the engine's
 /// tags are small integers).
 const TAG_HELLO: u32 = 0xFFFF_FF01;
 const TAG_WELCOME: u32 = 0xFFFF_FF02;
-
-/// How often blocked waiters (accept loop, respawn, ready-wait) poll
-/// shared state.
-const POLL: Duration = Duration::from_millis(10);
 
 /// A parsed `unix:PATH` / `tcp:HOST:PORT` transport address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -623,6 +619,9 @@ pub struct HubStats {
 
 struct HubShared {
     slots: Mutex<Vec<Slot>>,
+    /// Signalled whenever a connection is installed in a slot or a
+    /// slot's reader marks it dead; `wait_ready` and `respawn` wait on it.
+    changed: Condvar,
     comm: CommCell,
     reconnects: AtomicU64,
     fenced_drops: AtomicU64,
@@ -635,6 +634,19 @@ struct HubShared {
 impl HubShared {
     fn lock_slots(&self) -> MutexGuard<'_, Vec<Slot>> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lock the slots once `done` holds for them, or once `timeout`
+    /// lapses, whichever comes first.
+    fn wait_slots(
+        &self,
+        timeout: Duration,
+        mut done: impl FnMut(&[Slot]) -> bool,
+    ) -> MutexGuard<'_, Vec<Slot>> {
+        self.changed
+            .wait_timeout_while(self.lock_slots(), timeout, |slots| !done(slots))
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
     }
 }
 
@@ -652,6 +664,9 @@ pub struct SocketHub {
     /// touches it.
     inbox: Mutex<Receiver<(u64, Envelope)>>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// The listener's address: `Drop` dials it once to wake the accept
+    /// thread out of its blocking `accept`.
+    endpoint: Endpoint,
     /// Patience for a replacement connection inside `respawn`.
     reconnect_patience: Duration,
     /// Unix listener path, unlinked on drop.
@@ -668,13 +683,6 @@ impl Listener {
         match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            Listener::Unix(l) => l.set_nonblocking(nb),
         }
     }
 }
@@ -739,11 +747,6 @@ impl SocketHub {
     ) -> Result<SocketHub, SocketError> {
         assert!(p >= 1, "a hub needs at least one slave slot");
         let (listener, unlink) = bind_listener(endpoint)?;
-        // Nonblocking accept + poll: lets the accept loop observe the
-        // shutdown flag (closing a listener does not portably unblock a
-        // blocking accept).
-        listener.set_nonblocking(true)?;
-
         let shared = Arc::new(HubShared {
             slots: Mutex::new(
                 (0..p)
@@ -756,6 +759,7 @@ impl SocketHub {
                     })
                     .collect(),
             ),
+            changed: Condvar::new(),
             comm: CommCell::default(),
             reconnects: AtomicU64::new(0),
             fenced_drops: AtomicU64::new(0),
@@ -773,6 +777,7 @@ impl SocketHub {
             shared,
             inbox: Mutex::new(inbox_rx),
             accept_thread: Some(accept_thread),
+            endpoint: endpoint.clone(),
             reconnect_patience,
             unlink,
         })
@@ -781,17 +786,10 @@ impl SocketHub {
     /// Block until every slot has a live connection, or the deadline
     /// passes. Returns how many slots are connected.
     pub fn wait_ready(&self, timeout: Duration) -> usize {
-        let deadline = Instant::now().checked_add(timeout);
-        loop {
-            let live = self.shared.lock_slots().iter().filter(|s| s.live).count();
-            if live == self.nslots() {
-                return live;
-            }
-            match deadline {
-                Some(d) if Instant::now() >= d => return live,
-                _ => std::thread::sleep(POLL),
-            }
-        }
+        let slots = self
+            .shared
+            .wait_slots(timeout, |slots| slots.iter().all(|s| s.live));
+        slots.iter().filter(|s| s.live).count()
     }
 
     /// Number of slave slots.
@@ -822,96 +820,114 @@ impl SocketHub {
     }
 }
 
-/// Accept-thread body: handshake every incoming connection into a slot.
+/// Accept-thread body: block in `accept` and give every connection a
+/// thread of its own, which handshakes it into a slot and then reads it.
+/// The accept thread never reads from a peer, so a connection that sends
+/// nothing cannot hold up the slaves behind it. `Drop` sets `shutdown`
+/// and then dials the listener once to wake the blocking `accept`.
 fn accept_loop(
     listener: Listener,
     shared: Arc<HubShared>,
     inbox_tx: Sender<(u64, Envelope)>,
     p: usize,
 ) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        let mut stream = match listener.accept() {
+    loop {
+        let stream = match listener.accept() {
             Ok(s) => s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-                continue;
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
-        // Handshake inline: HELLO must already be in flight (the client
-        // sends it immediately after connect), so this cannot stall the
-        // accept loop for long against a well-behaved peer.
-        let hello: Hello = match read_frame(&mut stream) {
-            Ok(Some(env)) if env.tag == TAG_HELLO => match env.decode() {
-                Ok(h) => h,
-                Err(_) => continue, // garbage peer: drop it
-            },
-            _ => continue,
-        };
-        let mut slots = shared.lock_slots();
-        let want = usize::try_from(hello.want).ok().filter(|&w| w < p);
-        let free = |k: usize, slots: &Vec<Slot>| !slots[k].live;
-        let slot_k = match want {
-            Some(w) if free(w, &slots) => Some(w),
-            _ => (0..p).find(|&k| free(k, &slots)),
-        };
-        let Some(k) = slot_k else {
-            drop(slots);
-            stream.shutdown(); // reject: every slot is occupied
-            continue;
-        };
-        let generation = slots[k].generation + 1;
-        let welcome = Welcome {
-            tid: (k + 1) as u64,
-            ntasks: (p + 1) as u64,
-            generation,
-        };
-        if write_frame(&mut stream, 0, TAG_WELCOME, &welcome.to_bytes()).is_err() {
-            continue; // peer vanished mid-handshake
+        if shared.shutdown.load(Ordering::Relaxed) {
+            break;
         }
-        let Ok(read_half) = stream.try_clone() else {
-            continue;
-        };
-        slots[k].generation = generation;
-        slots[k].live = true;
-        slots[k].writer = Some(stream);
-        if generation > 1 {
-            shared.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(slots);
-
         let conn_shared = Arc::clone(&shared);
         let conn_tx = inbox_tx.clone();
-        // One reader thread per connection; it marks the slot dead when
-        // the stream ends, provided the slot still holds its generation.
         let _ = std::thread::Builder::new()
-            .name(format!("mkp-hub-rx-{}", k + 1))
-            .spawn(move || {
-                let mut stream = read_half;
-                loop {
-                    match read_frame(&mut stream) {
-                        Ok(Some(mut env)) => {
-                            // Trust the slot, not the wire, for the sender id.
-                            env.from = k + 1;
-                            if conn_tx.send((generation, env)).is_err() {
-                                break;
-                            }
-                        }
-                        // A damaged frame is dropped and counted; the
-                        // checksummed framing keeps the stream in sync.
-                        Err(FrameError::Corrupt) => {
-                            conn_shared.corrupt_drops.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(None) | Err(_) => break,
-                    }
-                }
-                let mut slots = conn_shared.lock_slots();
-                if slots[k].generation == generation {
-                    slots[k].live = false;
-                    slots[k].writer = None;
-                }
-            });
+            .name("mkp-hub-rx".to_string())
+            .spawn(move || serve_connection(stream, &conn_shared, &conn_tx, p));
     }
+}
+
+/// Connection-thread body: handshake the stream into a slot, then pump
+/// its frames into the hub's inbox until it ends, and finally mark the
+/// slot dead, provided the slot still holds this connection's generation.
+/// A peer that never sends its HELLO keeps only this thread waiting, until
+/// it hangs up.
+fn serve_connection(
+    stream: Stream,
+    shared: &HubShared,
+    inbox_tx: &Sender<(u64, Envelope)>,
+    p: usize,
+) {
+    let Some((k, generation, mut stream)) = handshake(stream, shared, p) else {
+        return;
+    };
+    loop {
+        match read_frame(&mut stream) {
+            Ok(Some(mut env)) => {
+                // Trust the slot, not the wire, for the sender id.
+                env.from = k + 1;
+                if inbox_tx.send((generation, env)).is_err() {
+                    break;
+                }
+            }
+            // A damaged frame is dropped and counted; the checksummed
+            // framing keeps the stream in sync.
+            Err(FrameError::Corrupt) => {
+                shared.corrupt_drops.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(None) | Err(_) => break,
+        }
+    }
+    let mut slots = shared.lock_slots();
+    if slots[k].generation == generation {
+        slots[k].live = false;
+        slots[k].writer = None;
+    }
+    drop(slots);
+    shared.changed.notify_all();
+}
+
+/// Read the peer's HELLO, then, under the slot lock, install the
+/// connection in the slot it wants when that is free, else in the first
+/// free slot, and answer WELCOME. Returns the slot, its new generation and
+/// the connection's read half; `None` when the peer sent garbage or
+/// vanished, or was refused because every slot is occupied or the hub is
+/// shutting down.
+fn handshake(mut stream: Stream, shared: &HubShared, p: usize) -> Option<(usize, u64, Stream)> {
+    let hello: Hello = match read_frame(&mut stream) {
+        Ok(Some(env)) if env.tag == TAG_HELLO => env.decode().ok()?,
+        _ => return None,
+    };
+    let mut slots = shared.lock_slots();
+    let want = usize::try_from(hello.want).ok().filter(|&w| w < p);
+    let free = |k: usize, slots: &Vec<Slot>| !slots[k].live;
+    let slot_k = match want {
+        Some(w) if free(w, &slots) => Some(w),
+        _ => (0..p).find(|&k| free(k, &slots)),
+    };
+    let Some(k) = slot_k.filter(|_| !shared.shutdown.load(Ordering::Relaxed)) else {
+        drop(slots);
+        stream.shutdown(); // reject
+        return None;
+    };
+    let generation = slots[k].generation + 1;
+    let welcome = Welcome {
+        tid: (k + 1) as u64,
+        ntasks: (p + 1) as u64,
+        generation,
+    };
+    write_frame(&mut stream, 0, TAG_WELCOME, &welcome.to_bytes()).ok()?;
+    let read_half = stream.try_clone().ok()?;
+    slots[k].generation = generation;
+    slots[k].live = true;
+    slots[k].writer = Some(stream);
+    if generation > 1 {
+        shared.reconnects.fetch_add(1, Ordering::Relaxed);
+    }
+    drop(slots);
+    shared.changed.notify_all();
+    Some((k, generation, read_half))
 }
 
 impl Transport for SocketHub {
@@ -1003,19 +1019,8 @@ impl Transport for SocketHub {
             }
             slot.fenced
         };
-        let deadline = Instant::now().checked_add(self.reconnect_patience);
-        loop {
-            {
-                let slots = self.shared.lock_slots();
-                if slots[k].live && slots[k].generation > fenced_up_to {
-                    return true;
-                }
-            }
-            match deadline {
-                Some(d) if Instant::now() >= d => return false,
-                _ => std::thread::sleep(POLL),
-            }
-        }
+        let replaced = |slots: &[Slot]| slots[k].live && slots[k].generation > fenced_up_to;
+        replaced(&self.shared.wait_slots(self.reconnect_patience, replaced))
     }
 }
 
@@ -1023,15 +1028,21 @@ impl Drop for SocketHub {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         // Closing every connection unblocks the per-connection readers;
-        // the accept loop notices the flag at its next poll.
+        // one connection of our own wakes the accept loop, which then
+        // sees the flag. If nothing answers the dial (the socket file was
+        // removed), the blocked thread cannot be woken: leave it rather
+        // than hang here.
         for slot in self.shared.lock_slots().iter_mut() {
             if let Some(writer) = slot.writer.take() {
                 writer.shutdown();
             }
             slot.live = false;
         }
+        let woke = self.endpoint.connect().is_ok();
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+            if woke || handle.is_finished() {
+                let _ = handle.join();
+            }
         }
         if let Some(path) = &self.unlink {
             let _ = std::fs::remove_file(path);
@@ -1111,13 +1122,7 @@ impl FramedListener {
         Ok(FramedListener { inner, unlink })
     }
 
-    /// Toggle nonblocking accepts. When nonblocking, a pending-less
-    /// [`accept`](FramedListener::accept) fails with kind `WouldBlock`.
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        self.inner.set_nonblocking(nb)
-    }
-
-    /// Accept one connection.
+    /// Accept one connection, blocking until one arrives.
     pub fn accept(&self) -> io::Result<FramedConn> {
         self.inner.accept().map(|stream| FramedConn { stream })
     }
@@ -1145,6 +1150,27 @@ mod tests {
     }
 
     const T: Duration = Duration::from_secs(5);
+
+    /// A TCP endpoint on a port the OS just reported free.
+    fn free_tcp() -> Endpoint {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        Endpoint::Tcp(probe.local_addr().unwrap().to_string())
+    }
+
+    /// Run `body` on its own thread and fail, rather than hang, when it
+    /// has not finished within 10 s.
+    fn within_10s(what: &str, body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: still running after 10 s"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: panicked"),
+        }
+    }
 
     #[test]
     fn endpoint_parse_accepts_and_rejects() {
@@ -1202,6 +1228,38 @@ mod tests {
         let hs = Transport::comm_stats(&hub);
         assert_eq!((hs.sent, hs.received), (2, 1));
         assert_eq!((hs.bytes_sent, hs.bytes_received), (11, 2));
+    }
+
+    #[test]
+    fn a_silent_connection_does_not_block_other_slaves() {
+        let ep = temp_unix("silent");
+        let Endpoint::Unix(path) = &ep else {
+            unreachable!()
+        };
+        let hub = SocketHub::bind(&ep, 1, T).unwrap();
+        // A peer that connects and never says HELLO, like a port probe.
+        let silent = UnixStream::connect(path).unwrap();
+        let slave = std::thread::spawn({
+            let ep = ep.clone();
+            move || SocketTransport::connect(&ep, None, 0)
+        });
+        assert_eq!(hub.wait_ready(Duration::from_secs(2)), 1);
+        assert_eq!(slave.join().unwrap().unwrap().tid(), 1);
+        drop(silent);
+    }
+
+    #[test]
+    fn a_hub_no_slave_ever_reached_drops_without_hanging() {
+        for ep in [temp_unix("idle"), free_tcp()] {
+            within_10s(&format!("dropping an idle hub on {ep}"), move || {
+                let hub = SocketHub::bind(&ep, 2, T).unwrap();
+                assert_eq!(hub.wait_ready(Duration::ZERO), 0);
+                drop(hub);
+                // The accept thread is gone with its listener: the
+                // endpoint binds again.
+                drop(SocketHub::bind(&ep, 1, T).unwrap());
+            });
+        }
     }
 
     #[test]

@@ -32,6 +32,22 @@ tmpfile() {
   printf -v "$1" '%s' "$f"
 }
 
+# wait_for PID SECS — wait for the background process PID and return its
+# exit status. If it is still running after SECS seconds, fail the step with
+# a message naming the process (the EXIT trap then kills it), so a process
+# that hangs on exit fails its step instead of the whole CI job.
+wait_for() {
+  local pid=$1 deadline=$((SECONDS + $2))
+  while kill -0 "$pid" 2>/dev/null; do
+    if [ "$SECONDS" -ge "$deadline" ]; then
+      echo "error: still running after $2 s: pid $pid ($(ps -o args= -p "$pid" || true))" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  wait "$pid"
+}
+
 # step NAME — close the previous step (printing its elapsed seconds, so a
 # slow CI stage is attributable from the log alone) and open the next.
 CURRENT_STEP=""
@@ -230,7 +246,7 @@ kill -9 "$victim_pid" 2>/dev/null \
 replacement_pid=$!
 CLEANUP_PIDS+=("$replacement_pid")
 set +e
-wait "$master_pid"
+wait_for "$master_pid" 120
 status=$?
 set -e
 if [ "$status" -ne 0 ]; then
@@ -251,7 +267,7 @@ fi
 # The surviving and replacement slaves both saw the STOP broadcast.
 for pid in "$survivor_pid" "$replacement_pid"; do
   set +e
-  wait "$pid"
+  wait_for "$pid" 120
   status=$?
   set -e
   if [ "$status" -ne 0 ]; then
@@ -299,7 +315,7 @@ CLEANUP_PIDS+=("$sub_c_pid")
 for spec in "$sub_a_pid:$tmp_sub_a" "$sub_b_pid:$tmp_sub_b"; do
   pid="${spec%%:*}"; out="${spec#*:}"
   set +e
-  wait "$pid"
+  wait_for "$pid" 120
   status=$?
   set -e
   if [ "$status" -ne 0 ]; then
@@ -320,7 +336,7 @@ for spec in "$sub_a_pid:$tmp_sub_a" "$sub_b_pid:$tmp_sub_b"; do
     || { echo "error: submit lost its report" >&2; cat "$out" >&2; exit 1; }
 done
 set +e
-wait "$sub_c_pid"
+wait_for "$sub_c_pid" 120
 status=$?
 set -e
 if [ "$status" -ne 1 ]; then
@@ -332,7 +348,7 @@ grep -q 'deadline' "$tmp_sub_c" \
   || { echo "error: deadline submit did not explain itself" >&2; \
        cat "$tmp_sub_c" >&2; exit 1; }
 set +e
-wait "$serve_pid"
+wait_for "$serve_pid" 120
 status=$?
 set -e
 if [ "$status" -ne 0 ]; then
@@ -345,7 +361,7 @@ grep -q '2 done' "$tmp_serve" && grep -q '1 expired' "$tmp_serve" \
 # Both slaves served all three jobs' slices and saw the shutdown STOP.
 for pid in "$jslave1_pid" "$jslave2_pid"; do
   set +e
-  wait "$pid"
+  wait_for "$pid" 120
   status=$?
   set -e
   if [ "$status" -ne 0 ]; then
@@ -411,7 +427,7 @@ i=0
 for seed in $crash_seeds; do
   pid="${crash_sub_pids[$i]}"; out="${crash_sub_outs[$i]}"; i=$((i + 1))
   set +e
-  wait "$pid"
+  wait_for "$pid" 120
   status=$?
   set -e
   if [ "$status" -ne 0 ]; then
@@ -427,7 +443,7 @@ for seed in $crash_seeds; do
   fi
 done
 set +e
-wait "$crash_srv2_pid"
+wait_for "$crash_srv2_pid" 120
 status=$?
 set -e
 if [ "$status" -ne 0 ]; then
@@ -446,7 +462,7 @@ fi
 # Both slave processes rode out the crash and saw the final STOP.
 for pid in "$crash_slv1_pid" "$crash_slv2_pid"; do
   set +e
-  wait "$pid"
+  wait_for "$pid" 120
   status=$?
   set -e
   if [ "$status" -ne 0 ]; then
@@ -475,7 +491,7 @@ CLEANUP_PIDS+=("$!")
 "$mkp_bin" slave --connect "unix:$tmp_nf_sock" > /dev/null 2>&1 &
 CLEANUP_PIDS+=("$!")
 set +e
-wait "$nf_master_pid"
+wait_for "$nf_master_pid" 120
 status=$?
 set -e
 if [ "$status" -ne 0 ]; then
