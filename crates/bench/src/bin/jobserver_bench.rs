@@ -13,6 +13,7 @@
 //! `results/jobserver-bench-smoke.json` with `--smoke`.
 
 use mkp::generate::{gk_instance, GkSpec};
+use mkp_bench::{median, percentile};
 use parallel_tabu::{
     serve, submit_job, Mode, ServeBackend, ServeConfig, SubmitEvent, SubmitOutcome, SubmitSpec,
 };
@@ -22,12 +23,6 @@ use std::time::{Duration, Instant};
 struct JobResult {
     done_at: Instant,
     time_to_target: Duration,
-}
-
-fn percentile(sorted_ms: &[f64], pct: f64) -> f64 {
-    assert!(!sorted_ms.is_empty());
-    let rank = (pct / 100.0 * sorted_ms.len() as f64).ceil() as usize;
-    sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
 }
 
 fn main() {
@@ -151,7 +146,7 @@ fn main() {
         .map(|r| r.time_to_target.as_secs_f64() * 1e3)
         .collect();
     ttt_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let p50 = percentile(&ttt_ms, 50.0);
+    let p50 = median(&ttt_ms);
     let p95 = percentile(&ttt_ms, 95.0);
 
     println!("jobs           : {njobs} ({} slices served)", stats.slices);

@@ -11,6 +11,7 @@
 //! from biasing one arm; medians over the repetitions absorb outliers.
 
 use mkp::generate::{gk_instance, GkSpec};
+use mkp_bench::median;
 use parallel_tabu::{Engine, Mode, RunConfig};
 use std::hint::black_box;
 
@@ -42,16 +43,6 @@ fn cpu_now() -> f64 {
     use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
 }
 
 fn main() {
@@ -150,16 +141,16 @@ fn main() {
     // cancels out of every pair, and the median discards the pairs a
     // load spike split. Floors and medians are reported alongside as the
     // honest noise indicators.
-    let mut diffs: Vec<f64> = with_tel
+    let diffs: Vec<f64> = with_tel
         .iter()
         .zip(&without_tel)
         .map(|(on, off)| on - off)
         .collect();
     let on_min_ms = with_tel.iter().copied().fold(f64::MAX, f64::min) * 1e3;
     let off_min_ms = without_tel.iter().copied().fold(f64::MAX, f64::min) * 1e3;
-    let on_med_ms = median(&mut with_tel) * 1e3;
-    let off_med_ms = median(&mut without_tel) * 1e3;
-    let overhead_pct = 100.0 * median(&mut diffs) * 1e3 / off_med_ms;
+    let on_med_ms = median(&with_tel) * 1e3;
+    let off_med_ms = median(&without_tel) * 1e3;
+    let overhead_pct = 100.0 * median(&diffs) * 1e3 / off_med_ms;
     println!("telemetry on  (min / median): {on_min_ms:.1} / {on_med_ms:.1} cpu-ms");
     println!("telemetry off (min / median): {off_min_ms:.1} / {off_med_ms:.1} cpu-ms");
     println!("overhead (paired median)    : {overhead_pct:+.2}%");

@@ -16,6 +16,7 @@
 //! h.finish();
 //! ```
 
+use crate::{median, percentile};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -82,32 +83,16 @@ pub struct Report {
     pub mean_ns: f64,
     /// Median over samples (the headline figure; robust to OS jitter).
     pub median_ns: f64,
-    /// 95th percentile over samples.
+    /// 95th percentile over samples (nearest rank).
     pub p95_ns: f64,
-}
-
-/// Percentile by linear interpolation on the sorted sample (the common
-/// "exclusive" definition is overkill for 30 samples; nearest-rank with
-/// interpolation matches what criterion reported closely enough to keep
-/// historical numbers comparable).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = q * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
 fn summarize(name: &str, iters: u64, mut sample_ns: Vec<f64>) -> Report {
     sample_ns.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
     let min_ns = sample_ns[0];
     let mean_ns = sample_ns.iter().sum::<f64>() / sample_ns.len() as f64;
-    let median_ns = percentile(&sample_ns, 0.5);
-    let p95_ns = percentile(&sample_ns, 0.95);
+    let median_ns = median(&sample_ns);
+    let p95_ns = percentile(&sample_ns, 95.0);
     Report {
         name: name.to_string(),
         iters_per_sample: iters,
@@ -375,21 +360,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 1.0), 4.0);
-        assert_eq!(percentile(&xs, 0.5), 2.5);
-        assert_eq!(percentile(&[7.0], 0.95), 7.0);
-    }
-
-    #[test]
     fn summarize_orders_and_aggregates() {
         let r = summarize("x", 10, vec![30.0, 10.0, 20.0]);
         assert_eq!(r.min_ns, 10.0);
         assert_eq!(r.median_ns, 20.0);
         assert!((r.mean_ns - 20.0).abs() < 1e-12);
-        assert!(r.p95_ns <= 30.0 && r.p95_ns >= 20.0);
+        assert_eq!(r.p95_ns, 30.0);
         assert_eq!(r.sample_ns, vec![10.0, 20.0, 30.0]);
     }
 

@@ -104,6 +104,35 @@ pub fn stddev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
+/// Median of `xs`: the middle sample, or the mean of the two middle ones
+/// for an even count (NaN when empty). The one median of every bench
+/// binary, with the ledger's definition.
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
+}
+
+/// Nearest-rank percentile `pct` (0–100) of ascending `sorted`: the
+/// smallest sample with at least `pct`% of the samples at or below it
+/// (NaN when empty). The one tail percentile of every bench binary, with
+/// the ledger's definition.
+pub fn percentile(sorted: &[f64], pct: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let rank = (pct / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Percentage deviation of `found` below the reference `bound`
 /// (`100 · (bound − found) / bound`).
 pub fn deviation_pct(found: i64, bound: f64) -> f64 {
@@ -129,6 +158,19 @@ mod tests {
         assert!(lines[2].starts_with('a'));
         // All rows have the same rendered width.
         assert!(lines[2].trim_end().len() < lines[1].len());
+    }
+
+    #[test]
+    fn median_averages_the_middle_pair_and_percentile_takes_the_nearest_rank() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert!(median(&[]).is_nan());
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 50.0), 2.0);
+        assert_eq!(percentile(&xs, 95.0), 4.0);
+        assert_eq!(percentile(&[7.0], 95.0), 7.0);
+        assert!(percentile(&[], 95.0).is_nan());
     }
 
     #[test]

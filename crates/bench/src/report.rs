@@ -164,20 +164,13 @@ const MAX_MACHINE_FACTOR: f64 = 2.0;
 /// larger than [`MAX_MACHINE_FACTOR`] is treated as incomparable
 /// hardware rather than silently absorbed.
 pub fn diff_reports(baseline: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Diff {
-    let mut ratios: Vec<f64> = baseline
+    let ratios: Vec<f64> = baseline
         .benches
         .iter()
         .filter_map(|b| fresh.get(&b.name).map(|f| f.min_ns / b.min_ns))
         .collect();
     let machine_factor = if ratios.len() >= MIN_PAIRS_FOR_FACTOR {
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("medians are finite"));
-        let mid = ratios.len() / 2;
-        let median = if ratios.len().is_multiple_of(2) {
-            (ratios[mid - 1] + ratios[mid]) / 2.0
-        } else {
-            ratios[mid]
-        };
-        median.clamp(1.0 / MAX_MACHINE_FACTOR, MAX_MACHINE_FACTOR)
+        crate::median(&ratios).clamp(1.0 / MAX_MACHINE_FACTOR, MAX_MACHINE_FACTOR)
     } else {
         1.0
     };

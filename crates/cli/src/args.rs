@@ -101,13 +101,20 @@ impl Args {
 
     /// Typed flag lookup with a default.
     pub fn get<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
-        match self.flags.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: raw.clone(),
-            }),
-        }
+        Ok(self.get_opt(flag)?.unwrap_or(default))
+    }
+
+    /// Typed flag lookup, `None` when the flag is absent.
+    pub fn get_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, ArgError> {
+        self.flags
+            .get(flag)
+            .map(|raw| {
+                raw.parse().map_err(|_| ArgError::BadValue {
+                    flag: flag.to_string(),
+                    value: raw.clone(),
+                })
+            })
+            .transpose()
     }
 
     /// Raw flag value, if present.

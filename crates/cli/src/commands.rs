@@ -467,14 +467,7 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
     let fault = args.get_str("fault").map(parse_fault).transpose()?;
     let restarts: usize = args.get("restarts", 0)?;
     let backoff: u64 = args.get("backoff", 50)?;
-    let patience: Option<u64> = args
-        .get_str("patience")
-        .map(|raw| {
-            raw.parse().map_err(|_| {
-                CliError::Invalid(format!("cannot parse value {raw:?} for --patience"))
-            })
-        })
-        .transpose()?;
+    let patience: Option<u64> = args.get_opt("patience")?;
     let checkpoint_every: usize = args.get("checkpoint-every", 1)?;
     let checkpoint = args.get_str("checkpoint").map(|path| CheckpointCfg {
         path: path.into(),
@@ -607,9 +600,24 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Default `mkp slave --patience`, matching the engine's derived slave
-/// patience for the default report timeout.
+/// Default `--patience` of `slave`, `serve` and `submit`, matching the
+/// engine's derived slave patience for the default report timeout.
 const DEFAULT_SLAVE_PATIENCE_SECS: u64 = 121;
+
+/// `--patience SECS` of `slave`, `serve` and `submit`, which wait on a
+/// silent peer: defaulted, and refused at zero. (`solve` reads the flag
+/// as an override that `RunConfig::validate` checks against the report
+/// timeout.)
+fn peer_patience(args: &Args) -> Result<u64, CliError> {
+    match args.get("patience", DEFAULT_SLAVE_PATIENCE_SECS)? {
+        0 => Err(CliError::Invalid(
+            "--patience must be positive: a zero patience gives up before the peer \
+             can say anything"
+                .into(),
+        )),
+        secs => Ok(secs),
+    }
+}
 
 /// `mkp slave`: serve one distributed run as a remote worker process.
 pub fn cmd_slave(args: &Args) -> Result<String, CliError> {
@@ -621,14 +629,7 @@ pub fn cmd_slave(args: &Args) -> Result<String, CliError> {
         ));
     }
     let endpoint = required_endpoint(args, "slave", "connect")?;
-    let patience: u64 = args.get("patience", DEFAULT_SLAVE_PATIENCE_SECS)?;
-    if patience == 0 {
-        return Err(CliError::Invalid(
-            "--patience must be positive: a zero-patience slave gives up before the \
-             master can say anything"
-                .into(),
-        ));
-    }
+    let patience = peer_patience(args)?;
     let fault = net_fault_flag(args)?;
     match serve_slave_with(&endpoint, Duration::from_secs(patience), fault)
         .map_err(CliError::Engine)?
@@ -696,10 +697,10 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let max_queue: usize = args.get("max-queue", 16)?;
     let max_inflight: usize = args.get("max-inflight", 4)?;
     let max_jobs: u64 = args.get("max-jobs", 0)?;
-    let patience: u64 = args.get("patience", DEFAULT_SLAVE_PATIENCE_SECS)?;
-    if p == 0 || quantum == 0 || max_queue == 0 || max_inflight == 0 || patience == 0 {
+    let patience = peer_patience(args)?;
+    if p == 0 || quantum == 0 || max_queue == 0 || max_inflight == 0 {
         return Err(CliError::Invalid(
-            "p, quantum, max-queue, max-inflight and patience must be positive".into(),
+            "p, quantum, max-queue and max-inflight must be positive".into(),
         ));
     }
     let backend = match endpoint_flag(args, "slaves")? {
@@ -750,10 +751,7 @@ pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
     let endpoint = required_endpoint(args, "submit", "connect")?;
     let search = SearchFlags::parse(args, &inst)?;
     let deadline_ms: u64 = args.get("deadline-ms", 0)?;
-    let patience: u64 = args.get("patience", DEFAULT_SLAVE_PATIENCE_SECS)?;
-    if patience == 0 {
-        return Err(CliError::Invalid("patience must be positive".into()));
-    }
+    let patience = peer_patience(args)?;
     let attach: u64 = args.get("attach", 0)?;
     if args.get_str("attach").is_some() && attach == 0 {
         return Err(CliError::Invalid(
@@ -1444,6 +1442,47 @@ mod tests {
         .to_string();
         assert!(err.contains("patience"), "{err}");
         assert!(err.contains("report timeout"), "{err}");
+    }
+
+    #[test]
+    fn every_subcommand_reads_patience_the_same_way() {
+        // A malformed --patience is the same argument error everywhere;
+        // zero is refused in one message by the processes that wait on a
+        // peer, and by solve's check against the report timeout.
+        let path = tmp("patience.mkp");
+        cmd_generate(&args(&[&path, "--n", "10", "--m", "2"], GEN_FLAGS)).unwrap();
+        let sock = "unix:/tmp/x.sock";
+        type Cmd = fn(&Args) -> Result<String, CliError>;
+        let cases: [(&str, Cmd, &[&'static str], Vec<&str>); 4] = [
+            ("solve", cmd_solve, SOLVE_FLAGS, vec![&path]),
+            ("slave", cmd_slave, SLAVE_FLAGS, vec!["--connect", sock]),
+            ("serve", cmd_serve, SERVE_FLAGS, vec!["--clients", sock]),
+            (
+                "submit",
+                cmd_submit,
+                SUBMIT_FLAGS,
+                vec![&path, "--connect", sock],
+            ),
+        ];
+        for (name, cmd, flags, base) in cases {
+            let run = |value: &str| {
+                let mut parts = base.clone();
+                parts.extend(["--patience", value]);
+                cmd(&args(&parts, flags)).unwrap_err()
+            };
+            let malformed = run("soon");
+            assert!(
+                matches!(&malformed, CliError::Args(ArgError::BadValue { flag, .. }) if flag == "patience"),
+                "{name}: {malformed}"
+            );
+            let zero = run("0").to_string();
+            let expected = if name == "solve" {
+                "report timeout"
+            } else {
+                "--patience must be positive: a zero patience gives up"
+            };
+            assert!(zero.contains(expected), "{name}: {zero}");
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! trait; the message loop, budget accounting, rendezvous, relinking and
 //! [`ModeReport`] assembly are written exactly once, here.
 //!
+//! Every run follows the paper's master/slave split: [`master_loop`] runs
+//! on the caller's thread and [`slave_loop`] on the pool's slave threads.
 //! The pool outlives individual runs: a service can keep one warm `Engine`
 //! and serve consecutive solve requests without respawning threads (the
-//! mailboxes are rebuilt per run, the OS threads are not — see
+//! mailboxes are rebuilt per run, the slave threads are not — see
 //! `pvm_lite::farm`).
 //!
 //! Report delivery comes in two flavours ([`Delivery`]):
@@ -29,8 +31,9 @@
 //!
 //! Losing a slave no longer has to cost its share of the search. With
 //! `RunConfig::max_restarts > 0` the master *resurrects* a lost worker:
-//! exponential backoff, respawn the task ([`TaskCtx::respawn`]), re-send
-//! the problem, transplant the worker's long-term History
+//! exponential backoff, respawn the task on a thread of its own
+//! ([`TaskCtx::respawn`]), re-send the problem, transplant the worker's
+//! long-term History
 //! ([`tags::SEED`]), then redo the outstanding assignment seeded from the
 //! master's B-best elite. Each assignment carries an incarnation *epoch*
 //! that the slave echoes, so a superseded incarnation's stale report can
@@ -51,9 +54,9 @@ use mkp::restrict::Restriction;
 use mkp::{Instance, Solution, Xoshiro256};
 use mkp_tabu::moves::MoveStats;
 use mkp_tabu::{search, Budget, TsConfig};
-use pvm_lite::{CommStats, FaultAction, FaultPlan, TaskOutcome, Transport, WorkerPool};
+use pvm_lite::{CommStats, FaultAction, FaultPlan, TaskCtx, TaskOutcome, Transport, WorkerPool};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the master receives reports (see the module docs).
@@ -235,12 +238,6 @@ pub fn fault_at_round(worker: usize, round: usize, action: FaultAction) -> Fault
     }
 }
 
-/// Per-task result of a run.
-enum TaskOut {
-    Master(Result<Box<SliceOutcome>, EngineError>),
-    Slave,
-}
-
 /// How a bounded run slice ended (see [`Engine::run_slice`]).
 #[derive(Debug)]
 pub enum SliceOutcome {
@@ -263,14 +260,12 @@ pub struct Engine {
 
 impl Engine {
     /// An engine whose pool can drive up to `p` slave workers (plus the
-    /// master task).
+    /// master task, which runs on the caller's thread).
     pub fn new(p: usize) -> Self {
         assert!(p >= 1, "an engine needs at least one worker");
-        let pool = WorkerPool::new(p + 1);
-        let spawned_threads = pool.ntasks();
         Engine {
-            pool,
-            spawned_threads,
+            pool: WorkerPool::new(p + 1),
+            spawned_threads: p,
             fault_plan: None,
             telemetry: true,
         }
@@ -288,15 +283,15 @@ impl Engine {
         self.pool.ntasks()
     }
 
-    /// Total OS threads spawned over the engine's lifetime. Stays constant
-    /// across runs unless a run needs a bigger pool or a lost worker
-    /// thread is healed — the respawn-free reuse this counter exists to
-    /// verify.
+    /// Total slave threads the engine's pools have spawned over its
+    /// lifetime. Stays constant across runs unless a run needs a bigger
+    /// pool — the respawn-free reuse this counter exists to verify.
     pub fn spawned_threads(&self) -> usize {
-        self.spawned_threads + self.pool.respawned_threads()
+        self.spawned_threads
     }
 
-    /// Thread ids of the current pool (for reuse assertions in tests).
+    /// Slave thread ids of the current pool (for reuse assertions in
+    /// tests).
     pub fn thread_ids(&self) -> Vec<std::thread::ThreadId> {
         self.pool.thread_ids()
     }
@@ -312,10 +307,8 @@ impl Engine {
     /// smaller run leaves the pool alone (extra workers idle through it).
     fn ensure_capacity(&mut self, ntasks: usize) {
         if ntasks > self.pool.ntasks() {
-            // Bank the old pool's healing count before dropping it so the
-            // lifetime total keeps every thread ever spawned.
-            self.spawned_threads += self.pool.respawned_threads() + ntasks;
             self.pool = WorkerPool::new(ntasks);
+            self.spawned_threads += ntasks - 1;
         }
     }
 
@@ -366,7 +359,7 @@ impl Engine {
         park_after: Option<usize>,
     ) -> Result<SliceOutcome, EngineError> {
         assert!(cfg.p >= 1 && cfg.rounds >= 1);
-        let policy = admit(inst, mode, cfg, resume.as_ref(), park_after)?;
+        let mut policy = admit(inst, mode, cfg, resume.as_ref(), park_after)?;
         let active = policy.active_workers(cfg);
         assert!(active >= 1, "a run needs at least one active worker");
         self.ensure_capacity(active + 1);
@@ -378,30 +371,23 @@ impl Engine {
         // master and slave closures record into it directly — pvm-lite
         // runs every task in this process, so observability needs no wire
         // protocol (see crate::telemetry).
-        let tel = if self.telemetry {
+        let tel = Arc::new(if self.telemetry {
             Telemetry::new(self.pool.ntasks())
         } else {
             Telemetry::disabled(self.pool.ntasks())
-        };
-
-        // Only task 0 touches the policy (and consumes the resume
-        // snapshot), but the job closure is shared by every pool thread;
-        // the mutexes document that to the compiler. The master releases
-        // the farm however its loop returned.
-        let policy = Mutex::new(policy);
-        let resume = Mutex::new(resume);
-        let outcomes = self.pool.run_collect(|ctx| {
-            if Transport::tid(&ctx) == 0 {
-                let mut policy = policy.lock().unwrap_or_else(PoisonError::into_inner);
-                let resume = resume.lock().unwrap_or_else(PoisonError::into_inner).take();
-                let result = master_loop(&ctx, inst, &mut **policy, cfg, resume, park_after, &tel);
-                stop_farm(&ctx);
-                TaskOut::Master(result.map(Box::new))
-            } else {
-                slave_loop(&ctx, cfg.patience(), &tel);
-                TaskOut::Slave
-            }
         });
+
+        // The master runs on this thread and borrows the policy; the
+        // slaves own what they need. The master releases the farm however
+        // its loop returned.
+        let (master, slaves) = self.pool.run_collect(
+            |ctx| {
+                let result = master_loop(&ctx, inst, &mut *policy, cfg, resume, park_after, &tel);
+                stop_farm(&ctx);
+                result
+            },
+            slave_task(cfg.patience(), Arc::clone(&tel)),
+        );
 
         // Fold the transport's per-task comm totals in after the pool
         // joined (the join is the synchronization point for the relaxed
@@ -413,51 +399,43 @@ impl Engine {
         // The master only observes *silence* from a lost slave (a missed
         // deadline, a dead mailbox); the pool knows whether that silence
         // was a panic. Rewrite the causes so the report carries the real
-        // story. A resurrected worker's final incarnation finished cleanly,
-        // so its earlier panics are gone from the outcome slot (last write
-        // wins) and its resurrection record is untouched here.
-        let ntasks = outcomes.len();
-        let mut slave_panics: Vec<Option<String>> = vec![None; ntasks];
-        let mut master_out = None;
-        for (tid, out) in outcomes.into_iter().enumerate() {
-            match out {
-                TaskOutcome::Done(TaskOut::Master(result)) => master_out = Some(result),
-                TaskOutcome::Done(TaskOut::Slave) => {}
-                TaskOutcome::Panicked(message) => {
-                    if tid == 0 {
-                        return Err(EngineError::MasterPanicked { message });
-                    }
-                    slave_panics[tid] = Some(message);
-                }
-            }
-        }
+        // story. A resurrected worker's outcome is its latest
+        // incarnation's, which finished cleanly, so its earlier panics are
+        // gone and its resurrection record is untouched here.
         let enrich = |losses: &mut Vec<WorkerLoss>| {
             for loss in losses.iter_mut() {
-                if let Some(message) = &slave_panics[loss.worker + 1] {
-                    loss.cause = LossCause::Panicked(message.clone());
+                if let Some(message) = slaves[loss.worker].panic_message() {
+                    loss.cause = LossCause::Panicked(message.to_string());
                 }
             }
         };
-        match master_out {
-            Some(Ok(outcome)) => match *outcome {
-                SliceOutcome::Finished(mut report) => {
-                    enrich(&mut report.lost_workers);
-                    report.telemetry = tel.snapshot();
-                    Ok(SliceOutcome::Finished(report))
-                }
-                // A parked slice carries its losses inside the snapshot;
-                // panic details resurface when the job resumes.
-                parked => Ok(parked),
-            },
-            Some(Err(EngineError::AllWorkersLost { mut losses })) => {
+        let result = match master {
+            TaskOutcome::Done(result) => result,
+            TaskOutcome::Panicked(message) => return Err(EngineError::MasterPanicked { message }),
+        };
+        match result {
+            Ok(SliceOutcome::Finished(mut report)) => {
+                enrich(&mut report.lost_workers);
+                report.telemetry = tel.snapshot();
+                Ok(SliceOutcome::Finished(report))
+            }
+            // A parked slice carries its losses inside the snapshot; panic
+            // details resurface when the job resumes.
+            Ok(parked) => Ok(parked),
+            Err(EngineError::AllWorkersLost { mut losses }) => {
                 enrich(&mut losses);
                 Err(EngineError::AllWorkersLost { losses })
             }
-            Some(Err(e)) => Err(e),
-            None => Err(EngineError::Internal {
-                detail: "master task returned no report".into(),
-            }),
+            Err(e) => Err(e),
         }
+    }
+}
+
+/// The in-process slave task: [`slave_loop`] over the pool mailboxes,
+/// waiting `patience` for each instruction and recording into `tel`.
+fn slave_task(patience: Duration, tel: Arc<Telemetry>) -> impl Fn(TaskCtx) + Send + Sync {
+    move |ctx| {
+        slave_loop(&ctx, patience, &tel);
     }
 }
 
@@ -914,9 +892,9 @@ pub(crate) fn master_loop<C: Transport>(
 
     // "Read and send to slaves problem data" (Fig. 2) — a pvm_mcast. Idle
     // pool workers beyond `active` also receive it; they simply never get
-    // an assignment and fold on the owner's final STOP. Every pool thread
-    // is fresh or healed at run start, so a failure here is a pool bug,
-    // not a recoverable worker loss.
+    // an assignment and fold on the owner's final STOP. Every slave starts
+    // the run with a fresh mailbox, so a failure here is a pool bug, not
+    // a recoverable worker loss.
     let problem = ProblemMsg::from_instance(inst);
     ctx.broadcast(tags::PROBLEM, &problem)
         .map_err(|e| EngineError::Internal {
@@ -1779,16 +1757,13 @@ mod tests {
         // A job server that shuts down before its first job STOPs slaves
         // that never saw a problem.
         let tel = Telemetry::new(3);
-        let exits = pvm_lite::run_farm(3, |ctx| {
-            if Transport::tid(&ctx) == 0 {
-                stop_farm(&ctx);
-                None
-            } else {
-                Some(slave_loop(&ctx, Duration::from_secs(5), &tel))
-            }
-        })
-        .unwrap();
-        assert_eq!(exits[1..], [Some(SlaveExit::Stopped); 2]);
+        let (_, exits) = WorkerPool::new(3).run_collect(
+            |ctx| stop_farm(&ctx),
+            move |ctx| slave_loop(&ctx, Duration::from_secs(5), &tel),
+        );
+        for exit in exits {
+            assert!(matches!(exit, TaskOutcome::Done(SlaveExit::Stopped)));
+        }
     }
 
     /// The master's endpoint with worker 1's mailbox closed to
@@ -1822,10 +1797,6 @@ mod tests {
             Transport::recv_timeout(self.ctx, timeout)
         }
 
-        fn try_recv(&self) -> Option<pvm_lite::Envelope> {
-            Transport::try_recv(self.ctx)
-        }
-
         fn comm_stats(&self) -> CommStats {
             Transport::comm_stats(self.ctx)
         }
@@ -1843,28 +1814,23 @@ mod tests {
             (Mode::Asynchronous, 0),
             (Mode::Asynchronous, 1),
         ] {
-            let tel = Telemetry::new(cfg.p + 1);
-            let policy = Mutex::new(admit(&inst, mode, &cfg, None, None).unwrap());
+            let tel = Arc::new(Telemetry::new(cfg.p + 1));
+            let mut policy = admit(&inst, mode, &cfg, None, None).unwrap();
             let mut pool = WorkerPool::new(cfg.p + 1);
-            let outcomes = pool.run_collect(|ctx| {
-                if Transport::tid(&ctx) == 0 {
+            let (master, _) = pool.run_collect(
+                |ctx| {
                     let deaf = DeafWorker {
                         ctx: &ctx,
                         from: n,
                         assigns: Default::default(),
                     };
-                    let mut policy = policy.lock().unwrap();
-                    let result = master_loop(&deaf, &inst, &mut **policy, &cfg, None, None, &tel);
+                    let result = master_loop(&deaf, &inst, &mut *policy, &cfg, None, None, &tel);
                     stop_farm(&ctx);
-                    Some(result)
-                } else {
-                    slave_loop(&ctx, cfg.patience(), &tel);
-                    None
-                }
-            });
-            let Some(TaskOutcome::Done(Some(Ok(SliceOutcome::Finished(report))))) =
-                outcomes.into_iter().next()
-            else {
+                    result
+                },
+                slave_task(cfg.patience(), Arc::clone(&tel)),
+            );
+            let TaskOutcome::Done(Ok(SliceOutcome::Finished(report))) = master else {
                 panic!("{mode:?} from {n}: the master did not finish");
             };
             let loss = WorkerLoss {

@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coop;
 pub mod core_policy;

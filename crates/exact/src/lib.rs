@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod best_first;
 pub mod bounds;

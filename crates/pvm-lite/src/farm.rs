@@ -1,23 +1,26 @@
-//! The processor farm: persistent worker threads, typed mailboxes, and
+//! The processor farm: persistent slave threads, typed mailboxes, and
 //! addressing.
 //!
-//! [`WorkerPool`] plays the role of PVM's daemon: `ntasks` OS threads are
-//! spawned once and then serve any number of *runs*. Each [`WorkerPool::run`]
-//! hands every worker a task closure with a fresh [`TaskCtx`] — per-run
-//! mailboxes — so tasks address each other by dense task id
-//! through reliable, ordered, unbounded channels, exactly as before, but
-//! without paying thread spawn/join per run. [`run_farm`] remains the
-//! one-shot convenience (`pvm_spawn` + teardown) built on a throwaway pool.
-//! By the convention of the paper's master/slave model, task 0 is the master
-//! and tasks `1..P+1` are the slaves — the library itself imposes no roles.
+//! [`WorkerPool`] plays the role of PVM's daemon for the paper's
+//! master/slave farm. Task 0, the master, runs on the caller's thread;
+//! tasks `1..ntasks`, the slaves, run on OS threads spawned once that then
+//! serve any number of *runs*. Each [`WorkerPool::run_collect`] gives the
+//! master closure and every slave a fresh [`TaskCtx`] — per-run mailboxes —
+//! so tasks address each other by dense task id through reliable, ordered,
+//! unbounded channels without paying thread spawn/join per run. The slave
+//! closure is `'static` and shared by `Arc`, so no job borrows from the
+//! caller's frame; a slave reborn mid-run ([`TaskCtx::respawn`]) gets a
+//! thread of its own. [`run_farm`] remains the one-shot convenience
+//! (`pvm_spawn` + teardown) built on a throwaway pool.
 
 use crate::codec::{CodecError, Wire};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Task address inside a farm (0-based, dense).
@@ -321,11 +324,6 @@ impl TaskCtx {
         Ok(self.deliver(env))
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Envelope> {
-        self.inbox.try_recv().ok().map(|env| self.deliver(env))
-    }
-
     /// Count a delivery against the installed fault plan, firing the
     /// action when the trigger is reached (no-op without a plan).
     fn deliver(&self, env: Envelope) -> Envelope {
@@ -345,29 +343,35 @@ impl TaskCtx {
         env
     }
 
-    /// Resurrect task `tid` mid-run: a fresh incarnation of the task — new
-    /// mailbox, fresh context, running the same task closure — is
-    /// dispatched onto the pool, and the canonical address table is
-    /// updated so this caller's subsequent sends to `tid` reach the reborn
-    /// incarnation. A superseded incarnation still alive (a straggler)
-    /// keeps running against its old mailbox until it exits on its own or
-    /// is nudged by [`notify_orphans`](TaskCtx::notify_orphans); only this
-    /// caller's sender table is refreshed — other live tasks keep their
-    /// stale entries, which fits a master/slave protocol where only the
-    /// master addresses workers.
+    /// Resurrect slave task `tid` mid-run: a fresh incarnation of the task
+    /// — new mailbox, fresh context, running the run's slave closure —
+    /// starts on a thread of its own, and the canonical address table is
+    /// updated so this caller's subsequent sends to `tid` reach it. A
+    /// superseded incarnation still alive (a straggler) keeps its thread
+    /// and its old mailbox until it exits on its own or is nudged by
+    /// [`notify_orphans`](TaskCtx::notify_orphans); the reborn one never
+    /// waits for it. Only this caller's sender table is refreshed — other
+    /// live tasks keep their stale entries, which fits a master/slave
+    /// protocol where only the master addresses workers.
     ///
-    /// Returns `false` if the run is already retiring (no new incarnation
-    /// can be admitted).
+    /// Returns `false` once the master has returned (the run admits no
+    /// new incarnation) or when no thread can be spawned.
     pub fn respawn(&self, tid: TaskId) -> bool {
         assert!(tid != self.tid, "a task cannot respawn itself");
         let mut inner = self.supervision.lock();
-        assert!(tid < inner.senders.len(), "task id {tid} out of range");
-        if inner.launch.is_none() {
+        assert!(
+            (1..inner.senders.len()).contains(&tid),
+            "task id {tid} is not a slave"
+        );
+        if inner.incarnate.is_none() {
             return false;
         }
+        // Incarnations are numbered in the order the run starts them: 0
+        // for every task's first, then one more per respawn.
+        let incarnation = inner.reborn.len() + 1;
         let (tx, rx) = mpsc::channel::<Envelope>();
-        let old = std::mem::replace(&mut inner.senders[tid], tx);
-        inner.orphans.push(old);
+        let mut senders = inner.senders.clone();
+        senders[tid] = tx.clone();
         let fault = inner
             .fault_plan
             .filter(|p| p.tid == tid && p.action == FaultAction::KillRepeatedly)
@@ -378,29 +382,22 @@ impl TaskCtx {
             });
         let ctx = TaskCtx {
             tid,
-            senders: RefCell::new(inner.senders.clone()),
+            senders: RefCell::new(senders),
             inbox: rx,
             fault,
             supervision: Arc::clone(&self.supervision),
             comm: Arc::clone(&self.comm),
         };
-        let job = (inner.launch.as_ref().expect("checked above"))(tid, ctx);
-        inner.extra_dispatched += 1;
-        // Prefer the task's pool thread (idle again after a caught panic);
-        // if it is truly dead (its injector disconnected), rebuild it with
-        // a fallback thread the pool adopts when the run ends.
-        let injector = inner
-            .replacements
-            .iter()
-            .rev()
-            .find(|(t, _, _)| *t == tid)
-            .map(|(_, tx, _)| tx)
-            .unwrap_or(&inner.injectors[tid]);
-        if let Err(SendError(job)) = injector.send(job) {
-            let (tx, handle) = spawn_worker(tid);
-            assert!(tx.send(job).is_ok(), "fresh worker rejected its job");
-            inner.replacements.push((tid, tx, handle));
-        }
+        let job = (inner.incarnate.as_ref().expect("checked above"))(ctx, incarnation);
+        let Ok(thread) = std::thread::Builder::new()
+            .name(format!("pvm-worker-{tid}"))
+            .spawn(job)
+        else {
+            return false;
+        };
+        inner.reborn.push(thread);
+        let old = std::mem::replace(&mut inner.senders[tid], tx);
+        inner.orphans.push(old);
         // Refresh the caller's own address table.
         self.senders.borrow_mut()[tid] = inner.senders[tid].clone();
         true
@@ -422,26 +419,17 @@ impl TaskCtx {
     }
 }
 
-/// Factory minting the job for one task incarnation, type-erased over the
-/// run's task closure and result type. Retired (`None`) once the run's
-/// collection loop has ended, after which no incarnation can be admitted.
-type Launch = Box<dyn Fn(TaskId, TaskCtx) -> Job + Send>;
-
 /// Mid-run supervision state shared by every task context of one run.
 struct SupervisionInner {
     /// Canonical address table: index `tid` always points at the mailbox
     /// of the *live* incarnation of task `tid`.
     senders: Vec<Sender<Envelope>>,
-    /// Job injectors of the pool threads, in task order.
-    injectors: Vec<Sender<Job>>,
-    /// Job factory for reborn incarnations; `None` once the run retires.
-    launch: Option<Launch>,
-    /// Jobs dispatched beyond the initial one-per-task; each reports a
-    /// completion of its own, growing the collection target.
-    extra_dispatched: usize,
-    /// Fallback threads spawned because a pool thread was found dead
-    /// mid-run; adopted into the pool when the run ends.
-    replacements: Vec<(TaskId, Sender<Job>, std::thread::JoinHandle<()>)>,
+    /// Mints the job of one slave incarnation from its context and
+    /// incarnation number; `None` once the master has returned, after
+    /// which no incarnation can be admitted.
+    incarnate: Option<Box<dyn Fn(TaskCtx, usize) -> Job + Send>>,
+    /// Threads of reborn incarnations, joined before the run returns.
+    reborn: Vec<JoinHandle<()>>,
     /// Mailbox senders of superseded incarnations, kept so
     /// [`TaskCtx::notify_orphans`] can unblock them at shutdown.
     orphans: Vec<Sender<Envelope>>,
@@ -462,10 +450,12 @@ impl Supervision {
     }
 }
 
-/// A job shipped to a pool worker. The `'static` bound is a lie the pool
-/// maintains internally: jobs borrow from the [`WorkerPool::run`] stack
-/// frame, and `run` never returns before every dispatched job has finished.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A job shipped to a slave thread.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// What a finished slave incarnation reports: its task, its incarnation
+/// number and its result or panic message.
+type Done<R> = (TaskId, usize, Result<R, String>);
 
 /// Stringify a panic payload (the common `&str` / `String` cases; anything
 /// else gets a placeholder — the task id still locates the failure).
@@ -479,39 +469,47 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A persistent farm: `ntasks` worker threads spawned once, reused by every
-/// [`run`](WorkerPool::run) until the pool is dropped.
+/// Run `task` on `ctx`, turning a panic into its message.
+fn run_task<R>(task: impl FnOnce(TaskCtx) -> R, ctx: TaskCtx) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(|| task(ctx)))
+        .map_err(|payload| panic_payload_message(payload.as_ref()))
+}
+
+/// The [`TaskOutcome`] of a [`run_task`] result.
+fn outcome<R>(out: Result<R, String>) -> TaskOutcome<R> {
+    match out {
+        Ok(r) => TaskOutcome::Done(r),
+        Err(message) => TaskOutcome::Panicked(message),
+    }
+}
+
+/// A persistent farm of `ntasks` tasks in the paper's master/slave shape:
+/// the master, task 0, runs on the caller's thread, and one OS thread per
+/// slave task `1..ntasks` is spawned once and reused by every
+/// [`run_collect`](WorkerPool::run_collect) until the pool is dropped.
 ///
 /// Each run gets fresh mailboxes, so runs are fully isolated from each
-/// other; only the OS threads are amortized. A task that
-/// panics is caught on its worker thread — the pool survives and the run
-/// reports [`FarmError::TaskPanicked`] with the original panic message. A
-/// worker whose OS thread actually died (it can only die by unwinding
-/// outside a task, e.g. [`kill_thread`](WorkerPool::kill_thread)) is
-/// replaced at the start of the next run, so a degraded pool heals itself
-/// between runs.
+/// other; only the slave threads are amortized. Every task runs under
+/// `catch_unwind`: a task that panics is reported as
+/// [`TaskOutcome::Panicked`] with its panic message, and its thread serves
+/// the next run.
 pub struct WorkerPool {
+    /// Job injectors of the slave threads; entry `k` serves task `k + 1`.
     injectors: Vec<Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Threads respawned by healing over the pool's lifetime.
-    respawned: usize,
+    handles: Vec<JoinHandle<()>>,
     /// One-shot fault plan consumed by the next run (testing hook).
     fault_plan: Option<FaultPlan>,
     /// Per-task comm totals of the most recent run (empty before any run).
     last_comm: Vec<CommStats>,
 }
 
-/// Spawn one pool worker: a thread serving jobs from its injector until
-/// the injector is dropped.
-fn spawn_worker(tid: TaskId) -> (Sender<Job>, std::thread::JoinHandle<()>) {
+/// Spawn one slave thread: it serves jobs from its injector until the
+/// pool drops the injector.
+fn spawn_worker(tid: TaskId) -> (Sender<Job>, JoinHandle<()>) {
     let (tx, rx) = mpsc::channel::<Job>();
     let handle = std::thread::Builder::new()
         .name(format!("pvm-worker-{tid}"))
         .spawn(move || {
-            // Serve jobs until the pool drops the injector. Jobs dispatched
-            // by `run_collect` never unwind here (they wrap the task in
-            // catch_unwind); a job that does unwind kills this thread, and
-            // `heal` replaces it on the next run.
             while let Ok(job) = rx.recv() {
                 job();
             }
@@ -521,41 +519,29 @@ fn spawn_worker(tid: TaskId) -> (Sender<Job>, std::thread::JoinHandle<()>) {
 }
 
 impl WorkerPool {
-    /// Spawn a pool of `ntasks` worker threads (one per farm task).
+    /// A pool for farms of `ntasks` tasks: the master plus `ntasks - 1`
+    /// slave threads.
     pub fn new(ntasks: usize) -> Self {
         assert!(ntasks >= 1, "farm needs at least one task");
-        let mut injectors = Vec::with_capacity(ntasks);
-        let mut handles = Vec::with_capacity(ntasks);
-        for tid in 0..ntasks {
-            let (tx, handle) = spawn_worker(tid);
-            injectors.push(tx);
-            handles.push(handle);
-        }
+        let (injectors, handles) = (1..ntasks).map(spawn_worker).unzip();
         WorkerPool {
             injectors,
             handles,
-            respawned: 0,
             fault_plan: None,
             last_comm: Vec::new(),
         }
     }
 
-    /// Number of tasks (worker threads) in the pool.
+    /// Number of tasks in the pool's farms, the master included.
     pub fn ntasks(&self) -> usize {
-        self.injectors.len()
+        self.injectors.len() + 1
     }
 
-    /// The ids of the pool's OS threads, in task order. Stable across runs —
-    /// the observable guarantee that runs reuse threads instead of
-    /// respawning — except for threads that died and were healed.
+    /// The ids of the pool's slave threads, in task order (tasks
+    /// `1..ntasks`). Stable across runs — the observable guarantee that
+    /// runs reuse threads instead of respawning.
     pub fn thread_ids(&self) -> Vec<std::thread::ThreadId> {
         self.handles.iter().map(|h| h.thread().id()).collect()
-    }
-
-    /// Threads the pool has respawned to replace dead ones (0 for a pool
-    /// that never lost a thread).
-    pub fn respawned_threads(&self) -> usize {
-        self.respawned
     }
 
     /// Per-task communication totals of the most recent
@@ -573,210 +559,140 @@ impl WorkerPool {
         self.fault_plan = Some(plan);
     }
 
-    /// Kill the OS thread behind task `tid` (it unwinds outside any task
-    /// job), then wait for it to die. The pool is degraded until the next
-    /// run heals it by respawning the thread. Testing hook for the healing
-    /// path; task-level failures should use [`FaultPlan`] instead.
-    pub fn kill_thread(&mut self, tid: TaskId) {
-        assert!(tid < self.ntasks(), "task id {tid} out of range");
-        let poison: Job = Box::new(|| panic!("fault injection: pool thread killed"));
-        if self.injectors[tid].send(poison).is_ok() {
-            while !self.handles[tid].is_finished() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-
-    /// Replace dead worker threads so the next run has a full farm.
-    fn heal(&mut self) {
-        for tid in 0..self.handles.len() {
-            if self.handles[tid].is_finished() {
-                let (tx, handle) = spawn_worker(tid);
-                let old = std::mem::replace(&mut self.handles[tid], handle);
-                self.injectors[tid] = tx;
-                let _ = old.join(); // reap; the panic payload is expected
-                self.respawned += 1;
-            }
-        }
-    }
-
-    /// Run one farm: every task executes `f` with its own [`TaskCtx`].
-    /// Returns the per-task results in task-id order, or the lowest
-    /// panicking task id with its panic message. Convenience over
-    /// [`run_collect`](WorkerPool::run_collect) for callers that treat any
-    /// task death as fatal.
+    /// Run one farm in which every task, master included, executes `f`
+    /// with its own [`TaskCtx`]. Returns the per-task results in task-id
+    /// order, or the lowest panicking task id with its panic message.
+    /// Convenience over [`run_collect`](WorkerPool::run_collect) for
+    /// callers that treat any task death as fatal.
     pub fn run<R, F>(&mut self, f: F) -> Result<Vec<R>, FarmError>
     where
-        R: Send,
-        F: Fn(TaskCtx) -> R + Sync,
+        R: Send + 'static,
+        F: Fn(TaskCtx) -> R + Send + Sync + 'static,
     {
-        let outcomes = self.run_collect(f);
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut panicked: Option<(TaskId, String)> = None;
-        for (tid, out) in outcomes.into_iter().enumerate() {
+        let f = Arc::new(f);
+        let master = Arc::clone(&f);
+        let (master, slaves) = self.run_collect(|ctx| master(ctx), move |ctx| f(ctx));
+        let mut results = Vec::with_capacity(slaves.len() + 1);
+        for (tid, out) in std::iter::once(master).chain(slaves).enumerate() {
             match out {
                 TaskOutcome::Done(r) => results.push(r),
                 TaskOutcome::Panicked(message) => {
-                    if panicked.is_none() {
-                        panicked = Some((tid, message));
-                    }
+                    return Err(FarmError::TaskPanicked { tid, message })
                 }
             }
         }
-        match panicked {
-            Some((tid, message)) => Err(FarmError::TaskPanicked { tid, message }),
-            None => Ok(results),
-        }
+        Ok(results)
     }
 
-    /// Run one farm and report every task's individual outcome in task-id
-    /// order. A panicking task does not hide its peers' results — callers
-    /// that degrade gracefully (a master surviving slave loss) read the
-    /// survivors' results here and match panics to tasks themselves.
-    pub fn run_collect<R, F>(&mut self, f: F) -> Vec<TaskOutcome<R>>
+    /// Run one farm: `master` runs as task 0 on the calling thread and may
+    /// borrow from it; `slave` runs as every other task on the pool's
+    /// threads, and as every incarnation [`TaskCtx::respawn`] starts.
+    /// Returns once every incarnation has finished, with the master's
+    /// outcome and the slaves' in task-id order (entry `k` is task
+    /// `k + 1`). A respawned task reports its latest incarnation's
+    /// outcome, whichever incarnation finished last. A panicking task does
+    /// not hide its peers' results — callers that degrade gracefully (a
+    /// master surviving slave loss) read the survivors' results here and
+    /// match panics to tasks themselves.
+    pub fn run_collect<RM, RS, M, S>(
+        &mut self,
+        master: M,
+        slave: S,
+    ) -> (TaskOutcome<RM>, Vec<TaskOutcome<RS>>)
     where
-        R: Send,
-        F: Fn(TaskCtx) -> R + Sync,
+        M: FnOnce(TaskCtx) -> RM,
+        RS: Send + 'static,
+        S: Fn(TaskCtx) -> RS + Send + Sync + 'static,
     {
-        self.heal();
         let fault_plan = self.fault_plan.take();
         let ntasks = self.ntasks();
-        let mut senders = Vec::with_capacity(ntasks);
-        let mut receivers = Vec::with_capacity(ntasks);
-        for _ in 0..ntasks {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..ntasks).map(|_| mpsc::channel()).unzip();
         let comm: Arc<Vec<CommCell>> = Arc::new((0..ntasks).map(|_| CommCell::default()).collect());
-        let (done_tx, done_rx) = mpsc::channel::<(TaskId, Result<R, String>)>();
-
-        // The launch closure turns a (tid, ctx) pair into a dispatchable
-        // job; stashing it in the shared supervision state is what lets a
-        // running task mint *new* incarnations mid-run (TaskCtx::respawn).
-        let launch: Box<dyn Fn(TaskId, TaskCtx) -> Job + Send + '_> = {
-            let f = &f;
-            let done_tx = done_tx.clone();
-            Box::new(move |tid, ctx| {
-                let done = done_tx.clone();
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| f(ctx)))
-                        .map_err(|payload| panic_payload_message(payload.as_ref()));
-                    // The receiver outlives every job; a failed send can
-                    // only mean `run_collect` already returned, which the
-                    // protocol forbids.
-                    let _ = done.send((tid, out));
-                });
-                // SAFETY: jobs borrow `f` and the done sender from the
-                // `run_collect` stack frame. `run_collect` blocks below
-                // until every dispatched job — initial and respawned alike
-                // (the collection target counts extra_dispatched) — has
-                // either sent its completion (panics are caught) or is
-                // provably dead (its `done` sender dropped with the dying
-                // thread, disconnecting `done_rx`), so no borrow outlives
-                // that frame. Workers only terminate when the pool is
-                // dropped, which requires `&mut self` exclusivity to have
-                // ended — or by a non-task unwind, which drops the queued
-                // job and its borrows on that dead thread before `done_rx`
-                // can disconnect.
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
+        let (done_tx, done_rx) = mpsc::channel::<Done<RS>>();
+        let slave = Arc::new(slave);
+        let incarnate = move |ctx: TaskCtx, incarnation: usize| -> Job {
+            let (slave, done) = (Arc::clone(&slave), done_tx.clone());
+            Box::new(move || {
+                let tid = ctx.tid;
+                // The run drains `done` until every incarnation has
+                // dropped its sender, so the receiver is still there.
+                let _ = done.send((tid, incarnation, run_task(&*slave, ctx)));
             })
         };
-        // SAFETY: the same frame-outliving argument covers the factory
-        // itself — it is retired (dropped from the supervision state)
-        // before `run_collect` returns, so erasing its borrow of `f` and
-        // the done sender to 'static never lets them dangle.
-        let launch: Launch = unsafe {
-            std::mem::transmute::<Box<dyn Fn(TaskId, TaskCtx) -> Job + Send + '_>, Launch>(launch)
-        };
-
         let supervision = Arc::new(Supervision {
             inner: Mutex::new(SupervisionInner {
                 senders: senders.clone(),
-                injectors: self.injectors.clone(),
-                launch: Some(launch),
-                extra_dispatched: 0,
-                replacements: Vec::new(),
+                incarnate: Some(Box::new(incarnate)),
+                reborn: Vec::new(),
                 orphans: Vec::new(),
                 fault_plan,
             }),
         });
+        let ctx_of = |tid: TaskId, inbox| TaskCtx {
+            tid,
+            senders: RefCell::new(senders.clone()),
+            inbox,
+            fault: fault_plan
+                .filter(|plan| plan.tid == tid)
+                .map(|plan| FaultState {
+                    on_receive: plan.on_receive,
+                    action: plan.action,
+                    received: Cell::new(0),
+                }),
+            supervision: Arc::clone(&supervision),
+            comm: Arc::clone(&comm),
+        };
 
-        let mut dispatched = 0usize;
-        for (tid, inbox) in receivers.into_iter().enumerate() {
-            let ctx = TaskCtx {
-                tid,
-                senders: RefCell::new(senders.clone()),
-                inbox,
-                fault: fault_plan
-                    .filter(|plan| plan.tid == tid)
-                    .map(|plan| FaultState {
-                        on_receive: plan.on_receive,
-                        action: plan.action,
-                        received: Cell::new(0),
-                    }),
-                supervision: Arc::clone(&supervision),
-                comm: Arc::clone(&comm),
-            };
-            let job = {
-                let inner = supervision.lock();
-                (inner.launch.as_ref().expect("installed above"))(tid, ctx)
-            };
-            if self.injectors[tid].send(job).is_ok() {
-                dispatched += 1;
-            }
+        let mut inboxes = inboxes.into_iter();
+        let master_ctx = ctx_of(0, inboxes.next().expect("a farm has a master"));
+        for ((tid, inbox), injector) in (1..).zip(inboxes).zip(&self.injectors) {
+            let ctx = ctx_of(tid, inbox);
+            let job = supervision
+                .lock()
+                .incarnate
+                .as_ref()
+                .expect("installed above")(ctx, 0);
+            injector
+                .send(job)
+                .expect("slave threads live as long as the pool");
         }
         drop(senders); // tasks + supervision hold the only mailbox senders now
-        drop(done_tx); // jobs + the launch factory hold the remaining clones
+        let master = run_task(master, master_ctx);
 
-        let mut results: Vec<Option<TaskOutcome<R>>> = (0..ntasks).map(|_| None).collect();
-        let mut completed = 0usize;
-        // The target is re-read every round: a respawn performed by a
-        // still-running task grows it before that task's own completion
-        // can arrive, so the loop never exits with a reborn incarnation
-        // outstanding.
-        loop {
-            let target = dispatched + supervision.lock().extra_dispatched;
-            if completed >= target {
-                break;
-            }
-            // A disconnect means a worker thread died with its job still
-            // queued (its `done` sender is gone); the unfilled slots below
-            // record that instead of wedging the caller.
-            let Ok((tid, out)) = done_rx.recv() else {
-                break;
-            };
-            completed += 1;
-            // Last write wins: a reborn incarnation's completion (always
-            // later on the FIFO done channel) supersedes the record of the
-            // incarnation it replaced.
-            results[tid] = Some(match out {
-                Ok(r) => TaskOutcome::Done(r),
-                Err(message) => TaskOutcome::Panicked(message),
-            });
-        }
-
-        // Retire the run: drop the launch factory (and its borrows of this
-        // frame) and adopt fallback threads spawned mid-run into the pool.
-        let replacements = {
+        // Retire supervision: no incarnation is admitted past the master's
+        // return, and dropping the factory leaves the incarnations holding
+        // the only `done` senders, so the drain ends when the last one
+        // finishes. Each task keeps its latest incarnation's outcome: a
+        // straggler that finishes after its replacement does not
+        // overwrite it.
+        let reborn = {
             let mut inner = supervision.lock();
-            inner.launch = None;
-            std::mem::take(&mut inner.replacements)
+            inner.incarnate = None;
+            std::mem::take(&mut inner.reborn)
         };
-        for (tid, tx, handle) in replacements {
-            self.injectors[tid] = tx;
-            let old = std::mem::replace(&mut self.handles[tid], handle);
-            let _ = old.join(); // dead — that is why the fallback exists
-            self.respawned += 1;
+        let mut slaves: Vec<Option<(usize, Result<RS, String>)>> =
+            (1..ntasks).map(|_| None).collect();
+        for (tid, incarnation, out) in done_rx {
+            let slot = &mut slaves[tid - 1];
+            if slot
+                .as_ref()
+                .is_none_or(|(latest, _)| incarnation > *latest)
+            {
+                *slot = Some((incarnation, out));
+            }
         }
-        // Every task has completed (or provably died), so the totals are
-        // final; publish them for the caller's telemetry.
+        for thread in reborn {
+            let _ = thread.join();
+        }
+        // Every incarnation has finished, so the totals are final; publish
+        // them for the caller's telemetry.
         self.last_comm = comm.iter().map(CommCell::snapshot).collect();
 
-        results
+        let slaves = slaves
             .into_iter()
-            .map(|r| r.unwrap_or_else(|| TaskOutcome::Panicked("pool worker thread died".into())))
-            .collect()
+            .map(|slot| outcome(slot.expect("every slave job reports").1))
+            .collect();
+        (outcome(master), slaves)
     }
 }
 
@@ -796,8 +712,8 @@ impl Drop for WorkerPool {
 /// (or a `core` Engine) instead.
 pub fn run_farm<R, F>(ntasks: usize, f: F) -> Result<Vec<R>, FarmError>
 where
-    R: Send,
-    F: Fn(TaskCtx) -> R + Sync,
+    R: Send + 'static,
+    F: Fn(TaskCtx) -> R + Send + Sync + 'static,
 {
     WorkerPool::new(ntasks).run(f)
 }
@@ -855,7 +771,7 @@ mod tests {
     #[test]
     fn master_gathers_from_all_slaves() {
         let p = 4;
-        let r = run_farm(p + 1, |ctx| {
+        let r = run_farm(p + 1, move |ctx| {
             if ctx.tid() == 0 {
                 let mut sum = 0i64;
                 for _ in 0..p {
@@ -954,10 +870,8 @@ mod tests {
             supervision: Arc::new(Supervision {
                 inner: Mutex::new(SupervisionInner {
                     senders: Vec::new(),
-                    injectors: Vec::new(),
-                    launch: None,
-                    extra_dispatched: 0,
-                    replacements: Vec::new(),
+                    incarnate: None,
+                    reborn: Vec::new(),
                     orphans: Vec::new(),
                     fault_plan: None,
                 }),
@@ -1029,7 +943,12 @@ mod tests {
         let ids1 = pool.run(|_ctx| std::thread::current().id()).unwrap();
         let ids2 = pool.run(|_ctx| std::thread::current().id()).unwrap();
         assert_eq!(ids1, ids2, "runs landed on different threads");
-        assert_eq!(ids1, before, "jobs ran off-pool");
+        assert_eq!(
+            ids1[0],
+            std::thread::current().id(),
+            "master ran off the caller"
+        );
+        assert_eq!(ids1[1..], before, "slave jobs ran off-pool");
         assert_eq!(pool.thread_ids(), before, "pool respawned threads");
     }
 
@@ -1092,42 +1011,23 @@ mod tests {
     }
 
     #[test]
-    fn pool_replaces_dead_threads() {
-        let mut pool = WorkerPool::new(3);
-        let before = pool.thread_ids();
-        pool.kill_thread(1);
-        assert_eq!(pool.respawned_threads(), 0, "healing is lazy");
-        // The next run heals the pool: task 1 lands on a fresh thread,
-        // the survivors keep theirs, and the farm is whole again.
-        let ids = pool.run(|_ctx| std::thread::current().id()).unwrap();
-        assert_eq!(pool.respawned_threads(), 1);
-        assert_eq!(ids[0], before[0]);
-        assert_eq!(ids[2], before[2]);
-        assert_ne!(ids[1], before[1], "dead thread was not replaced");
-        // Subsequent runs reuse the healed thread.
-        let again = pool.run(|_ctx| std::thread::current().id()).unwrap();
-        assert_eq!(again, ids);
-        assert_eq!(pool.respawned_threads(), 1);
-    }
-
-    #[test]
     fn fault_plan_kills_chosen_task_on_chosen_receive() {
         let mut pool = WorkerPool::new(2);
         pool.set_fault_plan(FaultPlan::kill(1, 2));
-        let outcomes = pool.run_collect(|ctx| {
-            if ctx.tid() == 0 {
+        let (master, slaves) = pool.run_collect(
+            |ctx| {
                 ctx.send(1, 1, &Num(1)).unwrap();
                 ctx.send(1, 1, &Num(2)).unwrap();
-                0
-            } else {
+            },
+            |ctx| {
                 let a = ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap().0;
                 // The fault fires inside this second receive.
                 let b = ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap().0;
                 a + b
-            }
-        });
-        assert!(matches!(outcomes[0], TaskOutcome::Done(0)));
-        match &outcomes[1] {
+            },
+        );
+        assert!(matches!(master, TaskOutcome::Done(())));
+        match &slaves[0] {
             TaskOutcome::Panicked(msg) => assert!(msg.contains("fault injection"), "{msg:?}"),
             other => panic!("task 1 survived its fault: {other:?}"),
         }
@@ -1140,17 +1040,15 @@ mod tests {
     fn fault_plan_delays_chosen_task() {
         let mut pool = WorkerPool::new(2);
         pool.set_fault_plan(FaultPlan::delay(1, 1, Duration::from_millis(150)));
-        let outcomes = pool.run_collect(|ctx| {
-            if ctx.tid() == 0 {
-                ctx.send(1, 1, &Num(7)).unwrap();
-                Duration::ZERO
-            } else {
+        let (_, slaves) = pool.run_collect(
+            |ctx| ctx.send(1, 1, &Num(7)).unwrap(),
+            |ctx| {
                 let start = std::time::Instant::now();
                 ctx.recv_timeout(T).unwrap();
                 start.elapsed()
-            }
-        });
-        match outcomes[1] {
+            },
+        );
+        match slaves[0] {
             TaskOutcome::Done(elapsed) => assert!(
                 elapsed >= Duration::from_millis(150),
                 "delay fault did not stall the receive: {elapsed:?}"
@@ -1161,23 +1059,26 @@ mod tests {
 
     #[test]
     fn run_collect_reports_survivors_alongside_panics() {
-        let outcomes = WorkerPool::new(3).run_collect(|ctx| {
-            if ctx.tid() == 1 {
-                panic!("down");
-            }
-            ctx.tid() * 10
-        });
-        assert!(matches!(outcomes[0], TaskOutcome::Done(0)));
-        assert!(matches!(outcomes[1], TaskOutcome::Panicked(_)));
-        assert!(matches!(outcomes[2], TaskOutcome::Done(20)));
+        let (master, slaves) = WorkerPool::new(3).run_collect(
+            |ctx| ctx.tid(),
+            |ctx| {
+                if ctx.tid() == 1 {
+                    panic!("down");
+                }
+                ctx.tid() * 10
+            },
+        );
+        assert!(matches!(master, TaskOutcome::Done(0)));
+        assert!(matches!(slaves[0], TaskOutcome::Panicked(_)));
+        assert!(matches!(slaves[1], TaskOutcome::Done(20)));
     }
 
     #[test]
     fn respawn_revives_a_killed_task_mid_run() {
         let mut pool = WorkerPool::new(2);
         pool.set_fault_plan(FaultPlan::kill(1, 1));
-        let outcomes = pool.run_collect(|ctx| {
-            if ctx.tid() == 0 {
+        let (master, slaves) = pool.run_collect(
+            |ctx| {
                 // The first incarnation of task 1 dies inside this delivery.
                 ctx.send(1, 1, &Num(21)).unwrap();
                 assert!(matches!(
@@ -1188,31 +1089,64 @@ mod tests {
                 assert!(ctx.respawn(1));
                 ctx.send(1, 1, &Num(21)).unwrap();
                 ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap().0
-            } else {
+            },
+            |ctx| {
                 let n = ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap().0;
                 ctx.send(0, 2, &Num(n * 2)).unwrap();
                 n
-            }
-        });
-        match &outcomes[0] {
+            },
+        );
+        match &master {
             TaskOutcome::Done(n) => assert_eq!(*n, 42),
             other => panic!("master failed: {other:?}"),
         }
         // The reborn incarnation's completion supersedes the panic record.
-        match &outcomes[1] {
+        match &slaves[0] {
             TaskOutcome::Done(n) => assert_eq!(*n, 21),
             other => panic!("reborn task not recorded: {other:?}"),
         }
-        // The panic was task-level: no thread died, none was rebuilt.
-        assert_eq!(pool.respawned_threads(), 0);
+    }
+
+    #[test]
+    fn a_reborn_incarnation_does_not_wait_for_its_straggler() {
+        // The first incarnation of task 1 is still asleep when the master
+        // replaces it; the reborn one runs on its own thread, answers at
+        // once, and keeps the outcome slot although the straggler
+        // finishes after it.
+        let mut pool = WorkerPool::new(2);
+        pool.set_fault_plan(FaultPlan::delay(1, 1, Duration::from_millis(400)));
+        let (master, slaves) = pool.run_collect(
+            |ctx| {
+                ctx.send(1, 1, &Num(1)).unwrap(); // the straggler sleeps on this
+                assert!(ctx.respawn(1));
+                let start = std::time::Instant::now();
+                ctx.send(1, 1, &Num(2)).unwrap();
+                let reply = ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap();
+                (reply, start.elapsed())
+            },
+            |ctx| {
+                let n = ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap().0;
+                let _ = ctx.send(0, 2, &Num(n));
+                n
+            },
+        );
+        let TaskOutcome::Done((reply, waited)) = master else {
+            panic!("master failed: {master:?}");
+        };
+        assert_eq!(reply, Num(2), "the straggler answered first");
+        assert!(
+            waited < Duration::from_millis(300),
+            "reborn waited {waited:?}"
+        );
+        assert!(matches!(slaves[0], TaskOutcome::Done(2)), "{:?}", slaves[0]);
     }
 
     #[test]
     fn kill_repeatedly_downs_every_incarnation() {
         let mut pool = WorkerPool::new(2);
         pool.set_fault_plan(FaultPlan::kill_repeatedly(1, 1));
-        let outcomes = pool.run_collect(|ctx| {
-            if ctx.tid() == 0 {
+        let (master, slaves) = pool.run_collect(
+            |ctx| {
                 ctx.send(1, 1, &Num(1)).unwrap();
                 for _ in 0..2 {
                     assert!(matches!(
@@ -1226,16 +1160,16 @@ mod tests {
                     ctx.recv_timeout(Duration::from_millis(200)),
                     Err(CommError::Timeout)
                 ));
-                0
-            } else {
+            },
+            |ctx| {
                 // Every incarnation dies inside its first delivery.
                 let n = ctx.recv_timeout(T).unwrap().decode::<Num>().unwrap().0;
                 ctx.send(0, 2, &Num(n)).unwrap();
                 n
-            }
-        });
-        assert!(matches!(outcomes[0], TaskOutcome::Done(0)));
-        match &outcomes[1] {
+            },
+        );
+        assert!(matches!(master, TaskOutcome::Done(())));
+        match &slaves[0] {
             TaskOutcome::Panicked(msg) => assert!(msg.contains("fault injection"), "{msg:?}"),
             other => panic!("kill_repeatedly let an incarnation live: {other:?}"),
         }
@@ -1244,15 +1178,15 @@ mod tests {
     #[test]
     fn notify_orphans_wakes_superseded_incarnations() {
         let mut pool = WorkerPool::new(2);
-        let outcomes = pool.run_collect(|ctx| {
-            if ctx.tid() == 0 {
+        let (master, slaves) = pool.run_collect(
+            |ctx| {
                 ctx.send(1, 1, &Num(1)).unwrap(); // first incarnation consumes this
                 ctx.recv_timeout(T).unwrap(); // ack: it is now parked in recv()
                 assert!(ctx.respawn(1)); // supersede it while it still lives
                 ctx.send(1, 9, &Num(0)).unwrap(); // reborn incarnation exits on tag 9
                 ctx.notify_orphans(9); // ...and so must the orphan
-                0
-            } else {
+            },
+            |ctx| {
                 let mut seen = 0;
                 loop {
                     // Blocking receive on purpose: without the nudge the
@@ -1264,13 +1198,14 @@ mod tests {
                     seen += 1;
                     let _ = ctx.send(0, 2, &Num(seen));
                 }
-            }
-        });
-        assert!(matches!(outcomes[0], TaskOutcome::Done(0)));
-        // Both incarnations exited cleanly (3 completions were collected:
-        // 2 dispatched + 1 respawned); whichever lands last wins the slot.
-        match outcomes[1] {
-            TaskOutcome::Done(n) => assert!(n <= 1),
+            },
+        );
+        assert!(matches!(master, TaskOutcome::Done(())));
+        // Both incarnations exited cleanly; the slot holds the reborn
+        // incarnation's result (it saw only the exit tag), not the
+        // orphan's.
+        match slaves[0] {
+            TaskOutcome::Done(n) => assert_eq!(n, 0),
             ref other => panic!("an incarnation failed: {other:?}"),
         }
     }

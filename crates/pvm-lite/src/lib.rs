@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod farm;
@@ -59,4 +60,4 @@ pub use netfault::{NetFaultAction, NetFaultPlan, NetFaultState};
 pub use socket::{
     Endpoint, FramedConn, FramedListener, HubStats, SocketError, SocketHub, SocketTransport,
 };
-pub use transport::{InProc, Transport};
+pub use transport::Transport;

@@ -568,10 +568,6 @@ impl Transport for SocketTransport {
         Ok(self.inbox.recv_timeout(timeout)?)
     }
 
-    fn try_recv(&self) -> Option<Envelope> {
-        self.inbox.try_recv().ok()
-    }
-
     fn comm_stats(&self) -> CommStats {
         self.comm.snapshot()
     }
@@ -977,15 +973,6 @@ impl Transport for SocketHub {
             };
             if let Some(env) = self.admit(inbox.recv_timeout(remaining)?) {
                 return Ok(env);
-            }
-        }
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        let inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(env) = self.admit(inbox.try_recv().ok()?) {
-                return Some(env);
             }
         }
     }

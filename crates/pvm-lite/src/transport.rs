@@ -8,7 +8,7 @@
 //! [`broadcast`](Transport::broadcast)) so the same protocol code runs
 //! over two very different substrates:
 //!
-//! * **`InProc`** — the `std::sync::mpsc` mailboxes of [`TaskCtx`]; the
+//! * **In-process** — the `std::sync::mpsc` mailboxes of [`TaskCtx`]; the
 //!   trait impl delegates to the inherent methods, so behavior (and
 //!   bit-level determinism) is unchanged.
 //! * **Sockets** — [`crate::socket`]: the same envelopes as
@@ -23,10 +23,6 @@
 use crate::codec::Wire;
 use crate::farm::{CommError, CommStats, Envelope, TaskCtx, TaskId};
 use std::time::Duration;
-
-/// In-process transport: the channel-backed [`TaskCtx`] mailboxes, under
-/// the name the two-backend architecture uses for them.
-pub type InProc = TaskCtx;
 
 /// A task's endpoint in some message-passing substrate.
 ///
@@ -55,9 +51,6 @@ pub trait Transport {
     /// Block until a message arrives or the timeout elapses. Timeouts too
     /// large for a deadline mean "wait forever".
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, CommError>;
-
-    /// Non-blocking receive.
-    fn try_recv(&self) -> Option<Envelope>;
 
     /// This endpoint's cumulative communication totals.
     fn comm_stats(&self) -> CommStats;
@@ -116,10 +109,6 @@ impl Transport for TaskCtx {
         TaskCtx::recv_timeout(self, timeout)
     }
 
-    fn try_recv(&self) -> Option<Envelope> {
-        TaskCtx::try_recv(self)
-    }
-
     fn comm_stats(&self) -> CommStats {
         TaskCtx::comm_stats(self)
     }
@@ -150,7 +139,7 @@ mod tests {
         }
     }
 
-    /// Protocol code written against the trait, exercised over InProc.
+    /// Protocol code written against the trait, exercised in process.
     fn ping<C: Transport>(ctx: &C) -> i64 {
         if ctx.tid() == 0 {
             ctx.send(1, 1, &Num(20)).unwrap();

@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cets;
 pub mod diversify;

@@ -172,22 +172,35 @@ for mode in cts2 ats; do
     || { echo "error: mode $mode fault smoke did not report the loss" >&2; exit 1; }
 done
 
-step "resurrection smoke (restart budget heals the kill, exit 0)"
-# Same kill as above, but with a restart budget: the master must resurrect
-# the worker, finish with zero losses and exit clean.
-for mode in cts2 ats; do
+step "resurrection smoke (restart budget heals the kill and the straggler, exit 0)"
+# resurrection_smoke MODE WANT FLAGS... — a solve with FLAGS must exit 0,
+# print a line starting with WANT and no `lost workers` line.
+resurrection_smoke() {
+  local mode=$1 want=$2 out
+  shift 2
   out="$(cargo run --release --offline --locked -p mkp-cli -- \
     solve "$tmp_mkp" --mode "$mode" --p 4 --rounds 3 --budget 60000 --seed 1 \
-    --timeout 2 --fault kill@1:1 --restarts 2 --backoff 10 2>&1)" \
-    || { echo "error: mode $mode resurrection smoke exited non-zero" >&2; \
+    "$@" 2>&1)" \
+    || { echo "error: mode $mode resurrection smoke ($*) exited non-zero" >&2; \
          echo "$out" >&2; exit 1; }
-  echo "$out" | grep -q '^resurrections: ' \
-    || { echo "error: mode $mode resurrection smoke never revived" >&2; exit 1; }
+  echo "$out" | grep -q "^$want" \
+    || { echo "error: mode $mode resurrection smoke ($*) did not print '$want'" >&2; \
+         echo "$out" >&2; exit 1; }
   if echo "$out" | grep -q '^lost workers'; then
-    echo "error: mode $mode resurrection smoke still lost workers" >&2
+    echo "error: mode $mode resurrection smoke ($*) still lost workers" >&2
     echo "$out" >&2
     exit 1
   fi
+}
+# Same kill as above, but with a restart budget: the master must resurrect
+# the worker, finish with zero losses and exit clean. The straggler stays
+# alive far past its deadline; its reborn incarnation must not wait for
+# it, so one restart revives the worker.
+for mode in cts2 ats; do
+  resurrection_smoke "$mode" 'resurrections: ' \
+    --timeout 2 --fault kill@1:1 --restarts 2 --backoff 10
+  resurrection_smoke "$mode" 'resurrections: 1 ' \
+    --timeout 1 --fault delay@1:1:3000 --restarts 1 --backoff 10
 done
 
 step "checkpoint/resume smoke (resume outlives a post-checkpoint kill)"

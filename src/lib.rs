@@ -22,6 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use mkp;
 pub use mkp_exact;

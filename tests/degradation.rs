@@ -3,7 +3,6 @@
 //! and only losing the *last* worker is an error.
 
 use pts_mkp::prelude::*;
-use pvm_lite::WorkerPool;
 use std::time::Duration;
 
 fn small_instance() -> Instance {
@@ -158,19 +157,4 @@ fn degraded_engine_pool_heals_for_the_next_run() {
     assert!(!clean.is_degraded());
     assert!(clean.best.value() >= degraded.best.value() || clean.best.is_feasible(&inst));
     assert_eq!(engine.spawned_threads(), spawned);
-}
-
-#[test]
-fn worker_pool_replaces_a_dead_thread() {
-    // The pvm-lite healing path end to end: kill an OS thread, watch the
-    // pool respawn it on the next run.
-    let mut pool = WorkerPool::new(4);
-    let before = pool.thread_ids();
-    pool.kill_thread(2);
-    let r = pool.run(|ctx| ctx.tid()).unwrap();
-    assert_eq!(r, vec![0, 1, 2, 3]);
-    assert_eq!(pool.respawned_threads(), 1);
-    let after = pool.thread_ids();
-    assert_ne!(before[2], after[2], "dead thread not replaced");
-    assert_eq!(before[0], after[0], "healthy thread respawned");
 }

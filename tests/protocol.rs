@@ -47,7 +47,7 @@ fn full_master_slave_exchange_over_the_farm() {
         },
     );
     let p = 3;
-    let results = run_farm(p + 1, |ctx| {
+    let results = run_farm(p + 1, move |ctx| {
         if ctx.tid() == 0 {
             let problem = ProblemMsg::from_instance(&inst);
             for s in 1..=p {

@@ -162,20 +162,16 @@ fn delayed_straggler_report_is_dropped_by_epoch_not_processed() {
     // dropped by the epoch check — visible in `epochs_dropped` — rather
     // than processed twice or crashing the gather.
     //
-    // Timing: unlike a killed slave, a delayed one *survives* and keeps
-    // its pool thread until it gives up on the silent master, so the
-    // reborn incarnation (queued on the same thread) only runs after the
-    // straggler's patience expires. The schedule below makes that fit
-    // inside the first rebirth window: the straggler wakes at ~700 ms,
-    // files its stale report, idles out after the explicit 600 ms
-    // patience (~1305 ms) — well before the rebirth gather deadline
-    // (600 ms round timeout + 400 ms backoff + 600 ms gather = 1600 ms).
-    // The stale report lands during the backoff, so the rebirth gather
-    // dequeues it first and must count it in `epochs_dropped`. The short
-    // patience also makes the *healthy* slaves give up during the long
-    // rebirth round, so it must be the final round: nothing further is
-    // asked of them, and their early exit is the benign kind the master
-    // never observes.
+    // Timing: unlike a killed slave, a delayed one *survives* the
+    // deadline and keeps its pool thread, while the reborn incarnation
+    // starts at once on a thread of its own. The straggler wakes at
+    // ~700 ms and files its stale report during the rebirth's backoff
+    // (600 ms round timeout + 400 ms backoff = 1000 ms), so the rebirth
+    // gather dequeues it before the redo's report and must count it in
+    // `epochs_dropped`. The short 600 ms patience makes the *healthy*
+    // slaves give up during the long rebirth round, so it must be the
+    // final round: nothing further is asked of them, and their early
+    // exit is the benign kind the master never observes.
     let inst = small_instance();
     let cfg = RunConfig {
         p: 4,
@@ -206,6 +202,35 @@ fn delayed_straggler_report_is_dropped_by_epoch_not_processed() {
     // 4 workers x 2 rounds of accepted reports, plus the rebirth redo,
     // minus the one the straggler never usefully delivered.
     assert_eq!(t.counter(0, Counter::ReportsReceived), 8);
+}
+
+#[test]
+fn a_straggler_is_revived_without_waiting_out_its_patience() {
+    // Worker 1 sleeps 2 s on its round-1 assignment, far past the 300 ms
+    // deadline, and stays alive: its slave patience is 30 s. The reborn
+    // incarnation must not wait for it, so the redo reports inside the
+    // rebirth's own 300 ms window and the worker is revived, not lost.
+    let inst = small_instance();
+    let cfg = RunConfig {
+        p: 3,
+        rounds: 3,
+        report_timeout: Duration::from_millis(300),
+        max_restarts: 1,
+        restart_backoff: Duration::from_millis(10),
+        slave_patience: Some(Duration::from_secs(30)),
+        ..RunConfig::new(60_000, 19)
+    };
+    let mut engine = Engine::new(3);
+    engine.inject_fault(fault_at_round(
+        1,
+        1,
+        FaultAction::Delay(Duration::from_secs(2)),
+    ));
+    let r = engine.run(&inst, Mode::CooperativeAdaptive, &cfg).unwrap();
+    assert!(r.lost_workers.is_empty(), "{:?}", r.lost_workers);
+    assert_eq!(r.resurrections.len(), 1, "{:?}", r.resurrections);
+    assert_eq!(r.resurrections[0].worker, 1);
+    assert_eq!(r.round_best.len(), cfg.rounds);
 }
 
 #[test]
