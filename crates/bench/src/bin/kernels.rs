@@ -128,6 +128,22 @@ fn bench_lp(h: &mut Harness) {
             black_box(mkp_exact::bounds::lp_bound(&inst).unwrap().objective)
         });
     }
+    // The ledger's L2, whose LP the CORE policy solves on `large-core`:
+    // about 60 of its 100 duals are nonzero at a pricing, so the
+    // four-row pricing blocks carry the solve.
+    let l2 = large_instance(
+        "b",
+        LargeSpec {
+            n: 2500,
+            m: 100,
+            tightness: 0.25,
+            correlation: 0.5,
+            seed: 12,
+        },
+    );
+    h.bench("lp_relaxation 100x2500", || {
+        black_box(mkp_exact::bounds::lp_bound(&l2).unwrap().objective)
+    });
 }
 
 fn bench_exact(h: &mut Harness) {

@@ -9,7 +9,8 @@
 //!
 //! 1. solves the LP relaxation with the in-tree simplex crate and ranks the
 //!    variables by |reduced cost| (`mkp_exact::bounds`) — once per run,
-//!    since the ranking depends on the instance alone;
+//!    since the ranking depends on the instance alone, and beside the
+//!    construction of the ISP's starts, which depend on the rng alone;
 //! 2. fixes the confident ones — integral in the LP and far from zero
 //!    reduced cost — via [`mkp::restrict::Restriction`], keeping at least a
 //!    [`CORE_MIN`]-sized core free;
@@ -49,8 +50,8 @@ const INTEGRALITY_EPS: f64 = 1e-6;
 pub struct CorePolicy {
     inner: FarmPolicy,
     /// The fixing candidates, most confident first (see
-    /// [`CorePolicy::rank`]); `None` until the run's first
-    /// identification. Not checkpointed: a restored policy recomputes it.
+    /// [`CorePolicy::rank`]); `None` until `prepare` ranks. Not
+    /// checkpointed: a restored policy recomputes it at its first refix.
     ranking: Option<Vec<(usize, bool)>>,
     forced_in: Vec<usize>,
     forced_out: Vec<usize>,
@@ -109,8 +110,8 @@ impl CorePolicy {
     /// (Re-)identify the promising core. Confident variables — integral LP
     /// value, largest |reduced cost| — are fixed to their LP value until
     /// only [`Self::core_size`] stay free; a variable the `incumbent`
-    /// disagrees with is never fixed. The LP is solved at the run's first
-    /// identification only. Any LP failure or restriction error degrades
+    /// disagrees with is never fixed. The LP is solved only when no
+    /// ranking is held yet. Any LP failure or restriction error degrades
     /// to an empty fixing (plain CTS2 over the full space).
     fn identify_core(&mut self, inst: &Instance, incumbent: Option<&BitVec>) {
         self.forced_in.clear();
@@ -182,9 +183,22 @@ impl CoopPolicy for CorePolicy {
         self.inner.relink(cfg)
     }
 
+    /// The inner policy's starts and strategies depend on the rng alone
+    /// and the ranking on the instance alone, so the inner prepare runs on
+    /// a scoped thread while this thread solves the LP. The LP stays on the calling thread: on a
+    /// fresh thread its matrix would land in a fresh malloc arena and
+    /// raise the peak resident set.
     fn prepare(&mut self, inst: &Instance, cfg: &RunConfig, rng: &mut Xoshiro256) -> Vec<Solution> {
-        let starts = self.inner.prepare(inst, cfg, rng);
-        self.ranking = None;
+        let inner = &mut self.inner;
+        let (starts, ranking) = std::thread::scope(|scope| {
+            let starts = scope.spawn(|| inner.prepare(inst, cfg, rng));
+            let ranking = Self::rank(inst);
+            match starts.join() {
+                Ok(starts) => (starts, ranking),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        });
+        self.ranking = Some(ranking);
         self.incumbent = None;
         self.last_refix = 0;
         self.identify_core(inst, None);
@@ -349,6 +363,22 @@ mod tests {
         assert_eq!(fixed, inst.n() - CorePolicy::core_size(inst.n()));
         // The fixing must build a legal restriction.
         Restriction::new(&inst, &policy.forced_in, &policy.forced_out).unwrap();
+    }
+
+    #[test]
+    fn prepare_matches_the_serial_starts_and_ranking() {
+        // The starts built beside the LP are the ones a serial prepare
+        // builds, the rng ends where it would, and the ranking is the LP's.
+        let inst = inst();
+        let cfg = cfg(3);
+        let mut rng = Xoshiro256::seed_from_u64(3);
+        let mut policy = CorePolicy::new();
+        let starts = policy.prepare(&inst, &cfg, &mut rng);
+        let mut serial_rng = Xoshiro256::seed_from_u64(3);
+        let serial = FarmPolicy::cooperative_adaptive().prepare(&inst, &cfg, &mut serial_rng);
+        assert_eq!(starts, serial);
+        assert_eq!(rng.next_u64(), serial_rng.next_u64());
+        assert_eq!(policy.ranking, Some(CorePolicy::rank(&inst)));
     }
 
     #[test]

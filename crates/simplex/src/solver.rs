@@ -12,11 +12,25 @@ const BLAND_AFTER_DEGENERATE: usize = 40;
 /// Reinvert the basis from scratch this often for numerical hygiene.
 const REINVERT_EVERY: usize = 128;
 
+/// Variable status. The discriminant is the sign under which a reduced
+/// cost `d_q` makes the variable eligible to enter: +1 at the lower bound
+/// (it may rise), −1 at the upper bound (it may fall), 0 when basic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(i8)]
 enum Status {
-    Basic,
-    AtLower,
-    AtUpper,
+    Basic = 0,
+    AtLower = 1,
+    AtUpper = -1,
+}
+
+impl Status {
+    /// The eligibility sign, read from the discriminant without a branch:
+    /// `sign · d_q` is `|d_q|` for an eligible variable and at most `TOL`
+    /// for any other.
+    #[inline]
+    fn sign(self) -> f64 {
+        f64::from(self as i8)
+    }
 }
 
 /// Solve a bounded-variable LP. See the crate docs for the accepted form.
@@ -110,21 +124,40 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Reduced costs `d = c − Aᵀy` of all `n + m` variables, priced one
-    /// constraint row at a time: the matrix is row-major, so this reads it
-    /// sequentially. Each `d_j` still subtracts its terms in row order and
-    /// skips zero entries, so its bits are those of a column walk.
-    fn price(&self, y: &[f64], d: &mut [f64]) {
+    /// Reduced costs `d = c − Aᵀy` of all `n + m` variables, priced over
+    /// the tight rows only, those whose dual is nonzero: `y` is exactly
+    /// zero on every row whose slack is basic. The tight rows go four per
+    /// pass over the row-major matrix, each `d_j` held in a register across
+    /// the block, then the leftover rows one at a time. Each `d_j`
+    /// subtracts its terms in ascending row order, so it has the bits of a
+    /// column walk over every row that skips zero entries, up to the sign
+    /// of an exact zero: a skipped row subtracts nothing where the walk
+    /// subtracts `0.0·a`, and a zero entry subtracts `y_i·0.0` where the
+    /// walk subtracts nothing. No pivot decision reads that sign, since
+    /// eligibility compares against `±TOL`. `tight` is the caller's
+    /// row-list buffer.
+    fn price(&self, y: &[f64], d: &mut [f64], tight: &mut Vec<usize>) {
         let n = self.n;
         d[..n].copy_from_slice(self.p.c());
-        for i in 0..self.m {
-            let yi = y[i];
-            for (dj, &a) in d[..n].iter_mut().zip(self.p.row(i)) {
-                // `x − 0.0` is `x` for every x, so this is the skip,
-                // written so the loop vectorizes.
-                *dj -= if a != 0.0 { yi * a } else { 0.0 };
+        tight.clear();
+        tight.extend((0..self.m).filter(|&i| y[i] != 0.0));
+        let mut blocks = tight.chunks_exact(4);
+        for block in &mut blocks {
+            let (y0, y1, y2, y3) = (y[block[0]], y[block[1]], y[block[2]], y[block[3]]);
+            let rows = self.p.row(block[0]).iter().zip(self.p.row(block[1]));
+            let rows = rows.zip(self.p.row(block[2])).zip(self.p.row(block[3]));
+            for (dj, (((a0, a1), a2), a3)) in d[..n].iter_mut().zip(rows) {
+                *dj = *dj - y0 * a0 - y1 * a1 - y2 * a2 - y3 * a3;
             }
-            d[n + i] = -yi;
+        }
+        for &i in blocks.remainder() {
+            let yi = y[i];
+            for (dj, a) in d[..n].iter_mut().zip(self.p.row(i)) {
+                *dj -= yi * a;
+            }
+        }
+        for (di, &yi) in d[n..].iter_mut().zip(y) {
+            *di = -yi;
         }
     }
 
@@ -134,8 +167,9 @@ impl<'a> Simplex<'a> {
         let mut w = vec![0.0; self.m];
         let mut y = vec![0.0; self.m];
         let mut d = vec![0.0; self.n + self.m];
+        let mut tight = Vec::with_capacity(self.m);
         self.duals(&mut y);
-        self.price(&y, &mut d);
+        self.price(&y, &mut d, &mut tight);
         loop {
             if self.pivots > limit {
                 return Err(LpError::IterationLimit { limit });
@@ -216,34 +250,30 @@ impl<'a> Simplex<'a> {
                         self.reinvert();
                     }
                     self.duals(&mut y);
-                    self.price(&y, &mut d);
+                    self.price(&y, &mut d, &mut tight);
                 }
             }
         }
     }
 
     /// Entering-variable choice over the reduced costs `d`: Dantzig
-    /// (largest |reduced cost|) normally, Bland (lowest eligible index)
-    /// under a degenerate streak.
+    /// (largest |reduced cost|, first on ties) normally, Bland (lowest
+    /// eligible index) under a degenerate streak. Both scan the score
+    /// `sign · d_q` (see [`Status::sign`]), which exceeds `TOL` exactly
+    /// when `q` is eligible, so Dantzig's scan is branch-free.
     fn choose_entering(&self, d: &[f64]) -> Option<(usize, f64)> {
-        let bland = self.degenerate_streak >= BLAND_AFTER_DEGENERATE;
-        let mut best: Option<(usize, f64)> = None;
-        for (q, &dq) in d.iter().enumerate() {
-            let eligible = match self.status[q] {
-                Status::Basic => false,
-                Status::AtLower => dq > TOL,
-                Status::AtUpper => dq < -TOL,
-            };
-            if eligible {
-                if bland {
-                    return Some((q, dq));
-                }
-                if best.is_none_or(|(_, bd)| dq.abs() > bd.abs()) {
-                    best = Some((q, dq));
-                }
-            }
+        let mut scores = d.iter().zip(&self.status).map(|(&dq, s)| s.sign() * dq);
+        if self.degenerate_streak >= BLAND_AFTER_DEGENERATE {
+            let q = scores.position(|score| score > TOL)?;
+            return Some((q, d[q]));
         }
-        best
+        let (mut best_q, mut best) = (usize::MAX, TOL);
+        for (q, score) in scores.enumerate() {
+            let better = score > best;
+            best = if better { score } else { best };
+            best_q = if better { q } else { best_q };
+        }
+        (best_q != usize::MAX).then(|| (best_q, d[best_q]))
     }
 
     /// Product-form update of B⁻¹ after the pivot row `r` with direction `w`.
@@ -623,7 +653,8 @@ mod tests {
     /// The pivot path is pinned across versions: pivot count, objective
     /// bits, and hashes of the x and dual bits, as the column-priced
     /// solver produced them. A pricing or ratio-test change that moves
-    /// any pivot changes these.
+    /// any pivot changes these. At the 50×1000 optimum 41 rows are tight,
+    /// so the four-row pricing blocks and their leftover rows both run.
     #[test]
     fn pivot_paths_are_pinned() {
         use mkp::generate::{gk_instance, large_instance, GkSpec, LargeSpec};
@@ -638,16 +669,18 @@ mod tests {
                 },
             )
         };
-        let large = large_instance(
-            "large",
-            LargeSpec {
-                n: 500,
-                m: 25,
-                tightness: 0.25,
-                correlation: 0.5,
-                seed: 12,
-            },
-        );
+        let large = |n, m| {
+            large_instance(
+                "large",
+                LargeSpec {
+                    n,
+                    m,
+                    tightness: 0.25,
+                    correlation: 0.5,
+                    seed: 12,
+                },
+            )
+        };
         let cases = [
             (
                 gk(250, 10),
@@ -664,11 +697,18 @@ mod tests {
                 0x78b4_a4fb_644f_7aba,
             ),
             (
-                large,
+                large(500, 25),
                 330,
                 0x40f4_c685_489f_aace,
                 0x9f0b_8d92_355b_70ff,
                 0x66b5_a59a_28bf_5191,
+            ),
+            (
+                large(1000, 50),
+                661,
+                0x4104_bd37_0abf_2126,
+                0x2ac9_43a6_a852_ba97,
+                0x0710_e601_9360_858f,
             ),
         ];
         for (inst, pivots, objective, x, duals) in cases {
@@ -679,6 +719,124 @@ mod tests {
             assert_eq!(fnv_bits(&s.x), x, "{shape}: x");
             assert_eq!(fnv_bits(&s.duals), duals, "{shape}: duals");
         }
+    }
+
+    /// The pricing the tight-row blocks replaced, kept as their reference:
+    /// every row, one at a time, zero duals included. Each `d_j` subtracts
+    /// its terms in row order and skips zero entries, so its bits are
+    /// those of a column walk.
+    fn price_every_row(s: &Simplex, y: &[f64], d: &mut [f64]) {
+        let n = s.n;
+        d[..n].copy_from_slice(s.p.c());
+        for i in 0..s.m {
+            let yi = y[i];
+            for (dj, &a) in d[..n].iter_mut().zip(s.p.row(i)) {
+                *dj -= if a != 0.0 { yi * a } else { 0.0 };
+            }
+            d[n + i] = -yi;
+        }
+    }
+
+    /// The entering choice the branch-free scan replaced, kept as its
+    /// reference: eligibility by a `Status` match on every variable.
+    fn choose_entering_by_status(s: &Simplex, d: &[f64]) -> Option<(usize, f64)> {
+        let bland = s.degenerate_streak >= BLAND_AFTER_DEGENERATE;
+        let mut best: Option<(usize, f64)> = None;
+        for (q, &dq) in d.iter().enumerate() {
+            let eligible = match s.status[q] {
+                Status::Basic => false,
+                Status::AtLower => dq > TOL,
+                Status::AtUpper => dq < -TOL,
+            };
+            if eligible {
+                if bland {
+                    return Some((q, dq));
+                }
+                if best.is_none_or(|(_, bd)| dq.abs() > bd.abs()) {
+                    best = Some((q, dq));
+                }
+            }
+        }
+        best
+    }
+
+    /// The tight-row pricing and the branch-free entering choice agree
+    /// with the references above. Matrices hold zero and negative
+    /// entries, duals hold exact zeros, statuses mix freely, and the
+    /// degenerate streak sits on both sides of `BLAND_AFTER_DEGENERATE`.
+    /// `d` must match bit for bit except the sign of an exact zero, and
+    /// the entering `(q, d_q)` must match, both on the priced `d` and on
+    /// a `d` full of ties in `|d|` and values at `±TOL`.
+    #[test]
+    fn prop_pricing_and_entering_match_the_references() {
+        const TIED: [f64; 9] = [0.0, -0.0, TOL, -TOL, 2.0 * TOL, 0.5, -0.5, 1.0, -1.0];
+        const STREAKS: [usize; 4] = [
+            0,
+            BLAND_AFTER_DEGENERATE - 1,
+            BLAND_AFTER_DEGENERATE,
+            BLAND_AFTER_DEGENERATE + 7,
+        ];
+        prop_check!(
+            |rng| {
+                let n = gen::usize_in(rng, 1, 13);
+                let m = gen::usize_in(rng, 1, 12);
+                let streak = STREAKS[rng.index(STREAKS.len())];
+                // c, then A row-major, then y.
+                let len = n + m * n + m;
+                let values = gen::vec_of(rng, len, len, |r| match r.index(8) {
+                    0 | 1 => 0.0,
+                    2 => gen::f64_in(r, -10.0, 0.0),
+                    3 => r.index(3) as f64,
+                    _ => gen::f64_in(r, 0.0, 10.0),
+                });
+                let status = gen::vec_of(rng, n + m, n + m, |r| r.index(3));
+                let tied = gen::vec_of(rng, n + m, n + m, |r| TIED[r.index(TIED.len())]);
+                ((n, m, streak), values, status, tied)
+            },
+            |input| {
+                let ((n, m, streak), values, status, tied) = input;
+                let (n, m) = (*n, *m);
+                if n == 0
+                    || m == 0
+                    || values.len() != n + m * n + m
+                    || status.len() != n + m
+                    || tied.len() != n + m
+                {
+                    return; // shrinking may void the shape invariants
+                }
+                let (c, rest) = values.split_at(n);
+                let (a, y) = rest.split_at(m * n);
+                let p = LpProblem::new(c.to_vec(), a.to_vec(), vec![1.0; m], vec![1.0; n]).unwrap();
+                let mut s = Simplex::new(&p);
+                let statuses = [Status::Basic, Status::AtLower, Status::AtUpper];
+                s.status = status.iter().map(|&k| statuses[k % 3]).collect();
+                s.degenerate_streak = *streak;
+
+                // A stale row list: `price` must not trust the buffer.
+                let mut tight: Vec<usize> = (0..m).rev().collect();
+                let mut d = vec![f64::NAN; n + m];
+                let mut d_ref = vec![f64::NAN; n + m];
+                s.price(y, &mut d, &mut tight);
+                price_every_row(&s, y, &mut d_ref);
+                for (q, (&dq, &rq)) in d.iter().zip(&d_ref).enumerate() {
+                    assert!(
+                        dq.to_bits() == rq.to_bits() || (dq == 0.0 && rq == 0.0),
+                        "d[{q}] = {dq:e}, reference {rq:e}"
+                    );
+                }
+                let bits = |e: Option<(usize, f64)>| e.map(|(q, dq)| (q, dq.to_bits()));
+                assert_eq!(
+                    bits(s.choose_entering(&d)),
+                    bits(choose_entering_by_status(&s, &d_ref)),
+                    "priced d"
+                );
+                assert_eq!(
+                    bits(s.choose_entering(tied)),
+                    bits(choose_entering_by_status(&s, tied)),
+                    "tied d"
+                );
+            }
+        );
     }
 
     /// Random LPs: solver returns a feasible point whose objective

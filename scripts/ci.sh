@@ -145,6 +145,24 @@ for mode in seq cts1; do
     || { echo "error: mode $mode metrics failed validation" >&2; exit 1; }
 done
 
+step "CORE determinism on the large class (metrics identical, validated)"
+# On GK 40x5 at most five LP duals are nonzero, so the simplex's four-row
+# pricing blocks barely run; on large 25x500 they carry the LP. Two
+# identically seeded CORE runs must dump byte-identical metrics.
+tmpfile tmp_large /tmp/ci-large-XXXXXX.mkp
+cargo run --release --offline --locked -p mkp-cli -- \
+  generate "$tmp_large" --class large --n 500 --m 25 --seed 7
+for metrics in "$tmp_m1" "$tmp_m2"; do
+  cargo run --release --offline --locked -p mkp-cli -- \
+    solve "$tmp_large" --mode core --p 2 --rounds 4 --budget 200000 --seed 1 \
+    --metrics "$metrics" > /dev/null
+done
+cmp -s "$tmp_m1" "$tmp_m2" \
+  || { echo "error: core metrics on the large class are not deterministic" >&2; exit 1; }
+cargo run --release --offline --locked -p mkp-cli -- \
+  validate-metrics "$tmp_m1" \
+  || { echo "error: core metrics on the large class failed validation" >&2; exit 1; }
+
 step "telemetry overhead smoke (A/B harness runs, JSON to results/)"
 cargo run --release --offline --locked -p mkp-bench --bin telemetry_overhead -- \
   --smoke --json results/telemetry-overhead-smoke.json
