@@ -600,8 +600,10 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Default `--patience` of `slave`, `serve` and `submit`, matching the
-/// engine's derived slave patience for the default report timeout.
+/// Default `--patience` of `slave`, `serve` and `submit`: the engine's
+/// derived slave patience (`4 × report_timeout + 1 s`) for a 30 s report
+/// timeout. It is far shorter than the 2401 s derived for the default
+/// 600 s report timeout, so a peer that is gone is noticed in minutes.
 const DEFAULT_SLAVE_PATIENCE_SECS: u64 = 121;
 
 /// `--patience SECS` of `slave`, `serve` and `submit`, which wait on a

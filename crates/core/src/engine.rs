@@ -54,7 +54,9 @@ use mkp::restrict::Restriction;
 use mkp::{Instance, Solution, Xoshiro256};
 use mkp_tabu::moves::MoveStats;
 use mkp_tabu::{search, Budget, TsConfig};
-use pvm_lite::{CommStats, FaultAction, FaultPlan, TaskCtx, TaskOutcome, Transport, WorkerPool};
+use pvm_lite::{
+    CommStats, Envelope, FaultAction, FaultPlan, TaskCtx, TaskOutcome, Transport, WorkerPool,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1376,13 +1378,21 @@ fn relink_round(
 
 /// Why a slave loop ended — the remote serve loop reconnects after a
 /// [`Lost`](SlaveExit::Lost) master but exits cleanly after a STOP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum SlaveExit {
     /// The master said STOP: the run is over.
     Stopped,
     /// The master went silent or the transport failed mid-run.
     Lost,
+    /// The master sent a frame that breaks the protocol (named here):
+    /// undecodable, out of order, of an unknown tag, or inconsistent
+    /// with the problem. The slave ends rather than panic on it.
+    Protocol(String),
 }
+
+/// A slave's current problem: the instance, its ratios and the
+/// long-term frequency memory.
+type SlaveJob = (Instance, Ratios, mkp_tabu::history::History);
 
 /// The slave loop: serve the master's instructions until the stop message
 /// (or a dead master) ends the task. A [`tags::PROBLEM`] sets the instance
@@ -1392,7 +1402,9 @@ pub(crate) enum SlaveExit {
 /// between jobs. A [`tags::SEED`] message transplants the long-term
 /// History of a previous incarnation (rebirth) or a checkpointed run
 /// (resume) into this one. A STOP before any problem ends the slave
-/// cleanly; a SEED or ASSIGN before one is a protocol violation.
+/// cleanly; a SEED or ASSIGN before one is a protocol violation, which
+/// ends the loop with [`SlaveExit::Protocol`] like every other frame the
+/// slave cannot act on.
 ///
 /// `patience` is how long the slave waits for each instruction before
 /// concluding the master is gone — in-process callers pass
@@ -1401,75 +1413,97 @@ pub(crate) enum SlaveExit {
 /// can't starve a healthy slave into giving up moments before its next
 /// assignment arrives.
 pub(crate) fn slave_loop<C: Transport>(ctx: &C, patience: Duration, tel: &Telemetry) -> SlaveExit {
-    let tid = ctx.tid();
-    // The current problem, its ratios and the long-term frequency memory.
     // The memory survives across rounds: each round's diversification
     // then targets regions this slave has never visited in the whole
     // session, which is what makes later rounds productive.
-    let mut job: Option<(Instance, Ratios, mkp_tabu::history::History)> = None;
+    let mut job: Option<SlaveJob> = None;
     loop {
         let env = match ctx.recv_timeout(patience) {
             Ok(env) => env,
             Err(_) => return SlaveExit::Lost, // master gone: shut down quietly
         };
-        match env.tag {
-            tags::STOP => return SlaveExit::Stopped,
-            tags::PROBLEM => {
-                // A resumed job re-seeds the History right after, via
-                // SEED, exactly as a checkpoint resume does.
-                let inst = env
-                    .decode::<ProblemMsg>()
-                    .expect("well-formed problem")
-                    .into_instance();
-                let ratios = Ratios::new(&inst);
-                let history = mkp_tabu::history::History::new(inst.n());
-                job = Some((inst, ratios, history));
-            }
-            tags::SEED => {
-                let (inst, _, history) = job
-                    .as_mut()
-                    .expect("protocol violation: SEED before PROBLEM");
-                let seed: SeedMsg = env.decode().expect("well-formed seed");
-                // An empty seed means the worker had no banked memory yet;
-                // keep the fresh History in that case.
-                if seed.history_counts.len() == inst.n() {
-                    *history = mkp_tabu::history::History::from_parts(
-                        seed.history_counts,
-                        seed.history_iterations,
-                    );
-                    tel.add(tid, Counter::HistoryResets, 1);
-                }
-            }
-            tags::ASSIGN => {
-                let (inst, ratios, history) = job
-                    .as_mut()
-                    .expect("protocol violation: ASSIGN before PROBLEM");
-                let assign: AssignMsg = env.decode().expect("well-formed assignment");
-                let (mut msg, stats) = {
-                    let _ts_span = tel.span(tid, SpanKind::TsInner);
-                    serve_assignment(inst, ratios, history, &assign)
-                };
-                tel.add(tid, Counter::MovesExecuted, stats.moves);
-                tel.add(tid, Counter::CandidateEvals, stats.candidate_evals);
-                tel.add(tid, Counter::Drops, stats.drops);
-                tel.add(tid, Counter::Adds, stats.adds);
-                tel.add(tid, Counter::AspirationHits, stats.aspiration_hits);
-                tel.add(tid, Counter::TabuRejections, stats.tabu_rejections);
-                tel.record_max(
-                    tid,
-                    Counter::OscillationMaxDepth,
-                    stats.oscillation_max_depth,
-                );
-                msg.epoch = assign.epoch;
-                msg.history_counts = history.counts().to_vec();
-                msg.history_iterations = history.iterations();
-                if ctx.send(0, tags::REPORT, &msg).is_err() {
-                    return SlaveExit::Lost; // master gone
-                }
-            }
-            other => panic!("unexpected tag {other} in slave"),
+        match obey(ctx, &env, &mut job, tel) {
+            Ok(None) => {}
+            Ok(Some(exit)) => return exit,
+            Err(detail) => return SlaveExit::Protocol(detail),
         }
     }
+}
+
+/// Carry out one instruction of the master: `Ok(Some(exit))` when it
+/// ends the loop, `Err` naming what is wrong with a frame the slave
+/// cannot act on.
+fn obey<C: Transport>(
+    ctx: &C,
+    env: &Envelope,
+    job: &mut Option<SlaveJob>,
+    tel: &Telemetry,
+) -> Result<Option<SlaveExit>, String> {
+    let tid = ctx.tid();
+    match env.tag {
+        tags::STOP => return Ok(Some(SlaveExit::Stopped)),
+        tags::PROBLEM => {
+            // A resumed job re-seeds the History right after, via
+            // SEED, exactly as a checkpoint resume does.
+            let inst = env
+                .decode::<ProblemMsg>()
+                .map_err(|e| format!("undecodable PROBLEM: {e}"))?
+                .try_into_instance()
+                .map_err(|e| format!("invalid instance in PROBLEM: {e}"))?;
+            let ratios = Ratios::new(&inst);
+            let history = mkp_tabu::history::History::new(inst.n());
+            *job = Some((inst, ratios, history));
+        }
+        tags::SEED => {
+            let (inst, _, history) = job.as_mut().ok_or("SEED before PROBLEM")?;
+            let seed: SeedMsg = env.decode().map_err(|e| format!("undecodable SEED: {e}"))?;
+            // An empty seed means the worker had no banked memory yet;
+            // keep the fresh History in that case.
+            if seed.history_counts.len() == inst.n() {
+                *history = mkp_tabu::history::History::from_parts(
+                    seed.history_counts,
+                    seed.history_iterations,
+                );
+                tel.add(tid, Counter::HistoryResets, 1);
+            }
+        }
+        tags::ASSIGN => {
+            let (inst, ratios, history) = job.as_mut().ok_or("ASSIGN before PROBLEM")?;
+            let assign: AssignMsg = env
+                .decode()
+                .map_err(|e| format!("undecodable ASSIGN: {e}"))?;
+            if assign.initial.len() != inst.n() {
+                return Err(format!(
+                    "ASSIGN's start has {} bits for {} items",
+                    assign.initial.len(),
+                    inst.n()
+                ));
+            }
+            let (mut msg, stats) = {
+                let _ts_span = tel.span(tid, SpanKind::TsInner);
+                serve_assignment(inst, ratios, history, &assign)
+            };
+            tel.add(tid, Counter::MovesExecuted, stats.moves);
+            tel.add(tid, Counter::CandidateEvals, stats.candidate_evals);
+            tel.add(tid, Counter::Drops, stats.drops);
+            tel.add(tid, Counter::Adds, stats.adds);
+            tel.add(tid, Counter::AspirationHits, stats.aspiration_hits);
+            tel.add(tid, Counter::TabuRejections, stats.tabu_rejections);
+            tel.record_max(
+                tid,
+                Counter::OscillationMaxDepth,
+                stats.oscillation_max_depth,
+            );
+            msg.epoch = assign.epoch;
+            msg.history_counts = history.counts().to_vec();
+            msg.history_iterations = history.iterations();
+            if ctx.send(0, tags::REPORT, &msg).is_err() {
+                return Ok(Some(SlaveExit::Lost)); // master gone
+            }
+        }
+        other => return Err(format!("unexpected tag {other}")),
+    }
+    Ok(None)
 }
 
 /// Run one assignment to completion and build the report (epoch and
@@ -1588,7 +1622,7 @@ mod tests {
     use super::*;
     use crate::runner::CheckpointCfg;
     use mkp::generate::{gk_instance, GkSpec};
-    use pvm_lite::CommError;
+    use pvm_lite::{CommError, Wire};
 
     fn inst() -> Instance {
         gk_instance(
@@ -1763,6 +1797,69 @@ mod tests {
         );
         for exit in exits {
             assert!(matches!(exit, TaskOutcome::Done(SlaveExit::Stopped)));
+        }
+    }
+
+    #[test]
+    fn a_slave_ends_on_a_malformed_frame_instead_of_panicking() {
+        let inst = inst();
+        let problem = ProblemMsg::from_instance(&inst).to_bytes();
+        let negative = ProblemMsg {
+            weights: vec![-1; inst.n() * inst.m()],
+            ..ProblemMsg::from_instance(&inst)
+        };
+        let seed = SeedMsg {
+            history_counts: vec![0; inst.n()],
+            history_iterations: 0,
+        }
+        .to_bytes();
+        let assign = |n| {
+            let strategy = mkp_tabu::Strategy::default_for(inst.n());
+            AssignMsg::trajectory(mkp::BitVec::zeros(n), strategy, 1_000, 1).to_bytes()
+        };
+        let cases = [
+            ("undecodable PROBLEM", vec![(tags::PROBLEM, vec![1, 2, 3])]),
+            (
+                "invalid instance in PROBLEM",
+                vec![(tags::PROBLEM, negative.to_bytes())],
+            ),
+            ("SEED before PROBLEM", vec![(tags::SEED, seed)]),
+            (
+                "ASSIGN before PROBLEM",
+                vec![(tags::ASSIGN, assign(inst.n()))],
+            ),
+            (
+                "undecodable SEED",
+                vec![(tags::PROBLEM, problem.clone()), (tags::SEED, vec![9])],
+            ),
+            (
+                "undecodable ASSIGN",
+                vec![(tags::PROBLEM, problem.clone()), (tags::ASSIGN, vec![9])],
+            ),
+            (
+                "start has 3 bits for 40 items",
+                vec![(tags::PROBLEM, problem), (tags::ASSIGN, assign(3))],
+            ),
+            ("unexpected tag 99", vec![(99, Vec::new())]),
+        ];
+        let mut pool = WorkerPool::new(2);
+        for (needle, frames) in cases {
+            let tel = Telemetry::new(2);
+            let (_, exits) = pool.run_collect(
+                |ctx| {
+                    for (tag, data) in frames {
+                        Transport::send_bytes(&ctx, 1, tag, data).unwrap();
+                    }
+                },
+                move |ctx| slave_loop(&ctx, Duration::from_secs(5), &tel),
+            );
+            match &exits[0] {
+                TaskOutcome::Done(SlaveExit::Protocol(detail)) => {
+                    assert!(detail.contains(needle), "{needle}: {detail}")
+                }
+                TaskOutcome::Done(exit) => panic!("{needle}: the slave ended with {exit:?}"),
+                TaskOutcome::Panicked(message) => panic!("{needle}: the slave panicked: {message}"),
+            }
         }
     }
 

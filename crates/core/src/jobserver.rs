@@ -27,10 +27,19 @@
 //! directory is private to one server, and a server without a
 //! `state_dir` removes what it spooled when it returns.
 //!
-//! Deadlines and budgets are enforced at quantum boundaries: a job whose
-//! deadline has passed when its turn comes is terminated with `REJECTED`
-//! rather than rescheduled; the evaluation budget is the engine's own
-//! `total_evals` and runs out inside the slice machinery.
+//! The scheduler keeps its jobs in one table, the run queue itself: the
+//! front job runs next and a parked job goes to the back. A client's
+//! in-flight count, an idempotency token's job and an `ATTACH`'s target
+//! are all read from that table and from a bounded ring of finished
+//! jobs' terminal frames; nothing else restates them. One constructor
+//! (`Job::from_submit`) runs every admission check, for a fresh
+//! `SUBMIT` and for one replayed from the journal alike.
+//!
+//! Deadlines and budgets are enforced at quantum boundaries: the
+//! scheduler tick before every turn terminates each job whose deadline
+//! has passed with `REJECTED` rather than reschedule it; the evaluation
+//! budget is the engine's own `total_evals` and runs out inside the
+//! slice machinery.
 //!
 //! The farm behind the scheduler is one persistent pool for the whole
 //! server lifetime: in-process worker threads ([`ServeBackend::InProc`])
@@ -51,8 +60,10 @@
 //! incumbents and terminal outcomes are journaled as they happen (a
 //! park's record is its spool file). A restarted server replays the
 //! journal, re-adopts the spool, and resumes every in-flight job
-//! *bit-identically* from its last parked snapshot. Clients reattach by durable job id (the `ATTACH`
-//! verb, [`attach_job`]) or transparently by idempotent resubmit token
+//! *bit-identically* from its last parked snapshot, provided it passes
+//! the same admission checks a fresh submission would; job ids stay
+//! unique across restarts. Clients reattach by durable job id (the
+//! `ATTACH` verb, [`attach_job`]) or transparently by idempotent resubmit token
 //! ([`submit_job`] retries its own SUBMIT with the same token after a
 //! link drop, and the server answers with the existing job instead of
 //! admitting a duplicate). The journal is compacted — live jobs'
@@ -66,6 +77,7 @@ use crate::engine::{
 };
 use crate::journal::{Journal, Record};
 use crate::messages::{pack_bits, unpack_bits, ProblemMsg};
+use crate::remote::connect_fleet;
 use crate::runner::{Mode, ModeReport, RunConfig};
 use crate::snapshot::Snapshot;
 use crate::telemetry::Telemetry;
@@ -484,7 +496,8 @@ enum Pool {
 
 impl Pool {
     /// Worker capacity: jobs asking for more than this are refused at
-    /// admission, so the persistent pool is never grown mid-serve.
+    /// admission and skipped on recovery, so the persistent pool is never
+    /// grown mid-serve.
     fn capacity(&self) -> usize {
         match self {
             Pool::InProc(engine) => engine.pool_size() - 1, // minus the master task
@@ -546,8 +559,8 @@ struct Job {
 }
 
 /// A finished job's final frame, retained for late `ATTACH`es: replayed
-/// verbatim (same tag, same payload). The token rides along so its
-/// idempotency mapping can be dropped when the terminal is evicted.
+/// verbatim (same tag, same payload). The token rides along so a resent
+/// `SUBMIT` of the finished job is answered with it, too.
 struct Terminal {
     tag: u32,
     payload: Vec<u8>,
@@ -558,21 +571,22 @@ struct Scheduler {
     cfg: ServeConfig,
     pool: Pool,
     writers: HashMap<u64, FramedConn>,
-    jobs: HashMap<u64, Job>,
-    runq: VecDeque<u64>,
-    inflight: HashMap<u64, usize>,
+    /// Every live job, in round-robin order: the front job runs next, a
+    /// parked job goes to the back. The job whose turn it is is out of
+    /// the table while its slice runs; client events are handled only
+    /// between turns, so none of them can miss it.
+    jobs: VecDeque<Job>,
+    /// The id the next admitted job gets; past every id the journal
+    /// names, so ids are never reused across restarts.
     next_job: u64,
     /// Accepted jobs that reached a terminal state (drives `max_jobs`);
     /// seeded with the journal's terminal count on recovery.
     terminal: u64,
     /// Write-ahead journal (`Some` iff `cfg.state_dir` is set).
     journal: Option<Journal>,
-    /// Idempotency token → job id, covering live and retained jobs.
-    tokens: HashMap<u64, u64>,
-    /// Terminal frames kept for late ATTACH, newest last, capped at
-    /// [`RETAINED_CAP`].
-    retained: HashMap<u64, Terminal>,
-    retained_order: VecDeque<u64>,
+    /// Finished jobs' terminal frames by job id, kept for late ATTACHes
+    /// and token resends, newest last, capped at [`RETAINED_CAP`].
+    retained: VecDeque<(u64, Terminal)>,
     /// Terminals since the last compaction (drives [`COMPACT_EVERY`]).
     terminal_since_compact: u64,
     stats: ServeStats,
@@ -617,17 +631,7 @@ pub fn serve(
             if p == 0 {
                 return Err("the slave hub needs at least one slot".to_string());
             }
-            let hub = SocketHub::bind(&slaves, p, cfg.patience)
-                .map_err(|e| format!("cannot listen for slaves on {slaves}: {e}"))?;
-            let connected = hub.wait_ready(cfg.patience);
-            if connected < p {
-                return Err(format!(
-                    "only {connected} of {p} slaves connected to {slaves} within {:?}; \
-                     start the missing `mkp slave --connect {slaves}` processes first",
-                    cfg.patience
-                ));
-            }
-            Pool::Socket(hub)
+            Pool::Socket(connect_fleet(&slaves, p, cfg.patience, None)?)
         }
     };
     let listener = FramedListener::bind(listen)
@@ -653,15 +657,11 @@ pub fn serve(
         cfg: cfg.clone(),
         pool,
         writers: HashMap::new(),
-        jobs: HashMap::new(),
-        runq: VecDeque::new(),
-        inflight: HashMap::new(),
+        jobs: VecDeque::new(),
         next_job: 1,
         terminal: 0,
         journal,
-        tokens: HashMap::new(),
-        retained: HashMap::new(),
-        retained_order: VecDeque::new(),
+        retained: VecDeque::new(),
         terminal_since_compact: 0,
         stats: ServeStats::default(),
     };
@@ -676,8 +676,8 @@ pub fn serve(
     // parked, so its spool files go too.
     sched.compact_journal();
     if sched.journal.is_none() {
-        for &id in sched.jobs.keys() {
-            sched.remove_spool(id);
+        for job in &sched.jobs {
+            sched.remove_spool(job.id);
         }
         if made_spool {
             let _ = std::fs::remove_dir(&cfg.spool_dir);
@@ -784,8 +784,8 @@ impl Scheduler {
             if self.cfg.max_jobs > 0 && self.terminal >= self.cfg.max_jobs {
                 return;
             }
-            if let Some(id) = self.runq.pop_front() {
-                self.run_turn(id);
+            if let Some(job) = self.jobs.pop_front() {
+                self.run_turn(job);
             } else {
                 match rx.recv_timeout(IDLE_POLL) {
                     Ok(event) => self.handle(event),
@@ -827,52 +827,46 @@ impl Scheduler {
                     // Durable server: a vanished client *detaches* its
                     // jobs — they keep running under their journal entry
                     // and wait for an ATTACH or token resubmit.
-                    self.inflight.remove(&client);
-                    for job in self.jobs.values_mut().filter(|j| j.client == client) {
+                    for job in self.jobs.iter_mut().filter(|j| j.client == client) {
                         job.client = 0;
                     }
                     return;
                 }
-                self.inflight.remove(&client);
-                let orphans: Vec<u64> = self
-                    .jobs
-                    .values()
-                    .filter(|j| j.client == client)
-                    .map(|j| j.id)
-                    .collect();
-                for id in orphans {
-                    let job = self.jobs.remove(&id).expect("orphan id came from the map");
-                    self.runq.retain(|&q| q != id);
-                    self.remove_spool(job.id);
-                    self.terminal += 1;
+                while let Some(job) = self.take_job(|j| j.client == client) {
                     self.stats.canceled += 1;
+                    self.finish(job);
                 }
             }
         }
     }
 
-    /// Satellite: enforce deadlines on *parked* jobs at the scheduler
-    /// tick, not only when their quantum comes up — with a long queue a
-    /// job could otherwise sit expired for many turns before being told.
+    /// Take the first live job `pick` chooses out of the table.
+    fn take_job(&mut self, pick: impl Fn(&Job) -> bool) -> Option<Job> {
+        let k = self.jobs.iter().position(pick)?;
+        self.jobs.remove(k)
+    }
+
+    /// The job, live or retained, that a nonzero idempotency token names.
+    fn token_job(&self, token: u64) -> Option<u64> {
+        if token == 0 {
+            return None;
+        }
+        let live = self.jobs.iter().find(|j| j.token == token).map(|j| j.id);
+        live.or_else(|| {
+            self.retained
+                .iter()
+                .find(|(_, t)| t.token == token)
+                .map(|&(id, _)| id)
+        })
+    }
+
+    /// The scheduler tick, run before every turn: the one deadline
+    /// check. A parked job whose deadline lapses while another tenant
+    /// holds the farm is told at the next turn boundary, not when its
+    /// own far-away turn comes up.
     fn expire_overdue(&mut self) {
         let now = Instant::now();
-        let overdue: Vec<u64> = self
-            .runq
-            .iter()
-            .filter(|id| {
-                self.jobs
-                    .get(id)
-                    .and_then(|j| j.deadline)
-                    .is_some_and(|d| now >= d)
-            })
-            .copied()
-            .collect();
-        for id in overdue {
-            self.runq.retain(|&q| q != id);
-            let job = self
-                .jobs
-                .remove(&id)
-                .expect("overdue id came from the queue");
+        while let Some(job) = self.take_job(|j| j.deadline.is_some_and(|d| now >= d)) {
             self.stats.expired += 1;
             let reason = format!(
                 "deadline exceeded between turns after {:?} of search",
@@ -887,100 +881,68 @@ impl Scheduler {
     /// nonzero token short-circuits into a reattach — the idempotency
     /// that makes the client's retry-after-link-drop safe.
     fn admit(&mut self, client: u64, msg: SubmitMsg) {
-        if msg.token != 0 {
-            if let Some(&id) = self.tokens.get(&msg.token) {
-                return self.reattach(client, id);
+        if let Some(id) = self.token_job(msg.token) {
+            return self.reattach(client, id);
+        }
+        let job = match self.admission(client, &msg) {
+            Ok(job) => job,
+            Err(reason) => {
+                self.stats.rejected += 1;
+                return self.send(client, jtags::REJECTED, &RejectedMsg { job_id: 0, reason });
             }
-        }
-        let reject = |this: &mut Self, reason: String| {
-            this.stats.rejected += 1;
-            this.send(client, jtags::REJECTED, &RejectedMsg { job_id: 0, reason });
         };
-        if self.drain_requested() {
-            return reject(
-                self,
-                "server is draining; resubmit after its restart".into(),
-            );
-        }
-        if Mode::from_code(msg.mode).is_none() {
-            return reject(self, format!("unknown mode code {}", msg.mode));
-        }
-        let inst = match msg.problem.clone().try_into_instance() {
-            Ok(inst) => inst,
-            Err(e) => return reject(self, format!("malformed instance: {e}")),
-        };
-        let capacity = self.pool.capacity();
-        let p = msg.p as usize;
-        if p == 0 || p > capacity {
-            return reject(
-                self,
-                format!("p={p} outside this server's capacity of {capacity} workers"),
-            );
-        }
-        if msg.rounds == 0 {
-            return reject(self, "rounds must be at least 1".into());
-        }
-        if msg.budget_evals == 0 {
-            return reject(self, "evaluation budget must be at least 1".into());
-        }
-        if self.jobs.len() >= self.cfg.max_queue {
-            return reject(
-                self,
-                format!("job queue is full ({} jobs pending)", self.jobs.len()),
-            );
-        }
-        let inflight = self.inflight.get(&client).copied().unwrap_or(0);
-        if inflight >= self.cfg.max_inflight {
-            return reject(
-                self,
-                format!(
-                    "client already has {inflight} jobs in flight (cap {})",
-                    self.cfg.max_inflight
-                ),
-            );
-        }
-        let cfg = RunConfig {
-            p,
-            rounds: msg.rounds as usize,
-            ..RunConfig::new(msg.budget_evals, msg.seed)
-        };
-        if let Err(detail) = cfg.validate() {
-            return reject(self, detail);
-        }
-
-        let id = self.next_job;
         self.next_job += 1;
         // Journal first, admit second: a job the client was told about
         // must survive a crash, so the SUBMIT record hits disk before
         // the ACCEPTED frame leaves.
         if self.journal.is_some() {
-            let mut payload = id.to_le_bytes().to_vec();
+            let mut payload = job.id.to_le_bytes().to_vec();
             payload.extend_from_slice(&msg.to_bytes());
             self.journal_append(jkind::SUBMIT, &payload);
         }
-        let job = build_job(id, client, &self.cfg, &msg, inst);
-        if job.token != 0 {
-            self.tokens.insert(job.token, id);
-        }
-        self.jobs.insert(id, job);
-        self.runq.push_back(id);
-        *self.inflight.entry(client).or_insert(0) += 1;
+        let id = job.id;
+        self.jobs.push_back(job);
         self.stats.accepted += 1;
         self.send(client, jtags::ACCEPTED, &JobIdMsg { job_id: id });
+    }
+
+    /// Every admission check in order: drain, the submission itself,
+    /// then the queue and per-client caps. The job to enqueue when all
+    /// pass, else the refusal's reason.
+    fn admission(&self, client: u64, msg: &SubmitMsg) -> Result<Job, String> {
+        if self.drain_requested() {
+            return Err("server is draining; resubmit after its restart".into());
+        }
+        let job = Job::from_submit(
+            self.next_job,
+            client,
+            msg,
+            self.pool.capacity(),
+            self.cfg.quantum,
+        )?;
+        if self.jobs.len() >= self.cfg.max_queue {
+            return Err(format!(
+                "job queue is full ({} jobs pending)",
+                self.jobs.len()
+            ));
+        }
+        let inflight = self.jobs.iter().filter(|j| j.client == client).count();
+        if inflight >= self.cfg.max_inflight {
+            return Err(format!(
+                "client already has {inflight} jobs in flight (cap {})",
+                self.cfg.max_inflight
+            ));
+        }
+        Ok(job)
     }
 
     /// Point `job_id` — live or retained — at `client` and replay what
     /// it missed: ACCEPTED plus the last incumbent for a live job, the
     /// verbatim terminal frame for a finished one.
     fn reattach(&mut self, client: u64, job_id: u64) {
-        if let Some(job) = self.jobs.get_mut(&job_id) {
-            let old = job.client;
+        if let Some(job) = self.jobs.iter_mut().find(|j| j.id == job_id) {
             job.client = client;
             let last = job.last_incumbent;
-            if old != client {
-                self.release_inflight(old);
-                *self.inflight.entry(client).or_insert(0) += 1;
-            }
             self.send(client, jtags::ACCEPTED, &JobIdMsg { job_id });
             if let Some((value, round)) = last {
                 self.send(
@@ -993,7 +955,8 @@ impl Scheduler {
                     },
                 );
             }
-        } else if let Some(terminal) = self.retained.get(&job_id) {
+        } else if let Some((_, terminal)) = self.retained.iter().rev().find(|(id, _)| *id == job_id)
+        {
             let (tag, payload) = (terminal.tag, terminal.payload.clone());
             self.send(client, jtags::ACCEPTED, &JobIdMsg { job_id });
             self.send_raw(client, tag, &payload);
@@ -1011,21 +974,10 @@ impl Scheduler {
         }
     }
 
-    /// One scheduler turn: resume the job, run a slice, then finish it
-    /// or park it at the back of the queue.
-    fn run_turn(&mut self, id: u64) {
-        let mut job = match self.jobs.remove(&id) {
-            Some(job) => job,
-            None => return, // canceled while queued
-        };
-        if let Some(deadline) = job.deadline {
-            if Instant::now() >= deadline {
-                self.stats.expired += 1;
-                let reason = format!("deadline exceeded after {:?} of search", job.spent);
-                self.terminate_rejected(job, reason);
-                return;
-            }
-        }
+    /// One scheduler turn for the job taken off the front of the table:
+    /// resume it, run a slice, then finish it or park it at the back.
+    fn run_turn(&mut self, mut job: Job) {
+        let id = job.id;
         // The spool file stays until the next park overwrites it or the
         // job ends: a crash between resume and re-park must not lose it.
         let resume = match job.state {
@@ -1098,8 +1050,7 @@ impl Scheduler {
                 self.journal_append(jkind::INCUMBENT, &incumbent.to_bytes());
                 self.send(job.client, jtags::INCUMBENT, &incumbent);
                 job.state = JobState::Parked;
-                self.jobs.insert(id, job);
-                self.runq.push_back(id);
+                self.jobs.push_back(job);
             }
             Err(e) => self.fail(job, format!("search failed: {e}")),
         }
@@ -1126,11 +1077,10 @@ impl Scheduler {
         self.finish(job);
     }
 
-    /// Terminal bookkeeping shared by done/expired/failed paths. The job
-    /// must already be out of `jobs` and `runq`.
+    /// Terminal bookkeeping shared by every terminal: done, expired,
+    /// failed and canceled. The job must already be out of the table.
     fn finish(&mut self, job: Job) {
         self.remove_spool(job.id);
-        self.release_inflight(job.client);
         self.terminal += 1;
         self.terminal_since_compact += 1;
         if self.journal.is_some() && self.terminal_since_compact >= COMPACT_EVERY {
@@ -1140,16 +1090,6 @@ impl Scheduler {
 
     fn spool_path(&self, id: u64) -> PathBuf {
         self.cfg.spool_dir.join(format!("job-{id}.snap"))
-    }
-
-    /// One of `client`'s in-flight jobs ended or moved to another client.
-    fn release_inflight(&mut self, client: u64) {
-        if let Some(count) = self.inflight.get_mut(&client) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                self.inflight.remove(&client);
-            }
-        }
     }
 
     /// Remove a job's spool file, if it has one.
@@ -1170,32 +1110,22 @@ impl Scheduler {
     }
 
     /// Remember a finished job's final frame for late ATTACHes, evicting
-    /// the oldest retained terminal (and its token mapping) past the cap.
+    /// the oldest retained terminal past the cap.
     fn retain_terminal(&mut self, id: u64, token: u64, tag: u32, payload: Vec<u8>) {
-        self.retained.insert(
-            id,
-            Terminal {
-                tag,
-                payload,
-                token,
-            },
-        );
-        self.retained_order.push_back(id);
-        while self.retained_order.len() > RETAINED_CAP {
-            let Some(old) = self.retained_order.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = self.retained.remove(&old) {
-                if evicted.token != 0 {
-                    self.tokens.remove(&evicted.token);
-                }
-            }
+        let terminal = Terminal {
+            tag,
+            payload,
+            token,
+        };
+        self.retained.push_back((id, terminal));
+        if self.retained.len() > RETAINED_CAP {
+            self.retained.pop_front();
         }
     }
 
     /// Rewrite the journal down to what still matters: each live job's
     /// SUBMIT (re-encoded with its remaining deadline) and latest
-    /// incumbent, plus the retained terminal frames.
+    /// incumbent, in queue order, plus the retained terminal frames.
     /// Atomic (temp-and-rename) via [`Journal::compact`].
     fn compact_journal(&mut self) {
         if self.journal.is_none() {
@@ -1203,10 +1133,7 @@ impl Scheduler {
         }
         let now = Instant::now();
         let mut records = Vec::new();
-        let mut live: Vec<u64> = self.jobs.keys().copied().collect();
-        live.sort_unstable();
-        for id in &live {
-            let job = &self.jobs[id];
+        for job in &self.jobs {
             let deadline_ms = match job.deadline {
                 Some(d) => (d.saturating_duration_since(now).as_millis() as u64).max(1),
                 None => 0,
@@ -1221,7 +1148,7 @@ impl Scheduler {
                 deadline_ms,
                 token: job.token,
             };
-            let mut payload = id.to_le_bytes().to_vec();
+            let mut payload = job.id.to_le_bytes().to_vec();
             payload.extend_from_slice(&msg.to_bytes());
             records.push(Record {
                 kind: jkind::SUBMIT,
@@ -1229,7 +1156,7 @@ impl Scheduler {
             });
             if let Some((value, round)) = job.last_incumbent {
                 let incumbent = IncumbentMsg {
-                    job_id: *id,
+                    job_id: job.id,
                     value,
                     round,
                 };
@@ -1239,18 +1166,16 @@ impl Scheduler {
                 });
             }
         }
-        for id in &self.retained_order {
-            if let Some(terminal) = self.retained.get(id) {
-                let kind = if terminal.tag == jtags::DONE {
-                    jkind::DONE
-                } else {
-                    jkind::REJECTED
-                };
-                records.push(Record {
-                    kind,
-                    payload: terminal.payload.clone(),
-                });
-            }
+        for (_, terminal) in &self.retained {
+            let kind = if terminal.tag == jtags::DONE {
+                jkind::DONE
+            } else {
+                jkind::REJECTED
+            };
+            records.push(Record {
+                kind,
+                payload: terminal.payload.clone(),
+            });
         }
         if let Some(journal) = &mut self.journal {
             if let Err(e) = journal.compact(&records) {
@@ -1260,19 +1185,21 @@ impl Scheduler {
         self.terminal_since_compact = 0;
     }
 
-    /// Rebuild the scheduler's world from a replayed journal: re-admit
-    /// every job that never reached a terminal record (parked state
-    /// from the spool when its snapshot exists, from scratch
-    /// otherwise), re-arm deadlines from now, restore token mappings
-    /// and retained terminals, and seed the terminal count so
-    /// `max_jobs` keeps meaning "total since the journal began".
+    /// Rebuild the scheduler's world from a replayed journal: re-admit,
+    /// through admission's own checks, every job that never reached a
+    /// terminal record (parked state from the spool when its snapshot
+    /// exists, from scratch otherwise), re-arm deadlines from now,
+    /// restore the retained terminals, move the next job id past every
+    /// id the journal names, and seed the terminal count so `max_jobs`
+    /// keeps meaning "total since the journal began".
     fn recover(&mut self, records: Vec<Record>) {
-        struct Pending {
+        struct Live {
+            id: u64,
             msg: SubmitMsg,
             incumbent: Option<(i64, u64)>,
         }
-        let mut pending: HashMap<u64, Pending> = HashMap::new();
-        let mut order: Vec<u64> = Vec::new();
+        // Jobs without a terminal record yet, in journal order.
+        let mut live: Vec<Live> = Vec::new();
         let job_id_of = |payload: &[u8]| -> Option<u64> {
             payload
                 .get(..8)
@@ -1287,26 +1214,17 @@ impl Scheduler {
                     let Ok(msg) = SubmitMsg::from_bytes(&record.payload[8..]) else {
                         continue;
                     };
-                    self.next_job = self.next_job.max(id + 1);
-                    if pending
-                        .insert(
-                            id,
-                            Pending {
-                                msg,
-                                incumbent: None,
-                            },
-                        )
-                        .is_none()
-                    {
-                        order.push(id);
-                    }
+                    self.next_job = self.next_job.max(id.saturating_add(1));
+                    live.retain(|job| job.id != id);
+                    let incumbent = None;
+                    live.push(Live { id, msg, incumbent });
                 }
                 jkind::INCUMBENT => {
                     let Ok(msg) = IncumbentMsg::from_bytes(&record.payload) else {
                         continue;
                     };
-                    if let Some(p) = pending.get_mut(&msg.job_id) {
-                        p.incumbent = Some((msg.value, msg.round));
+                    if let Some(job) = live.iter_mut().find(|job| job.id == msg.job_id) {
+                        job.incumbent = Some((msg.value, msg.round));
                     }
                 }
                 jkind::PARKED => {} // the spool file is the authority
@@ -1314,44 +1232,37 @@ impl Scheduler {
                     let Some(id) = job_id_of(&record.payload) else {
                         continue;
                     };
-                    let token = pending.remove(&id).map(|p| p.msg.token).unwrap_or(0);
-                    order.retain(|&q| q != id);
+                    // A compaction keeps a finished job's terminal but
+                    // drops its SUBMIT: the id is taken all the same.
+                    self.next_job = self.next_job.max(id.saturating_add(1));
+                    let k = live.iter().position(|job| job.id == id);
+                    let token = k.map_or(0, |k| live.remove(k).msg.token);
                     self.terminal += 1;
                     let tag = if record.kind == jkind::DONE {
                         jtags::DONE
                     } else {
                         jtags::REJECTED
                     };
-                    if token != 0 {
-                        self.tokens.insert(token, id);
-                    }
                     self.retain_terminal(id, token, tag, record.payload);
                 }
                 _ => {} // unknown kind from a future version: skip
             }
         }
-        for id in order {
-            let Some(p) = pending.remove(&id) else {
+        let capacity = self.pool.capacity();
+        for Live { id, msg, incumbent } in live {
+            // Skip, don't die on, a job admission would refuse today: a
+            // stranger build's mode, an instance an older build let
+            // through, or more workers than this restart's farm has. The
+            // next compaction forgets its SUBMIT; its park goes now.
+            let Ok(mut job) = Job::from_submit(id, 0, &msg, capacity, self.cfg.quantum) else {
+                self.remove_spool(id);
                 continue;
             };
-            if Mode::from_code(p.msg.mode).is_none() {
-                continue; // journal from a stranger build: skip, don't die
-            }
-            // A record an older build admitted without the current
-            // instance checks: skip it the same way.
-            let Ok(inst) = p.msg.problem.clone().try_into_instance() else {
-                continue;
-            };
-            let mut job = build_job(id, 0, &self.cfg, &p.msg, inst);
-            job.last_incumbent = p.incumbent;
+            job.last_incumbent = incumbent;
             if self.spool_path(id).exists() {
                 job.state = JobState::Parked;
             }
-            if job.token != 0 {
-                self.tokens.insert(job.token, id);
-            }
-            self.jobs.insert(id, job);
-            self.runq.push_back(id);
+            self.jobs.push_back(job);
             self.stats.recovered += 1;
         }
     }
@@ -1377,39 +1288,63 @@ impl Scheduler {
     }
 }
 
-/// Construct a [`Job`] from a validated submission and its instance.
-/// Shared by admission and journal recovery so a recovered job is built
-/// *identically* to a freshly admitted one (same parkability, same
-/// re-armed deadline semantics) — the bit-identity guarantee depends on it.
-fn build_job(
-    id: u64,
-    client: u64,
-    serve_cfg: &ServeConfig,
-    msg: &SubmitMsg,
-    inst: Instance,
-) -> Job {
-    let mode = Mode::from_code(msg.mode).expect("caller validated the mode code");
-    let cfg = RunConfig {
-        p: msg.p as usize,
-        rounds: msg.rounds as usize,
-        ..RunConfig::new(msg.budget_evals, msg.seed)
-    };
-    let policy = policy_for(mode);
-    let parkable = policy.delivery() == Delivery::Synchronous && policy.rounds(&cfg) > 1;
-    let deadline =
-        (msg.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(msg.deadline_ms));
-    Job {
-        id,
-        client,
-        inst,
-        mode,
-        cfg,
-        deadline,
-        token: msg.token,
-        park_after: parkable.then_some(serve_cfg.quantum),
-        spent: Duration::ZERO,
-        last_incumbent: None,
-        state: JobState::Fresh,
+impl Job {
+    /// Build job `id` from a submission, or say why this server cannot
+    /// run it: every check on the submission itself (mode code,
+    /// instance, `p` against the farm's `capacity`, rounds, budget, run
+    /// configuration). Admission and journal recovery both build jobs
+    /// here, so a recovered job is built *identically* to a freshly
+    /// admitted one (same parkability, deadline armed from now) — the
+    /// bit-identity guarantee depends on it — and is refused alike.
+    fn from_submit(
+        id: u64,
+        client: u64,
+        msg: &SubmitMsg,
+        capacity: usize,
+        quantum: usize,
+    ) -> Result<Job, String> {
+        let mode =
+            Mode::from_code(msg.mode).ok_or_else(|| format!("unknown mode code {}", msg.mode))?;
+        let inst = msg
+            .problem
+            .clone()
+            .try_into_instance()
+            .map_err(|e| format!("malformed instance: {e}"))?;
+        let p = msg.p as usize;
+        if p == 0 || p > capacity {
+            return Err(format!(
+                "p={p} outside this server's capacity of {capacity} workers"
+            ));
+        }
+        if msg.rounds == 0 {
+            return Err("rounds must be at least 1".into());
+        }
+        if msg.budget_evals == 0 {
+            return Err("evaluation budget must be at least 1".into());
+        }
+        let cfg = RunConfig {
+            p,
+            rounds: msg.rounds as usize,
+            ..RunConfig::new(msg.budget_evals, msg.seed)
+        };
+        cfg.validate()?;
+        let policy = policy_for(mode);
+        let parkable = policy.delivery() == Delivery::Synchronous && policy.rounds(&cfg) > 1;
+        let deadline =
+            (msg.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(msg.deadline_ms));
+        Ok(Job {
+            id,
+            client,
+            inst,
+            mode,
+            cfg,
+            deadline,
+            token: msg.token,
+            park_after: parkable.then_some(quantum),
+            spent: Duration::ZERO,
+            last_incumbent: None,
+            state: JobState::Fresh,
+        })
     }
 }
 
@@ -2013,6 +1948,109 @@ mod tests {
             assert!(stats.drained);
             assert_eq!(stats.accepted, 0);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A non-durable server cancels a vanished client's jobs and forgets
+    /// their tokens with them: the same token, sent again from a new
+    /// connection, is a new job rather than a reattach to a dead one.
+    #[test]
+    fn a_canceled_jobs_token_is_admitted_again() {
+        let dir = fresh_temp_dir("canceled-token");
+        let ep = Endpoint::Unix(dir.join("clients.sock"));
+        let spool = dir.join("spool");
+        let patience = Duration::from_secs(20);
+        let cfg = ServeConfig {
+            max_jobs: 2,
+            spool_dir: spool.clone(),
+            patience,
+            ..ServeConfig::default()
+        };
+        let server = {
+            let ep = ep.clone();
+            std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+        };
+        let token = 0x7E57_0001;
+        let long = SubmitMsg {
+            rounds: 400,
+            budget_evals: 40_000_000,
+            token,
+            ..submission(ProblemMsg::from_instance(&tiny_instance(4)))
+        };
+        let mut conn = dial_retry(&ep, patience).unwrap();
+        conn.send(0, jtags::SUBMIT, &long).unwrap();
+        assert_eq!(
+            conn.recv().unwrap().expect("server up").tag,
+            jtags::ACCEPTED
+        );
+        // An INCUMBENT is sent after its park is spooled, and only the
+        // cancel removes the spool file of a job this far from its end.
+        while conn.recv().unwrap().expect("server up").tag != jtags::INCUMBENT {}
+        drop(conn);
+        let parked = spool.join("job-1.snap");
+        let start = Instant::now();
+        while parked.exists() {
+            assert!(start.elapsed() < patience, "the job was never canceled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let again = SubmitMsg {
+            token,
+            ..submission(ProblemMsg::from_instance(&tiny_instance(4)))
+        };
+        let mut events = Vec::new();
+        let outcome =
+            run_job_protocol(&ep, jtags::SUBMIT, &again.to_bytes(), patience, &mut |ev| {
+                events.push(ev)
+            })
+            .unwrap();
+        assert!(matches!(outcome, SubmitOutcome::Done(_)), "{outcome:?}");
+        assert_eq!(events.first(), Some(&SubmitEvent::Accepted { job_id: 2 }));
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!((stats.canceled, stats.done), (1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A compaction keeps a finished job's terminal but drops its SUBMIT;
+    /// the restarted server must still not hand that job's id out again.
+    #[test]
+    fn job_ids_are_not_reused_after_a_restart() {
+        let dir = fresh_temp_dir("id-reuse");
+        let ep = Endpoint::Unix(dir.join("clients.sock"));
+        let state = dir.join("state");
+        let patience = Duration::from_secs(20);
+        let life = |max_jobs| {
+            let ep = ep.clone();
+            let cfg = ServeConfig {
+                max_jobs,
+                state_dir: Some(state.clone()),
+                patience,
+                ..ServeConfig::default()
+            };
+            std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+        };
+        let spec = SubmitSpec {
+            mode: Mode::Cooperative,
+            p: 2,
+            rounds: 2,
+            budget_evals: 20_000,
+            seed: 1,
+            deadline: None,
+        };
+        let mut ids = Vec::new();
+        // Journal terminals count toward `max_jobs`: one job per life.
+        for max_jobs in [1, 2] {
+            let server = life(max_jobs);
+            let outcome = submit_job(&ep, &tiny_instance(3), &spec, patience, |ev| {
+                if let SubmitEvent::Accepted { job_id } = ev {
+                    ids.push(job_id);
+                }
+            })
+            .unwrap();
+            assert!(matches!(outcome, SubmitOutcome::Done(_)), "{outcome:?}");
+            server.join().unwrap().unwrap();
+        }
+        assert_eq!(ids, [1, 2]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -59,7 +59,8 @@ impl ProblemMsg {
     }
 
     /// Reconstruct the instance, validating it: the entry check for
-    /// problem data from outside the program (a SUBMIT, a journal record).
+    /// problem data from outside the program (a SUBMIT, a journal record,
+    /// a slave's PROBLEM).
     pub fn try_into_instance(self) -> Result<Instance, InstanceError> {
         Instance::new(
             self.name,
@@ -71,7 +72,9 @@ impl ProblemMsg {
         )
     }
 
-    /// Reconstruct the instance on the slave side.
+    /// Reconstruct an instance known to be valid; panics otherwise. Data
+    /// from outside the program goes through
+    /// [`try_into_instance`](Self::try_into_instance).
     pub fn into_instance(self) -> Instance {
         self.try_into_instance()
             .expect("master sent a valid instance")

@@ -63,21 +63,8 @@ pub fn run_remote_with(
 ) -> Result<ModeReport, EngineError> {
     let mut policy = admit(inst, mode, cfg, None, None)?;
     let active = policy.active_workers(cfg);
-    let patience = cfg.patience();
-    let hub = SocketHub::bind_with(listen, active, patience, fault).map_err(|e| {
-        EngineError::Internal {
-            detail: format!("cannot listen on {listen}: {e}"),
-        }
-    })?;
-    let connected = hub.wait_ready(patience);
-    if connected < active {
-        return Err(EngineError::Unsupported {
-            detail: format!(
-                "only {connected} of {active} slaves connected to {listen} within {patience:?}; \
-                 start the missing `mkp slave --connect {listen}` processes first"
-            ),
-        });
-    }
+    let hub = connect_fleet(listen, active, cfg.patience(), fault)
+        .map_err(|detail| EngineError::Unsupported { detail })?;
 
     // Slot 0 is the master; remote slaves keep their own counters in their
     // own processes, so only the master row is filled here.
@@ -96,6 +83,27 @@ pub fn run_remote_with(
     Ok(report)
 }
 
+/// Stand up a slave fleet: bind a hub of `p` slots on `endpoint` and
+/// wait up to `patience` for every slot to fill. A distributed run and
+/// the job server's socket backend both start their farm here.
+pub(crate) fn connect_fleet(
+    endpoint: &Endpoint,
+    p: usize,
+    patience: Duration,
+    fault: Option<Arc<NetFaultState>>,
+) -> Result<SocketHub, String> {
+    let hub = SocketHub::bind_with(endpoint, p, patience, fault)
+        .map_err(|e| format!("cannot listen for slaves on {endpoint}: {e}"))?;
+    let connected = hub.wait_ready(patience);
+    if connected < p {
+        return Err(format!(
+            "only {connected} of {p} slaves connected to {endpoint} within {patience:?}; \
+             start the missing `mkp slave --connect {endpoint}` processes first"
+        ));
+    }
+    Ok(hub)
+}
+
 /// How a completed [`serve_slave`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeOutcome {
@@ -111,7 +119,8 @@ pub enum ServeOutcome {
 /// is either a master restart or our own eviction by the master's
 /// resurrection, and in both cases the correct move is to come back for
 /// a fresh `ProblemMsg`. Returns [`ServeOutcome::Finished`] on a clean
-/// STOP.
+/// STOP, and an error naming the fault when the master sends a frame
+/// the slave cannot act on.
 ///
 /// Two bounds keep an orphan from spinning forever: the connect loop
 /// itself gives up once `patience` lapses without a listener answering
@@ -168,6 +177,11 @@ pub fn serve_slave_with(
         let heard_before = Transport::comm_stats(&transport).received;
         match slave_loop(&transport, patience, &tel) {
             SlaveExit::Stopped => return Ok(ServeOutcome::Finished),
+            SlaveExit::Protocol(detail) => {
+                return Err(format!(
+                    "protocol violation by the master at {connect}: {detail}"
+                ));
+            }
             SlaveExit::Lost => {
                 // Link dropped: reconnect — unless the listener keeps
                 // accepting us and then saying nothing, in which case it

@@ -5,8 +5,8 @@
 use mkp::generate::{gk_instance, GkSpec};
 use mkp::Instance;
 use parallel_tabu::{
-    attach_job, run_mode, serve, submit_job, Mode, ModeReport, RunConfig, ServeBackend,
-    ServeConfig, SubmitEvent, SubmitOutcome, SubmitSpec,
+    attach_job, run_mode, serve, serve_slave, submit_job, Mode, ModeReport, RunConfig,
+    ServeBackend, ServeConfig, ServeOutcome, SubmitEvent, SubmitOutcome, SubmitSpec,
 };
 use pvm_lite::Endpoint;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -676,4 +676,88 @@ fn attach_to_an_unknown_job_id_is_rejected() {
     let stats = server.join().unwrap().unwrap();
     assert!(stats.drained);
     assert_eq!(stats.accepted, 0);
+}
+
+/// A job recovered from the journal passes admission's checks again. A
+/// durable socket server restarted with one slave where a parked job
+/// asks for two skips that job and keeps serving, rather than die on the
+/// job's first turn; the job's owner, resending its SUBMIT, is told why.
+#[test]
+fn a_restart_with_fewer_slaves_skips_the_jobs_it_cannot_run() {
+    let dir = tmp_dir("fewer-slaves");
+    let ep = endpoint(&dir, "clients.sock");
+    let slaves = endpoint(&dir, "slaves.sock");
+    let state_dir = dir.join("state");
+    let life = |p: usize, drain: &Arc<AtomicBool>| {
+        let (ep, slaves) = (ep.clone(), slaves.clone());
+        let fleet: Vec<_> = (0..p)
+            .map(|_| {
+                let slaves = slaves.clone();
+                std::thread::spawn(move || serve_slave(&slaves, PATIENCE))
+            })
+            .collect();
+        let cfg = ServeConfig {
+            quantum: 1,
+            state_dir: Some(state_dir.clone()),
+            drain: Some(Arc::clone(drain)),
+            patience: PATIENCE,
+            ..ServeConfig::default()
+        };
+        let server =
+            std::thread::spawn(move || serve(&ep, ServeBackend::Socket { slaves, p }, &cfg));
+        (server, fleet)
+    };
+    let spec = |p, rounds, budget_evals| SubmitSpec {
+        mode: Mode::Cooperative,
+        p,
+        rounds,
+        budget_evals,
+        seed: 9,
+        deadline: None,
+    };
+
+    // First life: two slaves, a p = 2 job drained after its first park.
+    let drain = Arc::new(AtomicBool::new(false));
+    let (server, fleet) = life(2, &drain);
+    let owner = {
+        let (ep, drain) = (ep.clone(), Arc::clone(&drain));
+        std::thread::spawn(move || {
+            submit_job(&ep, &instance(91), &spec(2, 24, 480_000), PATIENCE, |ev| {
+                if matches!(ev, SubmitEvent::Incumbent { .. }) {
+                    drain.store(true, Ordering::Relaxed);
+                }
+            })
+            .unwrap()
+        })
+    };
+    let stats = server.join().unwrap().unwrap();
+    assert!(stats.drained);
+    assert_eq!((stats.accepted, stats.done), (1, 0), "{stats:?}");
+    for slave in fleet {
+        assert_eq!(slave.join().unwrap(), Ok(ServeOutcome::Finished));
+    }
+
+    // Second life: one slave. The parked job is skipped, not run.
+    let drain = Arc::new(AtomicBool::new(false));
+    let (server, fleet) = life(1, &drain);
+    match owner.join().unwrap() {
+        SubmitOutcome::Rejected { reason } => assert!(
+            reason.contains("p=2 outside this server's capacity of 1 workers"),
+            "unexpected reason: {reason}"
+        ),
+        other => panic!("expected a capacity rejection, got {other:?}"),
+    }
+    let outcome = submit_job(&ep, &instance(92), &spec(1, 2, 20_000), PATIENCE, |_| {}).unwrap();
+    assert!(matches!(outcome, SubmitOutcome::Done(_)), "{outcome:?}");
+    drain.store(true, Ordering::Relaxed);
+    let stats = server.join().unwrap().unwrap();
+    assert_eq!(
+        (stats.recovered, stats.accepted, stats.done),
+        (0, 1, 1),
+        "{stats:?}"
+    );
+    for slave in fleet {
+        assert_eq!(slave.join().unwrap(), Ok(ServeOutcome::Finished));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

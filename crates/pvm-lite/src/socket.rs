@@ -57,6 +57,12 @@ use std::time::{Duration, Instant};
 const TAG_HELLO: u32 = 0xFFFF_FF01;
 const TAG_WELCOME: u32 = 0xFFFF_FF02;
 
+/// How long a `HELLO` that finds every slot live waits for one to free
+/// up before it is refused. A slave that reconnects has closed its old
+/// connection already, but that connection's reader may not have seen
+/// the EOF yet; this is its moment to do so.
+const SLOT_GRACE: Duration = Duration::from_secs(1);
+
 /// A parsed `unix:PATH` / `tcp:HOST:PORT` transport address.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
@@ -886,16 +892,19 @@ fn serve_connection(
 
 /// Read the peer's HELLO, then, under the slot lock, install the
 /// connection in the slot it wants when that is free, else in the first
-/// free slot, and answer WELCOME. Returns the slot, its new generation and
-/// the connection's read half; `None` when the peer sent garbage or
-/// vanished, or was refused because every slot is occupied or the hub is
-/// shutting down.
+/// free slot, and answer WELCOME. When every slot reads live, wait up to
+/// [`SLOT_GRACE`] for one to free up first. Returns the slot, its new
+/// generation and the connection's read half; `None` when the peer sent
+/// garbage or vanished, or was refused because every slot is still
+/// occupied or the hub is shutting down.
 fn handshake(mut stream: Stream, shared: &HubShared, p: usize) -> Option<(usize, u64, Stream)> {
     let hello: Hello = match read_frame(&mut stream) {
         Ok(Some(env)) if env.tag == TAG_HELLO => env.decode().ok()?,
         _ => return None,
     };
-    let mut slots = shared.lock_slots();
+    let mut slots = shared.wait_slots(SLOT_GRACE, |slots| {
+        shared.shutdown.load(Ordering::Relaxed) || slots.iter().any(|s| !s.live)
+    });
     let want = usize::try_from(hello.want).ok().filter(|&w| w < p);
     let free = |k: usize, slots: &Vec<Slot>| !slots[k].live;
     let slot_k = match want {

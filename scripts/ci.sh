@@ -501,6 +501,29 @@ for pid in "$crash_slv1_pid" "$crash_slv2_pid"; do
     exit 1
   fi
 done
+# A third life on the same state dir, in process. The journal now holds
+# only the three jobs' terminals (the shutdown compaction dropped their
+# SUBMITs), and job ids stay unique across restarts: the next job is 4.
+tmpfile tmp_crash_srv3 /tmp/ci-crash-srv3-XXXXXX.out
+tmpfile tmp_crash_sub4 /tmp/ci-crash-sub4-XXXXXX.out
+"$mkp_bin" serve --clients "unix:$tmp_crash_sock" --p 2 --max-jobs 4 \
+  --state-dir "$tmp_state_dir" --patience 60 > "$tmp_crash_srv3" 2>&1 &
+crash_srv3_pid=$!
+CLEANUP_PIDS+=("$crash_srv3_pid")
+"$mkp_bin" submit "$tmp_mkp" --connect "unix:$tmp_crash_sock" --mode cts2 \
+  --p 2 --rounds 2 --budget 20000 --seed 44 --patience 60 > "$tmp_crash_sub4" 2>&1 \
+  || { echo "error: third-life submit failed" >&2; cat "$tmp_crash_sub4" >&2; exit 1; }
+grep -q '^job        : 4 accepted' "$tmp_crash_sub4" \
+  || { echo "error: the third life reused a job id" >&2; cat "$tmp_crash_sub4" >&2; exit 1; }
+set +e
+wait_for "$crash_srv3_pid" 120
+status=$?
+set -e
+if [ "$status" -ne 0 ]; then
+  echo "error: third-life job server exited $status (want 0)" >&2
+  cat "$tmp_crash_srv3" >&2
+  exit 1
+fi
 rm -rf "$tmp_state_dir"
 
 step "net-fault smoke (corrupted frame is dropped, counted, and healed)"

@@ -2,8 +2,10 @@
 //! engine — same best value, same round trajectory, same master-side
 //! message accounting — because both drive the identical `master_loop`.
 
+use pts_mkp::parallel_tabu::messages::tags;
 use pts_mkp::parallel_tabu::{run_remote, serve_slave, Endpoint, ServeOutcome};
 use pts_mkp::prelude::*;
+use pts_mkp::pvm_lite::{SocketHub, Transport};
 use std::time::Duration;
 
 fn unix_endpoint(tag: &str) -> Endpoint {
@@ -178,4 +180,25 @@ fn remote_master_rejects_an_underpopulated_farm() {
     // The lone slave never got a STOP; it reports the master lost.
     let outcome = slave.join().expect("slave thread").expect("serve");
     assert_eq!(outcome, ServeOutcome::MasterLost);
+}
+
+/// A remote slave whose master sends a frame it cannot act on ends with
+/// an error naming the fault (`mkp slave` exits 1), not a panic.
+#[test]
+fn a_slave_returns_a_malformed_frame_as_an_error() {
+    let ep = unix_endpoint("malformed");
+    let patience = Duration::from_secs(5);
+    let hub = SocketHub::bind(&ep, 1, patience).expect("bind");
+    let slave = {
+        let ep = ep.clone();
+        std::thread::spawn(move || serve_slave(&ep, patience))
+    };
+    assert_eq!(hub.wait_ready(patience), 1);
+    hub.send_bytes(1, tags::PROBLEM, vec![1, 2, 3])
+        .expect("send");
+    let err = slave
+        .join()
+        .expect("the slave must not panic")
+        .expect_err("a malformed PROBLEM ends the slave");
+    assert!(err.contains("undecodable PROBLEM"), "{err}");
 }
