@@ -851,11 +851,7 @@ pub fn cmd_exact(args: &Args) -> Result<String, CliError> {
         ..mkp_exact::BbConfig::default()
     };
     let start = std::time::Instant::now();
-    let r = if workers == 1 {
-        mkp_exact::solve(&inst, &cfg)
-    } else {
-        mkp_exact::solve_parallel(&inst, &cfg, workers)
-    };
+    let r = mkp_exact::solve_parallel(&inst, &cfg, workers);
     let mut out = String::new();
     let _ = writeln!(
         out,

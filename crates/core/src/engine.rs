@@ -52,6 +52,7 @@ use mkp::eval::Ratios;
 use mkp::greedy::dynamic_randomized_greedy;
 use mkp::restrict::Restriction;
 use mkp::{Instance, Solution, Xoshiro256};
+use mkp_tabu::elite::ElitePool;
 use mkp_tabu::moves::MoveStats;
 use mkp_tabu::{search, Budget, TsConfig};
 use pvm_lite::{
@@ -381,12 +382,11 @@ impl Engine {
 
         // The master runs on this thread and borrows the policy; the
         // slaves own what they need. The master releases the farm however
-        // its loop returned.
+        // its loop ended, a panic included.
         let (master, slaves) = self.pool.run_collect(
             |ctx| {
-                let result = master_loop(&ctx, inst, &mut *policy, cfg, resume, park_after, &tel);
-                stop_farm(&ctx);
-                result
+                let _release = StopOnDrop(&ctx);
+                master_loop(&ctx, inst, &mut *policy, cfg, resume, park_after, &tel)
             },
             slave_task(cfg.patience(), Arc::clone(&tel)),
         );
@@ -520,6 +520,19 @@ pub(crate) fn admit(
         if snap.rng == [0u64; 4] {
             return reject("snapshot rng state is degenerate".to_string());
         }
+        let n = inst.n();
+        if snap.global_best.len() != n {
+            return reject(format!(
+                "snapshot global_best holds {} bits for {n} items",
+                snap.global_best.len()
+            ));
+        }
+        if let Some((i, bits)) = snap.elite.iter().enumerate().find(|(_, b)| b.len() != n) {
+            return reject(format!(
+                "snapshot elite[{i}] holds {} bits for {n} items",
+                bits.len()
+            ));
+        }
         if !snap.alive.contains(&true) {
             return Err(EngineError::AllWorkersLost {
                 losses: snap.losses.clone(),
@@ -562,6 +575,17 @@ pub(crate) fn stop_farm<C: Transport>(ctx: &C) {
         let _ = ctx.send_bytes(slave, tags::STOP, Vec::new());
     }
     ctx.notify_orphans(tags::STOP);
+}
+
+/// [`stop_farm`] on drop: a master that panics mid-run still STOPs its
+/// slaves while it unwinds, instead of leaving each to wait out its
+/// patience.
+struct StopOnDrop<'a, C: Transport>(&'a C);
+
+impl<C: Transport> Drop for StopOnDrop<'_, C> {
+    fn drop(&mut self) {
+        stop_farm(self.0);
+    }
 }
 
 /// Dispatch a mode to its policy.
@@ -914,26 +938,26 @@ pub(crate) fn master_loop<C: Transport>(
                 total_moves: 0,
                 total_evals: 0,
                 regenerations: 0,
-                elite: Vec::new(),
+                elite: ElitePool::new(ELITE_CAP),
             };
             for sol in &initials {
-                state.fold_elite(sol);
+                state.elite.offer(sol);
             }
             (rng, state, Workers::fresh(active), 0)
         }
         Some(snap) => {
-            let state = MasterState {
+            let mut state = MasterState {
                 global_best: Some(Solution::from_bits(inst, snap.global_best.clone())),
                 round_best: snap.round_best.clone(),
                 total_moves: snap.total_moves,
                 total_evals: snap.total_evals,
                 regenerations: snap.regenerations,
-                elite: snap
-                    .elite
-                    .iter()
-                    .map(|bits| Solution::from_bits(inst, bits.clone()))
-                    .collect(),
+                elite: ElitePool::new(ELITE_CAP),
             };
+            // Stored best first, so offering in order rebuilds the bank.
+            for bits in &snap.elite {
+                state.elite.offer(&Solution::from_bits(inst, bits.clone()));
+            }
             let workers = Workers::from_snapshot(snap);
             // Transplant each surviving worker's long-term History into
             // its fresh incarnation; a failed send surfaces as a loss at
@@ -1008,7 +1032,7 @@ pub(crate) fn master_loop<C: Transport>(
                         k,
                         round,
                         assign,
-                        &state.elite,
+                        state.elite.solutions(),
                         tel,
                     )? {
                         Some(report) => reports.push((k, report)),
@@ -1180,7 +1204,7 @@ pub(crate) fn master_loop<C: Transport>(
                             cfg,
                             k,
                             assign,
-                            &state.elite,
+                            state.elite.solutions(),
                             tel,
                         ) {
                             Rebirth::Sent { attempt } => Some((round, attempt)),
@@ -1233,6 +1257,7 @@ fn build_snapshot(
         .ok_or_else(|| EngineError::Internal {
             detail: "checkpoint requested before any processed report".into(),
         })?;
+    let elite = state.elite.solutions().iter().map(|s| s.bits().clone());
     Ok(Snapshot {
         mode: policy.mode(),
         fingerprint: instance_fingerprint(inst),
@@ -1244,7 +1269,7 @@ fn build_snapshot(
         total_moves: state.total_moves,
         total_evals: state.total_evals,
         regenerations: state.regenerations,
-        elite: state.elite.iter().map(|s| s.bits().clone()).collect(),
+        elite: elite.collect(),
         alive: workers.alive.clone(),
         losses: workers.losses.clone(),
         resurrections: workers.resurrections.clone(),
@@ -1264,23 +1289,12 @@ struct MasterState {
     regenerations: u64,
     /// The B best distinct solutions seen so far, best first (Fig. 2's
     /// "B best solutions" bank): the reseeding source for resurrected
-    /// workers and part of every checkpoint.
-    elite: Vec<Solution>,
+    /// workers and part of every checkpoint. A solution goes after the
+    /// banked ones of equal value, so the bank is deterministic.
+    elite: ElitePool,
 }
 
 impl MasterState {
-    /// Bank `sol` into the B-best elite (distinct assignments only,
-    /// best-first, capped at [`ELITE_CAP`]). The stable sort keeps
-    /// insertion order among equal values, so the bank is deterministic.
-    fn fold_elite(&mut self, sol: &Solution) {
-        if self.elite.iter().any(|e| e.bits() == sol.bits()) {
-            return;
-        }
-        self.elite.push(sol.clone());
-        self.elite.sort_by_key(|s| std::cmp::Reverse(s.value()));
-        self.elite.truncate(ELITE_CAP);
-    }
-
     /// Close a processed round: append the global best's value to the
     /// per-round curve.
     fn close_round(&mut self) -> Result<(), EngineError> {
@@ -1327,7 +1341,7 @@ impl MasterState {
             tel.add(0, Counter::IncumbentUpdates, 1);
             tel.event(0, EventKind::NewIncumbent, round, slave_best.value());
         }
-        self.fold_elite(&slave_best);
+        self.elite.offer(&slave_best);
         // Just folded: the global best is at least this report's best.
         let global_best = match &self.global_best {
             Some(g) => g.clone(),
@@ -1784,6 +1798,98 @@ mod tests {
             );
             assert!(took < cfg.report_timeout, "{mode:?} took {took:?}: {err}");
         }
+    }
+
+    #[test]
+    fn a_master_panic_stops_the_farm_at_once() {
+        // Killed on its first report, the master STOPs the slaves as it
+        // unwinds, so the pool joins without waiting out their patience
+        // (5 s here), and the same engine serves the next run unharmed.
+        let inst = inst();
+        let mut cfg = cfg();
+        cfg.report_timeout = Duration::from_secs(1);
+        let mut engine = Engine::new(3);
+        engine.inject_fault(FaultPlan::kill(0, 1));
+        let start = Instant::now();
+        let err = engine
+            .run(&inst, Mode::CooperativeAdaptive, &cfg)
+            .unwrap_err();
+        let took = start.elapsed();
+        assert!(matches!(err, EngineError::MasterPanicked { .. }), "{err}");
+        assert!(
+            took < Duration::from_secs(2),
+            "the farm joined after {took:?}"
+        );
+        let clean = engine.run(&inst, Mode::CooperativeAdaptive, &cfg).unwrap();
+        let fresh = Engine::new(3)
+            .run(&inst, Mode::CooperativeAdaptive, &cfg)
+            .unwrap();
+        assert_eq!(clean.best.bits(), fresh.best.bits());
+        assert_eq!(clean.round_best, fresh.round_best);
+    }
+
+    /// `run_slice` on a fresh engine must refuse the slice before any
+    /// message leaves the master, and well within the slaves' patience.
+    fn assert_refused_up_front(
+        what: &str,
+        inst: &Instance,
+        cfg: &RunConfig,
+        resume: Option<Snapshot>,
+        needle: &str,
+    ) {
+        let mut engine = Engine::new(3);
+        let start = Instant::now();
+        let slice = engine.run_slice(inst, Mode::CooperativeAdaptive, cfg, resume, None);
+        let took = start.elapsed();
+        match slice {
+            Err(EngineError::Unsupported { detail }) => {
+                assert!(detail.contains(needle), "{what}: {detail}")
+            }
+            other => panic!("{what}: expected Unsupported, got {other:?}"),
+        }
+        assert!(took < Duration::from_secs(1), "{what} took {took:?}");
+        assert!(
+            engine.pool.last_comm_stats().is_empty(),
+            "{what}: the farm ran"
+        );
+    }
+
+    #[test]
+    fn an_isp_config_the_master_would_panic_on_is_refused_up_front() {
+        let inst = inst();
+        let mut cfg = cfg();
+        cfg.report_timeout = Duration::from_secs(1);
+        for alpha in [1.5, -0.1, f64::NAN] {
+            let mut bad = cfg.clone();
+            bad.isp.alpha = alpha;
+            assert_refused_up_front(&format!("alpha {alpha}"), &inst, &bad, None, "alpha");
+        }
+        let mut bad = cfg.clone();
+        bad.isp.rcl = 0;
+        assert_refused_up_front("rcl 0", &inst, &bad, None, "rcl");
+    }
+
+    #[test]
+    fn a_snapshot_whose_bits_do_not_fit_the_instance_is_refused_up_front() {
+        let inst = inst();
+        let mut cfg = cfg();
+        cfg.report_timeout = Duration::from_secs(1);
+        let slice = Engine::new(3).run_slice(&inst, Mode::CooperativeAdaptive, &cfg, None, Some(1));
+        let Ok(SliceOutcome::Parked(snap)) = slice else {
+            panic!("a three-round slice parks after one round: {slice:?}");
+        };
+        assert!(!snap.elite.is_empty());
+        let cut =
+            |bits: &mkp::BitVec| mkp::BitVec::from_bools((0..inst.n() - 1).map(|j| bits.get(j)));
+        let mut short_best = (*snap).clone();
+        short_best.global_best = cut(&snap.global_best);
+        // The same bytes a re-saved checkpoint file would carry.
+        let short_best = Snapshot::from_bytes(&short_best.to_bytes()).unwrap();
+        assert_refused_up_front("global_best", &inst, &cfg, Some(short_best), "global_best");
+        let mut short_elite = (*snap).clone();
+        let last = short_elite.elite.len() - 1;
+        short_elite.elite[last] = cut(&snap.elite[last]);
+        assert_refused_up_front("elite", &inst, &cfg, Some(short_elite), "elite");
     }
 
     #[test]

@@ -124,6 +124,11 @@ mod jkind {
     pub const DONE: u8 = 4;
     /// `RejectedMsg` bytes — the job was terminated with a reason.
     pub const REJECTED: u8 = 5;
+    /// `[job_id: u64 LE][token: u64 LE]` — the idempotency token of the
+    /// terminal record before it. Compaction writes it, because it drops
+    /// the finished job's SUBMIT, which carried the token. Older builds
+    /// skip it.
+    pub const TOKEN: u8 = 6;
 }
 
 /// How often the scheduler polls for client events when the run queue is
@@ -1125,7 +1130,8 @@ impl Scheduler {
 
     /// Rewrite the journal down to what still matters: each live job's
     /// SUBMIT (re-encoded with its remaining deadline) and latest
-    /// incumbent, in queue order, plus the retained terminal frames.
+    /// incumbent, in queue order, plus the retained terminal frames, each
+    /// followed by its token if it has one.
     /// Atomic (temp-and-rename) via [`Journal::compact`].
     fn compact_journal(&mut self) {
         if self.journal.is_none() {
@@ -1166,7 +1172,7 @@ impl Scheduler {
                 });
             }
         }
-        for (_, terminal) in &self.retained {
+        for (id, terminal) in &self.retained {
             let kind = if terminal.tag == jtags::DONE {
                 jkind::DONE
             } else {
@@ -1176,6 +1182,14 @@ impl Scheduler {
                 kind,
                 payload: terminal.payload.clone(),
             });
+            if terminal.token != 0 {
+                let mut payload = id.to_le_bytes().to_vec();
+                payload.extend_from_slice(&terminal.token.to_le_bytes());
+                records.push(Record {
+                    kind: jkind::TOKEN,
+                    payload,
+                });
+            }
         }
         if let Some(journal) = &mut self.journal {
             if let Err(e) = journal.compact(&records) {
@@ -1200,11 +1214,12 @@ impl Scheduler {
         }
         // Jobs without a terminal record yet, in journal order.
         let mut live: Vec<Live> = Vec::new();
-        let job_id_of = |payload: &[u8]| -> Option<u64> {
+        let u64_at = |payload: &[u8], at: usize| -> Option<u64> {
             payload
-                .get(..8)
+                .get(at..at + 8)
                 .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
         };
+        let job_id_of = |payload: &[u8]| u64_at(payload, 0);
         for record in records {
             match record.kind {
                 jkind::SUBMIT => {
@@ -1244,6 +1259,16 @@ impl Scheduler {
                         jtags::REJECTED
                     };
                     self.retain_terminal(id, token, tag, record.payload);
+                }
+                jkind::TOKEN => {
+                    let (Some(id), Some(token)) =
+                        (job_id_of(&record.payload), u64_at(&record.payload, 8))
+                    else {
+                        continue;
+                    };
+                    if let Some((_, terminal)) = self.retained.iter_mut().find(|(r, _)| *r == id) {
+                        terminal.token = token;
+                    }
                 }
                 _ => {} // unknown kind from a future version: skip
             }
@@ -1644,6 +1669,7 @@ fn run_job_protocol(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{AssignMsg, ReportMsg, SeedMsg};
     use mkp::generate::{gk_instance, GkSpec};
 
     fn tiny_instance(seed: u64) -> Instance {
@@ -1678,6 +1704,91 @@ mod tests {
         let back = JobReport::from_bytes(&report.to_bytes()).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.best_solution(&inst).bits(), &report.best_bits);
+    }
+
+    /// Every message the engine, the job server and a snapshot file decode
+    /// is refused, in every build, when a byte follows it.
+    #[test]
+    fn every_wire_message_rejects_a_trailing_byte() {
+        fn refused<T: Wire>(what: &str, msg: &T) {
+            let mut bytes = msg.to_bytes();
+            bytes.push(0);
+            let decoded = T::from_bytes(&bytes);
+            assert!(
+                matches!(decoded, Err(CodecError::TrailingBytes { count: 1 })),
+                "{what} decoded with a trailing byte"
+            );
+        }
+        let inst = tiny_instance(7);
+        let bits = BitVec::zeros(inst.n());
+        let strategy = mkp_tabu::Strategy::default_for(inst.n());
+        let report = JobReport {
+            mode: Mode::Cooperative,
+            best_bits: bits.clone(),
+            best_value: 0,
+            round_best: vec![0],
+            total_moves: 1,
+            total_evals: 2,
+            regenerations: 0,
+            wall_ms: 3,
+            degraded: false,
+        };
+        let cfg = RunConfig {
+            p: 2,
+            rounds: 2,
+            ..RunConfig::new(20_000, 1)
+        };
+        let parked = Engine::new(2).run_slice(&inst, Mode::Cooperative, &cfg, None, Some(1));
+        let Ok(SliceOutcome::Parked(snapshot)) = parked else {
+            panic!("a two-round slice parks after one round");
+        };
+
+        refused("PROBLEM", &ProblemMsg::from_instance(&inst));
+        refused(
+            "ASSIGN",
+            &AssignMsg::trajectory(bits.clone(), strategy, 1_000, 1),
+        );
+        refused("SEED", &SeedMsg::default());
+        refused(
+            "REPORT",
+            &ReportMsg {
+                best: bits.clone(),
+                elite: vec![bits],
+                initial_value: 0,
+                best_value: 0,
+                moves: 1,
+                evals: 2,
+                epoch: 0,
+                history_counts: vec![0; inst.n()],
+                history_iterations: 1,
+            },
+        );
+        refused("SUBMIT", &submission(ProblemMsg::from_instance(&inst)));
+        refused("ACCEPTED", &JobIdMsg { job_id: 1 });
+        refused(
+            "INCUMBENT",
+            &IncumbentMsg {
+                job_id: 1,
+                value: 5,
+                round: 1,
+            },
+        );
+        refused(
+            "DONE",
+            &DoneMsg {
+                job_id: 1,
+                report: report.clone(),
+            },
+        );
+        refused(
+            "REJECTED",
+            &RejectedMsg {
+                job_id: 1,
+                reason: "no".into(),
+            },
+        );
+        refused("job report", &report);
+        refused("snapshot", &*snapshot);
     }
 
     #[test]
@@ -2051,6 +2162,59 @@ mod tests {
             server.join().unwrap().unwrap();
         }
         assert_eq!(ids, [1, 2]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A compaction drops a finished job's SUBMIT but keeps its token, so
+    /// the same SUBMIT resent to the restarted server gets the retained
+    /// report instead of running the job again.
+    #[test]
+    fn a_finished_jobs_token_survives_a_compaction() {
+        let dir = fresh_temp_dir("token-compact");
+        let ep = Endpoint::Unix(dir.join("clients.sock"));
+        let state = dir.join("state");
+        let patience = Duration::from_secs(20);
+        let life = |max_jobs, drain| {
+            let ep = ep.clone();
+            let cfg = ServeConfig {
+                max_jobs,
+                state_dir: Some(state.clone()),
+                patience,
+                drain,
+                ..ServeConfig::default()
+            };
+            std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+        };
+        let resend = SubmitMsg {
+            token: 0x70CE_0001,
+            ..submission(ProblemMsg::from_instance(&tiny_instance(3)))
+        }
+        .to_bytes();
+        let submit = |events: &mut Vec<SubmitEvent>| {
+            run_job_protocol(&ep, jtags::SUBMIT, &resend, patience, &mut |ev| {
+                events.push(ev)
+            })
+            .unwrap()
+        };
+
+        // First life: the job runs to its end, and the shutdown compacts.
+        let server = life(1, None);
+        let mut first = Vec::new();
+        let done = submit(&mut first);
+        assert!(matches!(done, SubmitOutcome::Done(_)), "{done:?}");
+        assert_eq!(first.first(), Some(&SubmitEvent::Accepted { job_id: 1 }));
+        server.join().unwrap().unwrap();
+
+        // Second life: the resend reattaches to the retained terminal.
+        let drain = Arc::new(AtomicBool::new(false));
+        let server = life(0, Some(Arc::clone(&drain)));
+        let mut again = Vec::new();
+        let outcome = submit(&mut again);
+        drain.store(true, Ordering::Relaxed);
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!(again.first(), Some(&SubmitEvent::Accepted { job_id: 1 }));
+        assert_eq!(outcome, done);
+        assert_eq!(stats.accepted, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -211,6 +211,17 @@ impl RunConfig {
                 return Err("checkpoint interval must be at least 1 round".to_string());
             }
         }
+        if !(0.0..=1.0).contains(&self.isp.alpha) {
+            return Err(format!(
+                "ISP culling fraction alpha ({}) must be in [0, 1]",
+                self.isp.alpha
+            ));
+        }
+        if self.isp.rcl == 0 {
+            return Err(
+                "ISP restricted candidate list (rcl) must hold at least 1 item".to_string(),
+            );
+        }
         Ok(())
     }
 }

@@ -46,8 +46,8 @@ pub enum Adaptation {
 }
 
 /// Mean pairwise Hamming distance of the elite assignments (0 for fewer
-/// than two solutions) — the master-side mirror of
-/// `ElitePool::mean_pairwise_hamming`, computed on raw wire bits.
+/// than two solutions), computed on a slave report's raw wire bits: the
+/// dispersion statistic the SGP adapts strategies by.
 pub fn elite_dispersion(elite: &[BitVec]) -> f64 {
     let k = elite.len();
     if k < 2 {

@@ -3,15 +3,15 @@
 //! and admission/deadline verdicts must hold (DESIGN.md §14).
 
 use mkp::generate::{gk_instance, GkSpec};
-use mkp::Instance;
+use mkp::{BitVec, Instance};
 use parallel_tabu::{
     attach_job, run_mode, serve, serve_slave, submit_job, Mode, ModeReport, RunConfig,
-    ServeBackend, ServeConfig, ServeOutcome, SubmitEvent, SubmitOutcome, SubmitSpec,
+    ServeBackend, ServeConfig, ServeOutcome, Snapshot, SubmitEvent, SubmitOutcome, SubmitSpec,
 };
 use pvm_lite::Endpoint;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const PATIENCE: Duration = Duration::from_secs(60);
 
@@ -643,6 +643,75 @@ fn bit_flipped_spool_file_is_a_spool_corrupt_verdict() {
     assert_eq!(stats2.recovered, 1);
     assert_eq!(stats2.spool_corrupt, 1, "{stats2:?}");
     assert_eq!(stats2.done, 0);
+}
+
+/// A spooled snapshot whose best assignment does not fit the instance,
+/// re-saved so that its checksum holds, is refused when the job resumes:
+/// that job fails promptly, naming the field, instead of panicking the
+/// master and holding the farm for the slaves' patience, and the server
+/// runs the next job.
+#[test]
+fn a_spool_file_whose_bits_do_not_fit_fails_only_its_job() {
+    let dir = tmp_dir("spool-bits");
+    let ep = endpoint(&dir, "clients.sock");
+    let state_dir = dir.join("state");
+    let life = |drain: &Arc<AtomicBool>| {
+        let ep = ep.clone();
+        let cfg = ServeConfig {
+            quantum: 1,
+            state_dir: Some(state_dir.clone()),
+            drain: Some(Arc::clone(drain)),
+            patience: PATIENCE,
+            ..ServeConfig::default()
+        };
+        std::thread::spawn(move || serve(&ep, ServeBackend::InProc { p: 2 }, &cfg))
+    };
+    let spec = SubmitSpec {
+        mode: Mode::Cooperative,
+        p: 2,
+        rounds: 24,
+        budget_evals: 480_000,
+        seed: 6,
+        deadline: None,
+    };
+
+    let drain = Arc::new(AtomicBool::new(false));
+    let server1 = life(&drain);
+    let client = {
+        let (ep, spec, drain) = (ep.clone(), spec.clone(), Arc::clone(&drain));
+        std::thread::spawn(move || {
+            submit_job(&ep, &instance(77), &spec, PATIENCE, |ev| {
+                if matches!(ev, SubmitEvent::Incumbent { .. }) {
+                    drain.store(true, Ordering::Relaxed);
+                }
+            })
+            .unwrap()
+        })
+    };
+    assert!(server1.join().unwrap().unwrap().drained);
+
+    let spool_file = state_dir.join("spool").join("job-1.snap");
+    let mut snap = Snapshot::load(&spool_file).unwrap();
+    let n = snap.global_best.len();
+    snap.global_best = BitVec::from_bools((0..n - 1).map(|j| snap.global_best.get(j)));
+    snap.save(&spool_file).unwrap();
+
+    let drain2 = Arc::new(AtomicBool::new(false));
+    let server2 = life(&drain2);
+    let restarted = Instant::now();
+    match client.join().unwrap() {
+        SubmitOutcome::Rejected { reason } => {
+            assert!(reason.contains("global_best"), "{reason}")
+        }
+        other => panic!("expected the job to fail, got {other:?}"),
+    }
+    assert!(restarted.elapsed() < PATIENCE, "{:?}", restarted.elapsed());
+    let next = submit_job(&ep, &instance(78), &spec, PATIENCE, |_| {}).unwrap();
+    assert!(matches!(next, SubmitOutcome::Done(_)), "{next:?}");
+    drain2.store(true, Ordering::Relaxed);
+    let stats2 = server2.join().unwrap().unwrap();
+    assert_eq!((stats2.recovered, stats2.failed, stats2.done), (1, 1, 1));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An ATTACH for a job this server never admitted is answered with a

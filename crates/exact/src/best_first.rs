@@ -8,13 +8,11 @@
 //! solvers share the surrogate machinery and must agree exactly, which the
 //! tests exploit as a cross-validation oracle.
 
-use crate::bounds::{lp_bound, Surrogate};
-use crate::branch_bound::{BbConfig, BbResult};
-use mkp::eval::Ratios;
-use mkp::greedy::greedy;
+use crate::branch_bound::{BbConfig, BbResult, Root};
 use mkp::{BitVec, Instance, Solution};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 /// An open node: decisions made for `order[..k]`, packed items in `bits`.
 struct Node {
@@ -51,25 +49,23 @@ impl Ord for Node {
 const MAX_OPEN: usize = 2_000_000;
 
 /// Solve by best-first expansion. Semantics match
-/// [`crate::branch_bound::solve`] (same bound, same branching order).
+/// [`crate::branch_bound::solve`] (same root, same bound, same branching
+/// order), without reduced-cost fixing.
 pub fn solve_best_first(inst: &Instance, cfg: &BbConfig) -> BbResult {
-    let ratios = Ratios::new(inst);
-    let mut incumbent = greedy(inst, &ratios);
-
-    let lp = lp_bound(inst).expect("MKP relaxation is always a valid LP");
-    let root_lp = lp.objective;
-    if (root_lp - incumbent.value() as f64).abs() < 1e-6 {
-        return BbResult {
-            solution: incumbent,
-            proven: true,
-            nodes: 0,
-            root_lp,
-            fixed_at_root: 0,
-        };
-    }
-
-    let surrogate = Surrogate::from_duals(inst, &lp.duals, cfg.surrogate_scale);
-    let order = surrogate.ratio_order(inst);
+    let unfixed = BbConfig {
+        use_fixing: false,
+        ..cfg.clone()
+    };
+    let Root {
+        mut incumbent,
+        root_lp,
+        surrogate,
+        order,
+        ..
+    } = match Root::new(inst, &unfixed, None) {
+        ControlFlow::Continue(root) => root,
+        ControlFlow::Break(proven) => return proven,
+    };
 
     let root_bound = surrogate.dantzig_suffix(inst, &order, surrogate.capacity);
     let mut open = BinaryHeap::new();

@@ -1,22 +1,32 @@
-//! Depth-first branch & bound for the 0–1 MKP.
+//! Depth-first branch & bound for the 0–1 MKP, on one thread or many.
 //!
 //! Variables are branched in descending surrogate-ratio order (surrogate
 //! multipliers from the root LP duals), with the fractional surrogate bound
 //! pruning each node in O(remaining items). Reduced-cost fixing at the root
 //! shrinks the search space before the dive — the "size reduction" idea of
 //! Fréville & Plateau, whose instances this solver certifies.
+//!
+//! Every entry point runs one search. [`solve_parallel`] fixes the first
+//! `D = ⌊log₂ workers⌋` free variables to the bits of each of `2^D` cells
+//! and proves each cell on its own thread against one shared incumbent, so
+//! a good solution in one cell prunes in all; one worker proves the one
+//! cell on the calling thread, so `solve_parallel(inst, cfg, 1)` is [`solve`].
 
 use crate::bounds::{lp_bound, Surrogate};
 use crate::reduce::{fix_variables, Fixing};
 use mkp::eval::Ratios;
 use mkp::greedy::greedy;
-use mkp::{Instance, Solution};
+use mkp::{BitVec, Instance, Solution};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Branch & bound configuration.
 #[derive(Debug, Clone)]
 pub struct BbConfig {
     /// Abort the proof after this many nodes (the incumbent is still
-    /// returned, flagged `proven = false`).
+    /// returned, flagged `proven = false`); each parallel cell gets an
+    /// equal share.
     pub node_limit: u64,
     /// Scale applied to LP duals when deriving integer surrogate
     /// multipliers.
@@ -59,119 +69,212 @@ pub fn solve(inst: &Instance, cfg: &BbConfig) -> BbResult {
 /// incumbent shrinks the proof tree dramatically: reduced-cost fixing pegs
 /// more variables and the bound prunes earlier.
 pub fn solve_with_incumbent(inst: &Instance, cfg: &BbConfig, warm: Option<&Solution>) -> BbResult {
-    let ratios = Ratios::new(inst);
-    let mut incumbent = greedy(inst, &ratios);
-    if let Some(w) = warm {
-        assert!(w.is_feasible(inst), "warm-start incumbent must be feasible");
-        if w.value() > incumbent.value() {
-            incumbent = w.clone();
-        }
-    }
+    prove(inst, cfg, warm, 1)
+}
 
-    let lp = lp_bound(inst).expect("MKP relaxation is always a valid LP");
-    let root_lp = lp.objective;
+/// Solve exactly with `workers` cell provers sharing one incumbent (see
+/// the module docs). With more than one cell the node count depends on
+/// thread timing; the optimum does not.
+pub fn solve_parallel(inst: &Instance, cfg: &BbConfig, workers: usize) -> BbResult {
+    assert!(workers >= 1, "need at least one worker");
+    prove(inst, cfg, None, workers)
+}
 
-    // Root LP integral and matching greedy ⇒ done without search.
-    if (root_lp - incumbent.value() as f64).abs() < 1e-6 {
-        return BbResult {
-            solution: incumbent,
-            proven: true,
-            nodes: 0,
-            root_lp,
-            fixed_at_root: 0,
-        };
-    }
+/// What every search starts from.
+pub(crate) struct Root {
+    /// The greedy solution, or the warm start when it is better.
+    pub(crate) incumbent: Solution,
+    pub(crate) root_lp: f64,
+    fixed_at_root: usize,
+    pub(crate) surrogate: Surrogate,
+    /// Free variables only, by descending surrogate ratio.
+    pub(crate) order: Vec<usize>,
+    /// The variables fixed to one.
+    base: Solution,
+}
 
-    let fixing = if cfg.use_fixing {
-        fix_variables(inst, &lp, incumbent.value())
-    } else {
-        Fixing::none(inst.n())
-    };
-
-    let surrogate = Surrogate::from_duals(inst, &lp.duals, cfg.surrogate_scale);
-    // Branch order: free variables only, by descending surrogate ratio.
-    let order: Vec<usize> = surrogate
-        .ratio_order(inst)
-        .into_iter()
-        .filter(|&j| fixing.fixed[j].is_none())
-        .collect();
-
-    // Base partial solution holds the variables fixed to one.
-    let mut partial = Solution::empty(inst);
-    let mut base_feasible = true;
-    for j in 0..inst.n() {
-        if fixing.fixed[j] == Some(true) {
-            if !partial.fits(inst, j) {
-                // Fixing produced an infeasible base — only possible when the
-                // incumbent is already optimal; fall back to no fixing.
-                base_feasible = false;
-                break;
+impl Root {
+    /// Set up the root, or break with the proven result when the root LP
+    /// already matches the incumbent.
+    pub(crate) fn new(
+        inst: &Instance,
+        cfg: &BbConfig,
+        warm: Option<&Solution>,
+    ) -> ControlFlow<BbResult, Root> {
+        let ratios = Ratios::new(inst);
+        let mut incumbent = greedy(inst, &ratios);
+        if let Some(w) = warm {
+            assert!(w.is_feasible(inst), "warm-start incumbent must be feasible");
+            if w.value() > incumbent.value() {
+                incumbent = w.clone();
             }
-            partial.add(inst, j);
         }
-    }
-    let (order, partial) = if base_feasible {
-        (order, partial)
-    } else {
-        (surrogate.ratio_order(inst), Solution::empty(inst))
-    };
 
-    let mut search = Search {
-        inst,
-        surrogate: &surrogate,
-        order: &order,
-        cfg,
-        nodes: 0,
-        truncated: false,
-        best_value: incumbent.value(),
-        best_bits: None,
-    };
-    let s_remaining = surrogate.capacity
-        - partial
-            .bits()
-            .iter_ones()
-            .map(|j| surrogate.weights[j])
-            .sum::<i64>();
-    let mut partial = partial;
-    search.dive(&mut partial, 0, s_remaining);
+        let lp = lp_bound(inst).expect("MKP relaxation is always a valid LP");
+        let root_lp = lp.objective;
 
-    if let Some(bits) = search.best_bits {
-        incumbent = Solution::from_bits(inst, bits);
-    }
-    debug_assert!(incumbent.is_feasible(inst));
-    BbResult {
-        solution: incumbent,
-        proven: !search.truncated,
-        nodes: search.nodes,
-        root_lp,
-        fixed_at_root: fixing.count(),
+        // Root LP integral and matching greedy ⇒ done without search.
+        if (root_lp - incumbent.value() as f64).abs() < 1e-6 {
+            return ControlFlow::Break(BbResult {
+                solution: incumbent,
+                proven: true,
+                nodes: 0,
+                root_lp,
+                fixed_at_root: 0,
+            });
+        }
+
+        let fixing = if cfg.use_fixing {
+            fix_variables(inst, &lp, incumbent.value())
+        } else {
+            Fixing::none(inst.n())
+        };
+
+        let surrogate = Surrogate::from_duals(inst, &lp.duals, cfg.surrogate_scale);
+        let order: Vec<usize> = surrogate
+            .ratio_order(inst)
+            .into_iter()
+            .filter(|&j| fixing.fixed[j].is_none())
+            .collect();
+
+        let mut base = Solution::empty(inst);
+        let mut base_feasible = true;
+        for j in 0..inst.n() {
+            if fixing.fixed[j] == Some(true) {
+                if !base.fits(inst, j) {
+                    // Fixing produced an infeasible base — only possible when
+                    // the incumbent is already optimal; fall back to no fixing.
+                    base_feasible = false;
+                    break;
+                }
+                base.add(inst, j);
+            }
+        }
+        let (order, base) = if base_feasible {
+            (order, base)
+        } else {
+            (surrogate.ratio_order(inst), Solution::empty(inst))
+        };
+        ControlFlow::Continue(Root {
+            incumbent,
+            root_lp,
+            fixed_at_root: fixing.count(),
+            surrogate,
+            order,
+            base,
+        })
     }
 }
 
+/// Prove the tree below the root with `workers` cell provers.
+fn prove(inst: &Instance, cfg: &BbConfig, warm: Option<&Solution>, workers: usize) -> BbResult {
+    let root = match Root::new(inst, cfg, warm) {
+        ControlFlow::Continue(root) => root,
+        ControlFlow::Break(proven) => return proven,
+    };
+    // Never more split variables than free ones, so no cell repeats another.
+    let split = (workers.ilog2() as usize).min(root.order.len());
+    let cells = 1usize << split;
+    let best_value = AtomicI64::new(root.incumbent.value());
+    let best_bits = Mutex::new(None);
+    let nodes = AtomicU64::new(0);
+    let truncated = AtomicBool::new(false);
+
+    // Cell `cell` takes the k-th split variable iff bit k of `cell` is set.
+    let prove_cell = |cell: usize| {
+        let mut partial = root.base.clone();
+        for (bit, &j) in root.order[..split].iter().enumerate() {
+            if (cell >> bit) & 1 == 1 {
+                if !partial.fits(inst, j) {
+                    return; // an empty cell
+                }
+                partial.add(inst, j);
+            }
+        }
+        let taken = partial.bits().iter_ones();
+        let s_remaining =
+            root.surrogate.capacity - taken.map(|j| root.surrogate.weights[j]).sum::<i64>();
+        let mut search = Search {
+            inst,
+            surrogate: &root.surrogate,
+            order: &root.order,
+            node_limit: cfg.node_limit / cells as u64,
+            nodes: 0,
+            truncated: false,
+            best_value: &best_value,
+            best_bits: &best_bits,
+        };
+        search.dive(&mut partial, split, s_remaining);
+        nodes.fetch_add(search.nodes, Ordering::Relaxed);
+        truncated.fetch_or(search.truncated, Ordering::Relaxed);
+    };
+    std::thread::scope(|scope| {
+        for cell in 1..cells {
+            scope.spawn(move || prove_cell(cell));
+        }
+        prove_cell(0);
+    });
+
+    let bits = best_bits
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let solution = match bits {
+        Some(bits) => Solution::from_bits(inst, bits),
+        None => root.incumbent,
+    };
+    debug_assert!(solution.is_feasible(inst));
+    BbResult {
+        solution,
+        proven: !truncated.into_inner(),
+        nodes: nodes.into_inner(),
+        root_lp: root.root_lp,
+        fixed_at_root: root.fixed_at_root,
+    }
+}
+
+/// One cell's prover. The incumbent is shared by every cell: its value in
+/// an atomic, read at every node, and its bits under a lock, written on
+/// improvement. On one thread it prunes exactly as a local best would.
 struct Search<'a> {
     inst: &'a Instance,
     surrogate: &'a Surrogate,
     order: &'a [usize],
-    cfg: &'a BbConfig,
+    node_limit: u64,
     nodes: u64,
     truncated: bool,
-    best_value: i64,
-    best_bits: Option<mkp::BitVec>,
+    best_value: &'a AtomicI64,
+    best_bits: &'a Mutex<Option<BitVec>>,
 }
 
 impl Search<'_> {
+    /// Make `partial` the incumbent if it still beats it. The value changes
+    /// only under the lock and after the bits, so the bits always hold a
+    /// solution at least that good, and a poisoned lock is safe to recover.
+    /// Cold: improvements are rare, and inlined into `dive` the lock slowed
+    /// the `branch_bound fp21` kernel bench by about a quarter (2-vCPU host).
+    #[cold]
+    fn publish(&self, partial: &Solution) {
+        let mut bits = self
+            .best_bits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if partial.value() > self.best_value.load(Ordering::Relaxed) {
+            *bits = Some(partial.bits().clone());
+            self.best_value.store(partial.value(), Ordering::Relaxed);
+        }
+    }
+
     /// DFS from position `k` in the branch order with `s_remaining`
     /// surrogate capacity.
     fn dive(&mut self, partial: &mut Solution, k: usize, s_remaining: i64) {
         self.nodes += 1;
-        if self.nodes > self.cfg.node_limit {
+        if self.nodes > self.node_limit {
             self.truncated = true;
             return;
         }
 
-        if partial.value() > self.best_value {
-            self.best_value = partial.value();
-            self.best_bits = Some(partial.bits().clone());
+        if partial.value() > self.best_value.load(Ordering::Relaxed) {
+            self.publish(partial);
         }
         if k == self.order.len() {
             return;
@@ -179,11 +282,12 @@ impl Search<'_> {
 
         // Fractional surrogate bound over the undecided suffix. Integer
         // objective ⇒ prune unless the bound admits ≥ best + 1.
+        let incumbent = self.best_value.load(Ordering::Relaxed);
         let bound = partial.value() as f64
             + self
                 .surrogate
                 .dantzig_suffix(self.inst, &self.order[k..], s_remaining);
-        if bound < self.best_value as f64 + 1.0 - 1e-6 {
+        if bound < incumbent as f64 + 1.0 - 1e-6 {
             return;
         }
 
@@ -328,5 +432,122 @@ mod tests {
                 assert_eq!(r.solution.value(), brute_force(&inst));
             }
         );
+    }
+
+    #[test]
+    fn matches_sequential_dfs() {
+        for seed in 0..10 {
+            let inst = uncorrelated_instance("par", 22, 3, 0.5, seed);
+            let seq = solve(&inst, &BbConfig::default());
+            for workers in [1usize, 2, 4] {
+                let par = solve_parallel(&inst, &BbConfig::default(), workers);
+                assert!(par.proven, "seed {seed} workers {workers}");
+                assert_eq!(
+                    par.solution.value(),
+                    seq.solution.value(),
+                    "seed {seed} workers {workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_on_fp_sample() {
+        for k in [0usize, 5, 20, 36, 41] {
+            let inst = fp_instance(k);
+            let seq = solve(&inst, &BbConfig::default());
+            let par = solve_parallel(&inst, &BbConfig::default(), 4);
+            assert!(par.proven, "{}", inst.name());
+            assert_eq!(
+                par.solution.value(),
+                seq.solution.value(),
+                "{}",
+                inst.name()
+            );
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_workers_rounded() {
+        let inst = uncorrelated_instance("rw", 18, 3, 0.5, 3);
+        let seq = solve(&inst, &BbConfig::default());
+        for workers in [3usize, 5, 6] {
+            let par = solve_parallel(&inst, &BbConfig::default(), workers);
+            assert!(par.proven);
+            assert_eq!(par.solution.value(), seq.solution.value());
+        }
+    }
+
+    #[test]
+    fn node_limit_truncates_gracefully() {
+        let inst = fp_instance(38);
+        let r = solve_parallel(
+            &inst,
+            &BbConfig {
+                node_limit: 8,
+                ..BbConfig::default()
+            },
+            4,
+        );
+        assert!(r.solution.is_feasible(&inst));
+    }
+
+    #[test]
+    fn solution_always_feasible_and_consistent() {
+        for seed in 0..5 {
+            let inst = uncorrelated_instance("fc", 20, 4, 0.5, seed);
+            let r = solve_parallel(&inst, &BbConfig::default(), 4);
+            assert!(r.solution.is_feasible(&inst));
+            assert!(r.solution.check_consistent(&inst));
+        }
+    }
+
+    /// `solve` explores the same tree as when these were recorded: the
+    /// optimum and node count of five Fréville–Plateau instances.
+    #[test]
+    fn fp_values_and_node_counts_are_pinned() {
+        let pins = [
+            (5, 1335, 6157),
+            (20, 1088, 4409),
+            (36, 1862, 163_348),
+            (41, 1079, 11_884),
+            (56, 2467, 244_443),
+        ];
+        for (k, value, nodes) in pins {
+            let inst = fp_instance(k);
+            let r = solve(&inst, &BbConfig::default());
+            assert!(r.proven, "{}", inst.name());
+            assert_eq!(
+                (r.solution.value(), r.nodes),
+                (value, nodes),
+                "{}",
+                inst.name()
+            );
+        }
+    }
+
+    #[test]
+    fn one_worker_is_the_sequential_search() {
+        let truncated = BbConfig {
+            node_limit: 40,
+            ..BbConfig::default()
+        };
+        let unfixed = BbConfig {
+            use_fixing: false,
+            ..BbConfig::default()
+        };
+        for cfg in [BbConfig::default(), truncated, unfixed] {
+            for seed in 0..8 {
+                let inst = uncorrelated_instance("one", 26, 4, 0.5, seed);
+                let seq = solve(&inst, &cfg);
+                let one = solve_parallel(&inst, &cfg, 1);
+                assert_eq!(one.solution.bits(), seq.solution.bits(), "seed {seed}");
+                assert_eq!(one.solution.value(), seq.solution.value(), "seed {seed}");
+                assert_eq!(one.proven, seq.proven, "seed {seed}");
+                assert_eq!(one.nodes, seq.nodes, "seed {seed}");
+                assert_eq!(one.root_lp.to_bits(), seq.root_lp.to_bits(), "seed {seed}");
+                assert_eq!(one.fixed_at_root, seq.fixed_at_root, "seed {seed}");
+            }
+        }
     }
 }

@@ -14,7 +14,10 @@
 //! * [`reduce`] — reduced-cost variable fixing (the "size reduction" of
 //!   Fréville & Plateau, whose benchmark suite the paper uses);
 //! * [`branch_bound`] — depth-first branch & bound over a surrogate-ratio
-//!   variable order, returning certified optima with node statistics.
+//!   variable order, returning certified optima with node statistics: one
+//!   search, which [`solve_parallel`] proves cell by cell on many threads
+//!   against a shared incumbent;
+//! * [`best_first`] — the oracle the depth-first search is checked against.
 //!
 //! ```
 //! use mkp::generate::uncorrelated_instance;
@@ -33,9 +36,7 @@ pub mod best_first;
 pub mod bounds;
 pub mod branch_bound;
 pub mod dp;
-pub mod parallel;
 pub mod reduce;
 
 pub use best_first::solve_best_first;
-pub use branch_bound::{solve, solve_with_incumbent, BbConfig, BbResult};
-pub use parallel::solve_parallel;
+pub use branch_bound::{solve, solve_parallel, solve_with_incumbent, BbConfig, BbResult};

@@ -32,6 +32,8 @@ pub enum CodecError {
     LengthOverflow { length: u64 },
     /// String payload was not UTF-8.
     BadUtf8,
+    /// The message ended before its bytes did.
+    TrailingBytes { count: usize },
 }
 
 impl fmt::Display for CodecError {
@@ -44,6 +46,9 @@ impl fmt::Display for CodecError {
                 write!(f, "length prefix {length} exceeds sanity cap")
             }
             CodecError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
+            CodecError::TrailingBytes { count } => {
+                write!(f, "{count} trailing bytes after the message")
+            }
         }
     }
 }
@@ -235,8 +240,10 @@ pub trait Wire: Sized {
     fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut buf = UnpackBuffer::new(bytes);
         let v = Self::unpack(&mut buf)?;
-        debug_assert_eq!(buf.remaining(), 0, "trailing bytes after unpack");
-        Ok(v)
+        match buf.remaining() {
+            0 => Ok(v),
+            count => Err(CodecError::TrailingBytes { count }),
+        }
     }
 }
 
@@ -384,6 +391,21 @@ mod tests {
         };
         let bytes = msg.to_bytes();
         assert_eq!(Demo::from_bytes(&bytes).unwrap(), msg);
+    }
+
+    #[test]
+    fn trailing_bytes_are_an_error_in_every_build() {
+        let msg = Demo {
+            id: 9,
+            values: vec![5, -5],
+            label: "x".into(),
+        };
+        let mut bytes = msg.to_bytes();
+        bytes.extend_from_slice(&[0, 7]);
+        assert_eq!(
+            Demo::from_bytes(&bytes),
+            Err(CodecError::TrailingBytes { count: 2 })
+        );
     }
 
     #[test]

@@ -1147,6 +1147,26 @@ mod tests {
 
     const T: Duration = Duration::from_secs(5);
 
+    #[test]
+    fn handshake_messages_reject_a_trailing_byte() {
+        let trailing = CodecError::TrailingBytes { count: 1 };
+        let mut hello = Hello {
+            want: 2,
+            attempt: 1,
+        }
+        .to_bytes();
+        hello.push(0);
+        assert_eq!(Hello::from_bytes(&hello).unwrap_err(), trailing);
+        let mut welcome = Welcome {
+            tid: 1,
+            ntasks: 3,
+            generation: 4,
+        }
+        .to_bytes();
+        welcome.push(0);
+        assert_eq!(Welcome::from_bytes(&welcome).unwrap_err(), trailing);
+    }
+
     /// A TCP endpoint on a port the OS just reported free.
     fn free_tcp() -> Endpoint {
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();

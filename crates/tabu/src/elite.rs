@@ -1,9 +1,9 @@
 //! The B-best elite pool (paper Fig. 1 step 7: "If X is a part of the B
 //! best solutions then insert X in the BestSol array").
 //!
-//! The master process reads each slave's pool to measure how dispersed its
-//! good solutions are (mean pairwise Hamming distance), which drives the
-//! strategy adaptation.
+//! The master banks its own pool here too, and measures how dispersed each
+//! slave's reported pool is (mean pairwise Hamming distance), which drives
+//! the strategy adaptation.
 
 use mkp::Solution;
 
@@ -25,9 +25,10 @@ impl ElitePool {
         }
     }
 
-    /// Offer a solution; it is inserted when it is distinct from every pooled
-    /// solution and better than the worst pooled one (or the pool has room).
-    /// Returns `true` when inserted.
+    /// Offer a solution; it is inserted, after the pooled ones of equal
+    /// value, when it is distinct from every pooled solution and better than
+    /// the worst pooled one (or the pool has room). Returns `true` when
+    /// inserted.
     pub fn offer(&mut self, sol: &Solution) -> bool {
         if self.sols.iter().any(|s| s.bits() == sol.bits()) {
             return false;
@@ -63,25 +64,6 @@ impl ElitePool {
     /// True when the pool is empty.
     pub fn is_empty(&self) -> bool {
         self.sols.is_empty()
-    }
-
-    /// Mean pairwise Hamming distance between pooled solutions — the
-    /// dispersion statistic the master's SGP uses (0 for fewer than two
-    /// solutions).
-    pub fn mean_pairwise_hamming(&self) -> f64 {
-        let k = self.sols.len();
-        if k < 2 {
-            return 0.0;
-        }
-        let mut total = 0usize;
-        let mut pairs = 0usize;
-        for a in 0..k {
-            for b in a + 1..k {
-                total += self.sols[a].hamming(&self.sols[b]);
-                pairs += 1;
-            }
-        }
-        total as f64 / pairs as f64
     }
 
     /// Drop everything.
@@ -149,18 +131,6 @@ mod tests {
         assert!(pool.offer(&sol([false, true, false, false]))); // 4
         assert!(pool.offer(&sol([false, false, true, true]))); // 3 distinct
         assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn hamming_dispersion() {
-        let mut pool = ElitePool::new(3);
-        pool.offer(&sol([true, false, false, false]));
-        assert_eq!(pool.mean_pairwise_hamming(), 0.0);
-        pool.offer(&sol([false, true, false, false]));
-        assert!((pool.mean_pairwise_hamming() - 2.0).abs() < 1e-12);
-        pool.offer(&sol([true, true, false, false]));
-        // pairs: (a,b)=2, (a,c)=1, (b,c)=1 → mean 4/3
-        assert!((pool.mean_pairwise_hamming() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,18 +22,6 @@ use mkp::eval::Ratios;
 use mkp::greedy::{greedy_fill, project_feasible};
 use mkp::{Instance, Solution, Xoshiro256};
 
-/// Which intensification procedure(s) the engine runs after each
-/// local-search loop (paper §3.2 describes both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Intensification {
-    /// Component swapping only.
-    Swap,
-    /// Strategic oscillation only.
-    Oscillation,
-    /// Swap, then strategic oscillation.
-    Both,
-}
-
 /// Full configuration of one tabu-search run.
 #[derive(Debug, Clone)]
 pub struct TsConfig {
@@ -47,8 +35,6 @@ pub struct TsConfig {
     pub b_best: usize,
     /// Strategic-oscillation excursion depth.
     pub osc_depth: usize,
-    /// Intensification procedure selection.
-    pub intensification: Intensification,
     /// Diversification thresholds.
     pub diversify: DiversifyParams,
     /// Probability that a move's candidate choice falls on one of the top
@@ -71,7 +57,6 @@ impl TsConfig {
             nb_int: 4,
             b_best: 8,
             osc_depth: (n / 40).max(3),
-            intensification: Intensification::Both,
             diversify: DiversifyParams::default(),
             noise: 0.1,
             move_selection: MoveSelection::Constructive,
@@ -242,22 +227,12 @@ pub fn run_with_memory<M: TabuMemory + Clone + Sync>(
                 }
             }
 
-            // --- Intensification (Fig. 1 step 11) ---
-            match config.intensification {
-                Intensification::Swap => {
-                    swap_intensification(inst, ratios, &mut x_local, &mut stats);
-                }
-                Intensification::Oscillation => {
-                    strategic_oscillation(inst, ratios, &mut x_local, config.osc_depth, &mut stats);
-                }
-                Intensification::Both => {
-                    swap_intensification(inst, ratios, &mut x_local, &mut stats);
-                    lateral_swap_fill(inst, ratios, &mut x_local, &mut stats);
-                    drop_refill_intensification(inst, ratios, &mut x_local, &mut stats);
-                    ejection_chain_intensification(inst, &mut x_local, &mut stats, 3);
-                    strategic_oscillation(inst, ratios, &mut x_local, config.osc_depth, &mut stats);
-                }
-            }
+            // --- Intensification (Fig. 1 step 11): swaps, then oscillation ---
+            swap_intensification(inst, ratios, &mut x_local, &mut stats);
+            lateral_swap_fill(inst, ratios, &mut x_local, &mut stats);
+            drop_refill_intensification(inst, ratios, &mut x_local, &mut stats);
+            ejection_chain_intensification(inst, &mut x_local, &mut stats, 3);
+            strategic_oscillation(inst, ratios, &mut x_local, config.osc_depth, &mut stats);
             if x_local.value() > best.value() {
                 best = x_local.clone();
             }

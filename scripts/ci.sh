@@ -102,6 +102,21 @@ for mode in seq its cts1 cts2 ats dts; do
     | grep -q '^best value' || { echo "error: mode $mode smoke failed" >&2; exit 1; }
 done
 
+step "exact smoke (one and four B&B workers prove the same optimum)"
+# `mkp exact` runs one search whatever the worker count: four workers
+# prove four cells of the tree one worker proves whole.
+exact_optimum() {
+  cargo run -q --release --offline --locked -p mkp-cli -- \
+    exact "$tmp_mkp" --workers "$1" | grep '^optimum'
+}
+exact_one="$(exact_optimum 1)"
+exact_four="$(exact_optimum 4)"
+case "$exact_one" in
+  *"NOT PROVEN"*) echo "error: exact smoke did not prove: $exact_one" >&2; exit 1 ;;
+esac
+[ "$exact_one" = "$exact_four" ] \
+  || { echo "error: exact smoke: '$exact_one' with 1 worker, '$exact_four' with 4" >&2; exit 1; }
+
 step "policy smoke (core and repair, incl. a healed mid-run kill)"
 # The two promising-search-space modes: a plain run of each (the labels
 # are case-insensitive) must print a result and exit 0, and a CORE run
