@@ -105,10 +105,39 @@ fn bench_intensification(h: &mut Harness) {
             seed: 5,
         },
     );
-    let large_base = greedy(&large, &Ratios::new(&large));
+    let large_ratios = Ratios::new(&large);
+    let large_base = greedy(&large, &large_ratios);
     h.bench("ejection_chain 25x500", || {
         let mut sol = large_base.clone();
         ejection_chain_intensification(&large, &mut sol, &mut MoveStats::default(), 3);
+        black_box(sol.value())
+    });
+    h.bench("drop_refill 25x500", || {
+        let mut sol = large_base.clone();
+        drop_refill_intensification(&large, &large_ratios, &mut sol, &mut MoveStats::default());
+        black_box(sol.value())
+    });
+    // The job server's job shape: GK 5×100, where packing the chain's
+    // lane columns once per call weighs most against the call.
+    let job = gk_instance(
+        "b",
+        GkSpec {
+            n: 100,
+            m: 5,
+            tightness: 0.5,
+            seed: 3,
+        },
+    );
+    let job_ratios = Ratios::new(&job);
+    let job_base = greedy(&job, &job_ratios);
+    h.bench("ejection_chain 5x100", || {
+        let mut sol = job_base.clone();
+        ejection_chain_intensification(&job, &mut sol, &mut MoveStats::default(), 3);
+        black_box(sol.value())
+    });
+    h.bench("drop_refill 5x100", || {
+        let mut sol = job_base.clone();
+        drop_refill_intensification(&job, &job_ratios, &mut sol, &mut MoveStats::default());
         black_box(sol.value())
     });
 }
@@ -234,7 +263,7 @@ fn bench_soa(h: &mut Harness) {
         let sol = greedy(&inst, &ratios);
         let view = ratios.view();
         let mut lanes = ResidualLanes::new();
-        lanes.sync(view, &inst, &sol);
+        lanes.sync(view.lanes(), &inst, &sol);
         // Throughput of the SWAR fits predicate across every item (the
         // scalar equivalent is Solution::fits in a loop).
         h.bench(&format!("lane_fits_scan {m}x{n}"), || {

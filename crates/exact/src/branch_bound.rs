@@ -8,17 +8,20 @@
 //!
 //! Every entry point runs one search. [`solve_parallel`] fixes the first
 //! `D = ⌊log₂ workers⌋` free variables to the bits of each of `2^D` cells
-//! and proves each cell on its own thread against one shared incumbent, so
-//! a good solution in one cell prunes in all; one worker proves the one
-//! cell on the calling thread, so `solve_parallel(inst, cfg, 1)` is [`solve`].
+//! and proves the cells against one shared incumbent, so a good solution in
+//! one cell prunes in all. The cells run on at most as many threads as the
+//! host runs at once, the calling thread among them, each taking the next
+//! cell from a shared counter; one worker proves the one cell on the
+//! calling thread, so `solve_parallel(inst, cfg, 1)` is [`solve`].
 
 use crate::bounds::{lp_bound, Surrogate};
 use crate::reduce::{fix_variables, Fixing};
 use mkp::eval::Ratios;
 use mkp::greedy::greedy;
 use mkp::{BitVec, Instance, Solution};
+use std::num::NonZeroUsize;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Branch & bound configuration.
@@ -208,12 +211,7 @@ fn prove(inst: &Instance, cfg: &BbConfig, warm: Option<&Solution>, workers: usiz
         nodes.fetch_add(search.nodes, Ordering::Relaxed);
         truncated.fetch_or(search.truncated, Ordering::Relaxed);
     };
-    std::thread::scope(|scope| {
-        for cell in 1..cells {
-            scope.spawn(move || prove_cell(cell));
-        }
-        prove_cell(0);
-    });
+    for_each_cell(cells, prove_cell);
 
     let bits = best_bits
         .into_inner()
@@ -230,6 +228,31 @@ fn prove(inst: &Instance, cfg: &BbConfig, warm: Option<&Solution>, workers: usiz
         root_lp: root.root_lp,
         fixed_at_root: root.fixed_at_root,
     }
+}
+
+/// Run `prove_cell` once on each cell index in `0..cells`, on at most as
+/// many threads as the host runs at once, however many cells there are:
+/// the calling thread and up to `available_parallelism − 1` more, each
+/// taking the next index from a shared counter. One cell runs on the
+/// calling thread alone.
+fn for_each_cell(cells: usize, prove_cell: impl Fn(usize) + Sync) {
+    // Relaxed: the counter only hands out cell indices, each exactly once;
+    // the provers' results are read after the scope joins them.
+    let next_cell = AtomicUsize::new(0);
+    let prover = || loop {
+        let cell = next_cell.fetch_add(1, Ordering::Relaxed);
+        if cell >= cells {
+            break;
+        }
+        prove_cell(cell);
+    };
+    let parallelism = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    std::thread::scope(|scope| {
+        for _ in 1..cells.min(parallelism) {
+            scope.spawn(prover);
+        }
+        prover();
+    });
 }
 
 /// One cell's prover. The incumbent is shared by every cell: its value in
@@ -312,6 +335,7 @@ mod tests {
     use mkp::generate::{fp_instance, uncorrelated_instance};
     use mkp::prop_check;
     use mkp::testkit::gen;
+    use std::collections::HashSet;
 
     fn brute_force(inst: &Instance) -> i64 {
         assert!(inst.n() <= 20);
@@ -476,6 +500,52 @@ mod tests {
             assert!(par.proven);
             assert_eq!(par.solution.value(), seq.solution.value());
         }
+    }
+
+    /// The cells of 4,096 workers run once each on at most the host's
+    /// parallelism in threads; one cell runs on the calling thread.
+    #[test]
+    fn cells_run_once_each_on_at_most_the_hosts_threads() {
+        let parallelism = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        for cells in [1usize, 2, 1 << 12] {
+            let runs: Vec<AtomicUsize> = (0..cells).map(|_| AtomicUsize::new(0)).collect();
+            let threads = Mutex::new(HashSet::new());
+            for_each_cell(cells, |cell| {
+                runs[cell].fetch_add(1, Ordering::Relaxed);
+                threads.lock().unwrap().insert(std::thread::current().id());
+            });
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "{cells} cells"
+            );
+            let threads = threads.into_inner().unwrap();
+            assert!(
+                threads.len() <= cells.min(parallelism),
+                "{cells} cells ran on {} threads, parallelism {parallelism}",
+                threads.len()
+            );
+            if cells == 1 {
+                assert!(threads.contains(&std::thread::current().id()));
+            }
+        }
+    }
+
+    /// 4,096 workers split an FP instance into up to 4,096 cells; they run
+    /// on at most the host's parallelism in threads and prove `solve`'s
+    /// optimum.
+    #[test]
+    fn thousands_of_workers_prove_the_optimum_on_a_bounded_pool() {
+        let inst = fp_instance(20);
+        let seq = solve(&inst, &BbConfig::default());
+        let par = solve_parallel(&inst, &BbConfig::default(), 1 << 12);
+        assert!(seq.proven && par.proven, "{}", inst.name());
+        assert_eq!(
+            par.solution.value(),
+            seq.solution.value(),
+            "{}",
+            inst.name()
+        );
+        assert!(par.solution.is_feasible(&inst));
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! Constructive heuristics: greedy fills, randomized greedy starts, and the
 //! feasibility projection used by strategic oscillation and the master's
 //! restart logic.
+//!
+//! Every refill by slack-aware (dynamic) utility — the intensification
+//! kernels', strategic oscillation's and path relinking's — runs one
+//! exact fill, [`DynamicFill`]: a branch-free mask pass over the most
+//! saturated constraint's row, a folded lane test of the survivors, and
+//! later steps that re-test only the items that still fit. Its choices
+//! are those of a full scan of every unpacked item (DESIGN.md §12).
 
 use crate::eval::Ratios;
 use crate::instance::Instance;
 use crate::rng::Xoshiro256;
+use crate::soa::{LaneColumns, ResidualLanes};
 use crate::solution::Solution;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -86,64 +94,117 @@ pub fn dynamic_utility(inst: &Instance, sol: &Solution, j: usize) -> f64 {
     }
 }
 
-/// Saturate `sol` greedily by **dynamic** utility, recomputing the scores
-/// after every insertion. O(adds · n · m) — used on the occasional paths
-/// (restarts, intensification refills), not in the per-move hot loop.
-///
-/// Before the O(m) fits test, each step rejects every item heavier than
-/// the slack of the most saturated constraint with one sequential read of
-/// that constraint's row — the scalar form of the lane fill's pre-filter.
-/// The test only rejects items `fits` would reject too (on an infeasible
-/// `sol` that slack is negative and every item is rejected, as `fits`
-/// rejects it), so the fill's choices are unchanged.
+/// Saturate `sol` greedily by **dynamic** utility: each step adds the
+/// fitting item of highest [`dynamic_utility`] on the current solution,
+/// the lowest index on ties, until nothing fits. Runs [`DynamicFill`] over
+/// lane columns it packs itself in O(n·m); a caller that holds the
+/// instance's [`Ratios`] should use [`dynamic_greedy_fill_view`], which
+/// reuses the view's.
 pub fn dynamic_greedy_fill(inst: &Instance, sol: &mut Solution) {
-    loop {
-        let tightest = sol.most_saturated_constraint(inst);
-        let tightest_slack = sol.slack(inst, tightest);
-        let mut best: Option<(usize, f64)> = None;
-        for (j, &a_tightest) in inst.constraint_row(tightest).iter().enumerate() {
-            if sol.contains(j) || a_tightest > tightest_slack || !sol.fits(inst, j) {
-                continue;
-            }
-            let u = dynamic_utility(inst, sol, j);
-            if best.is_none_or(|(_, bu)| u > bu) {
-                best = Some((j, u));
-            }
-        }
-        match best {
-            Some((j, _)) => sol.add(inst, j),
-            None => break,
-        }
-    }
+    DynamicFill::new(inst).run(inst, &LaneColumns::new(inst), sol, None);
 }
 
-/// [`dynamic_greedy_fill`] with the word-parallel fits kernel: the residual
-/// lane cache prunes non-fitting candidates four constraints at a time, and
-/// the slack-aware utility is only computed for survivors. Selection is
-/// bit-identical to the scalar fill — the lane check is an exact predicate
-/// and the scoring path is untouched. Falls back to the scalar fill when the
-/// instance's weights exceed the lane payload.
+/// [`dynamic_greedy_fill`] over the lane columns of `ratios`' view.
 pub fn dynamic_greedy_fill_view(inst: &Instance, ratios: &Ratios, sol: &mut Solution) {
-    let view = ratios.view();
-    let mut lanes = crate::soa::ResidualLanes::new();
-    loop {
-        lanes.sync(view, inst, sol);
-        if !lanes.usable(view) {
-            return dynamic_greedy_fill(inst, sol);
+    DynamicFill::new(inst).run(inst, ratios.view().lanes(), sol, None);
+}
+
+/// The dynamic greedy fill every refill runs (the intensification
+/// kernels' and [`dynamic_greedy_fill`]), with its scratch: the items that
+/// still fit, ascending, and the solution's residual lanes. One scratch
+/// serves any number of fills, of any solution and instance.
+///
+/// Each step scores the same candidates as a scan of every unpacked item
+/// through [`Solution::fits`] would, in the same ascending order, with
+/// the same [`dynamic_utility`] on the same solution, and keeps the first
+/// strict maximum, so every choice is the scan's. It finds them at a
+/// fraction of the cost:
+///
+/// * The first step passes once over the row of the most saturated
+///   constraint t. Per block of 64 items, a branch-free mask of
+///   `a_tj ≤ slack_t`, ANDed with the complement of the solution's bit
+///   words, leaves the unpacked items that pass one conjunct of the fits
+///   test; only those are tested in full, by the lane test folded over
+///   every word ([`ResidualLanes::fits_unfiltered`]), or by the scalar test
+///   when a weight exceeds the lane payload.
+/// * Later steps re-test only the previous step's fitting set. Loads only
+///   grow during a fill and weights are non-negative, so an item that
+///   does not fit never fits again in that fill (the lazy greedy's
+///   invariant, DESIGN.md §12).
+///
+/// On an infeasible solution nothing fits and the fill returns at once.
+#[derive(Debug, Clone, Default)]
+pub struct DynamicFill {
+    fitting: Vec<u32>,
+    residual: ResidualLanes,
+}
+
+impl DynamicFill {
+    /// Scratch sized for `inst`: a fill on an instance no larger never
+    /// grows a buffer after its first residual sync.
+    pub fn new(inst: &Instance) -> Self {
+        DynamicFill {
+            fitting: Vec::with_capacity(inst.n()),
+            residual: ResidualLanes::new(),
         }
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..inst.n() {
-            if sol.contains(j) || !lanes.fits(view, j) {
-                continue;
+    }
+
+    /// Fill `sol` from the items outside it, `exclude` (if any) left out,
+    /// testing fits over `cols`, which must be `inst`'s. Returns the
+    /// number of items added.
+    pub fn run(
+        &mut self,
+        inst: &Instance,
+        cols: &LaneColumns,
+        sol: &mut Solution,
+        exclude: Option<usize>,
+    ) -> usize {
+        let DynamicFill { fitting, residual } = self;
+        let fits = |residual: &ResidualLanes, sol: &Solution, j: usize| {
+            if cols.ok() {
+                residual.fits_unfiltered(cols, j)
+            } else {
+                sol.fits(inst, j)
             }
-            let u = dynamic_utility(inst, sol, j);
-            if best.is_none_or(|(_, bu)| u > bu) {
-                best = Some((j, u));
+        };
+        residual.sync(cols, inst, sol);
+        let slack = residual.filter_residual();
+        if slack < 0 {
+            return 0; // infeasible: nothing fits
+        }
+        fitting.clear();
+        let row = inst.constraint_row(residual.filter_constraint());
+        let excluded = exclude.unwrap_or(usize::MAX);
+        for (w, (block, &packed)) in row.chunks(64).zip(sol.bits().words()).enumerate() {
+            let mut mask = 0u64;
+            for (b, &a) in block.iter().enumerate() {
+                mask |= u64::from(a <= slack) << b;
+            }
+            mask &= !packed;
+            while mask != 0 {
+                let j = w * 64 + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                if j != excluded && fits(residual, sol, j) {
+                    fitting.push(j as u32);
+                }
             }
         }
-        match best {
-            Some((j, _)) => sol.add(inst, j),
-            None => break,
+        let mut adds = 0;
+        loop {
+            let mut best: Option<(usize, f64)> = None;
+            for (pos, &j) in fitting.iter().enumerate() {
+                let u = dynamic_utility(inst, sol, j as usize);
+                if best.is_none_or(|(_, bu)| u > bu) {
+                    best = Some((pos, u));
+                }
+            }
+            let Some((pos, _)) = best else {
+                return adds;
+            };
+            sol.add(inst, fitting.remove(pos) as usize);
+            adds += 1;
+            residual.sync(cols, inst, sol);
+            fitting.retain(|&j| fits(residual, sol, j as usize));
         }
     }
 }
@@ -600,10 +661,20 @@ mod tests {
     /// The fill as it was before the most-saturated-constraint
     /// pre-filter: the oracle the scalar and lane fills are held to.
     fn dynamic_greedy_fill_reference(inst: &Instance, sol: &mut Solution) {
+        dynamic_greedy_fill_reference_excluding(inst, sol, None);
+    }
+
+    /// [`dynamic_greedy_fill_reference`] with `exclude` left out of every
+    /// step's candidates, as drop-refill's own loop left its expelled item.
+    fn dynamic_greedy_fill_reference_excluding(
+        inst: &Instance,
+        sol: &mut Solution,
+        exclude: Option<usize>,
+    ) {
         loop {
             let mut best: Option<(usize, f64)> = None;
             for j in 0..inst.n() {
-                if sol.contains(j) || !sol.fits(inst, j) {
+                if Some(j) == exclude || sol.contains(j) || !sol.fits(inst, j) {
                     continue;
                 }
                 let u = dynamic_utility(inst, sol, j);
@@ -637,16 +708,7 @@ mod tests {
                 let (inst, seed) = input;
                 let r = Ratios::new(inst);
                 let mut rng = Xoshiro256::seed_from_u64(*seed);
-                let maximal = random_feasible(inst, &mut rng);
-                let mut thinned = maximal.clone();
-                for j in maximal.bits().iter_ones() {
-                    if gen::boolean(&mut rng) {
-                        thinned.drop(inst, j);
-                    }
-                }
-                let bits = BitVec::from_bools((0..inst.n()).map(|_| gen::boolean(&mut rng)));
-                let random = Solution::from_bits(inst, bits);
-                for start in [Solution::empty(inst), thinned, maximal, random] {
+                for start in fill_starts(inst, &mut rng) {
                     let mut reference = start.clone();
                     dynamic_greedy_fill_reference(inst, &mut reference);
                     let mut scalar = start.clone();
@@ -655,6 +717,85 @@ mod tests {
                     dynamic_greedy_fill_view(inst, &r, &mut lane);
                     assert_eq!(scalar.bits(), reference.bits(), "scalar fill");
                     assert_eq!(lane.bits(), reference.bits(), "lane fill");
+                }
+            }
+        );
+    }
+
+    /// Starts for a fill: empty, thinned and maximal feasible ones, and a
+    /// random, mostly infeasible assignment (nothing fits it).
+    fn fill_starts(inst: &Instance, rng: &mut Xoshiro256) -> [Solution; 4] {
+        let maximal = random_feasible(inst, rng);
+        let mut thinned = maximal.clone();
+        for j in maximal.bits().iter_ones() {
+            if gen::boolean(rng) {
+                thinned.drop(inst, j);
+            }
+        }
+        let bits = BitVec::from_bools((0..inst.n()).map(|_| gen::boolean(rng)));
+        let random = Solution::from_bits(inst, bits);
+        [Solution::empty(inst), thinned, maximal, random]
+    }
+
+    /// Instances for the one fill: n across the 64-item mask words (rarely
+    /// a multiple of 64), m across the 4-constraint lane words, tied
+    /// profits and weightless items; in a third of them one weight exceeds
+    /// `LANE_MAX`, so the lanes are unusable and the fill tests fits
+    /// scalar.
+    fn arb_fill_instance(rng: &mut Xoshiro256) -> Instance {
+        let n = gen::usize_in(rng, 2, 150);
+        let m = gen::usize_in(rng, 1, 10);
+        let profits: Vec<i64> = (0..n).map(|_| gen::i64_in(rng, 0, 20)).collect();
+        let mut weights: Vec<i64> = (0..n * m)
+            .map(|_| {
+                if gen::usize_in(rng, 0, 5) == 0 {
+                    0
+                } else {
+                    gen::i64_in(rng, 1, 30)
+                }
+            })
+            .collect();
+        let mut caps: Vec<i64> = (0..m).map(|_| gen::i64_in(rng, 0, 8 * n as i64)).collect();
+        if gen::usize_in(rng, 0, 3) == 0 {
+            let cell = gen::usize_in(rng, 0, n * m);
+            weights[cell] = crate::soa::LANE_MAX + gen::i64_in(rng, 1, 1_000);
+            if gen::boolean(rng) {
+                caps[cell / n] += weights[cell]; // the heavy item can fit
+            }
+        }
+        Instance::new("fill", n, m, profits, weights, caps).unwrap()
+    }
+
+    /// One `DynamicFill` scratch, reused across every call and across
+    /// instances of different n and m, makes the reference's choices from
+    /// every start, with and without an excluded item, and returns the
+    /// number of items it added.
+    #[test]
+    fn prop_dynamic_fill_matches_reference() {
+        prop_check!(
+            |rng| (
+                arb_fill_instance(rng),
+                arb_fill_instance(rng),
+                rng.next_u64()
+            ),
+            |input| {
+                let (a, b, seed) = input;
+                let mut rng = Xoshiro256::seed_from_u64(*seed);
+                let mut fill = DynamicFill::default();
+                for inst in [a, b, a] {
+                    let lanes = LaneColumns::new(inst);
+                    for start in fill_starts(inst, &mut rng) {
+                        let unpacked: Vec<usize> = start.bits().iter_zeros().collect();
+                        let exclude = (!unpacked.is_empty() && gen::boolean(&mut rng))
+                            .then(|| *rng.choose(&unpacked));
+                        let mut expected = start.clone();
+                        dynamic_greedy_fill_reference_excluding(inst, &mut expected, exclude);
+                        let mut got = start.clone();
+                        let adds = fill.run(inst, &lanes, &mut got, exclude);
+                        assert_eq!(got.bits(), expected.bits(), "exclude {exclude:?}");
+                        assert_eq!(adds, got.cardinality() - start.cardinality());
+                        assert!(got.check_consistent(inst));
+                    }
                 }
             }
         );

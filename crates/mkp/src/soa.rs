@@ -3,11 +3,12 @@
 //! The move operator's hottest predicate is [`crate::Solution::fits`] — an
 //! O(m) scan of `load_i + a_ij ≤ b_i` with a branch per constraint. This
 //! module packs the per-item weight columns into 16-bit lanes of `u64`
-//! words ([`SoaView`]) and caches the solution's *residual capacities* in
-//! the same layout ([`ResidualLanes`]), so one branch-free subtraction
-//! tests four constraints at a time (SWAR — SIMD within a register; no
-//! SIMD crates, per DESIGN.md §7). DESIGN.md §12 documents the layout and
-//! the cache invariants.
+//! words ([`LaneColumns`], part of every [`SoaView`]) and caches the
+//! solution's *residual capacities* in the same layout
+//! ([`ResidualLanes`]), so one branch-free subtraction tests four
+//! constraints at a time (SWAR — SIMD within a register; no SIMD crates,
+//! per DESIGN.md §7). DESIGN.md §12 documents the layout and the cache
+//! invariants.
 //!
 //! The lane test is **exactly** equivalent to the scalar one whenever the
 //! encoding applies (all weights ≤ [`LANE_MAX`], residuals non-negative):
@@ -36,6 +37,59 @@ fn next_view_id() -> u64 {
     NEXT_VIEW_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
+/// An instance's weight columns packed four constraints per `u64` word,
+/// 16 bits per lane: the one lane encoding every word-parallel fits test
+/// reads. Part of [`SoaView`]; a kernel that holds no view (the ejection
+/// chain) packs its own in O(n·m).
+#[derive(Debug, Clone)]
+pub struct LaneColumns {
+    words_per_item: usize,
+    /// `words[j * words_per_item + w]` holds constraints `4w .. 4w+3` of
+    /// item `j`, 16 bits each; unused lanes are zero (zero weight always
+    /// fits). Empty when a weight exceeds [`LANE_MAX`].
+    words: Vec<u64>,
+    /// All weights fit the lane payload; lane kernels are exact.
+    ok: bool,
+}
+
+impl LaneColumns {
+    /// Pack `inst`'s columns in O(n·m); left empty and flagged unusable
+    /// when a weight exceeds [`LANE_MAX`].
+    pub fn new(inst: &Instance) -> Self {
+        let (n, m) = (inst.n(), inst.m());
+        let words_per_item = m.div_ceil(LANES_PER_WORD);
+        let ok = (0..n).all(|j| inst.item_weights(j).iter().all(|&a| a <= LANE_MAX));
+        let mut words = Vec::new();
+        if ok {
+            words.resize(n * words_per_item, 0u64);
+            for (j, column) in words.chunks_exact_mut(words_per_item).enumerate() {
+                for (i, &a) in inst.item_weights(j).iter().enumerate() {
+                    column[i / LANES_PER_WORD] |= (a as u64) << ((i % LANES_PER_WORD) * 16);
+                }
+            }
+        }
+        LaneColumns {
+            words_per_item,
+            words,
+            ok,
+        }
+    }
+
+    /// Do all weights fit the 15-bit lane payload? When false the lane
+    /// kernels are disabled and callers use the scalar reference path.
+    #[inline]
+    pub fn ok(&self) -> bool {
+        self.ok
+    }
+
+    /// Item `j`'s packed weight column, ⌈m/4⌉ words; requires
+    /// [`LaneColumns::ok`].
+    #[inline]
+    fn item(&self, j: usize) -> &[u64] {
+        &self.words[j * self.words_per_item..(j + 1) * self.words_per_item]
+    }
+}
+
 /// Structure-of-arrays evaluation view of an instance: lane-packed weight
 /// columns, precomputed drop-score (penalty) tables, and a profit-descending
 /// item order for intensification scans. Built once per instance alongside
@@ -44,11 +98,7 @@ fn next_view_id() -> u64 {
 pub struct SoaView {
     n: usize,
     m: usize,
-    words_per_item: usize,
-    /// `weight_lanes[j * words_per_item + w]` holds constraints
-    /// `4w .. 4w+3` of item `j`, 16 bits each; unused lanes are zero
-    /// (zero weight always fits).
-    weight_lanes: Vec<u64>,
+    lanes: LaneColumns,
     /// `drop_scores[i * n + j]` = [`drop_score`]`(inst, i, j)` — the exact
     /// f64 the scalar path computes, tabulated so the Drop scan does a load
     /// instead of a division.
@@ -80,8 +130,6 @@ pub struct SoaView {
     scan_rank: Vec<u32>,
     /// Item indices by descending profit, ties by ascending index.
     by_profit_desc: Vec<usize>,
-    /// All weights fit the lane payload; lane kernels are exact.
-    lanes_ok: bool,
     /// Identity token, refreshed by [`SoaView::set_scan_order`]: two views
     /// with the same id are guaranteed to hold identical tables, so caches
     /// keyed on the id (the Add scan's packed-set mirror) stay sound.
@@ -92,18 +140,6 @@ impl SoaView {
     /// Build the view in O(n·m).
     pub fn new(inst: &Instance) -> Self {
         let (n, m) = (inst.n(), inst.m());
-        let words_per_item = m.div_ceil(LANES_PER_WORD);
-        let lanes_ok = (0..n).all(|j| inst.item_weights(j).iter().all(|&a| a <= LANE_MAX));
-        let mut weight_lanes = vec![0u64; n * words_per_item];
-        if lanes_ok {
-            for j in 0..n {
-                for (i, &a) in inst.item_weights(j).iter().enumerate() {
-                    let word = j * words_per_item + i / LANES_PER_WORD;
-                    let shift = (i % LANES_PER_WORD) * 16;
-                    weight_lanes[word] |= (a as u64) << shift;
-                }
-            }
-        }
         let mut drop_scores = vec![0f64; n * m];
         let mut drop_order = vec![0usize; n * m];
         for i in 0..m {
@@ -134,8 +170,7 @@ impl SoaView {
         SoaView {
             n,
             m,
-            words_per_item,
-            weight_lanes,
+            lanes: LaneColumns::new(inst),
             drop_scores,
             drop_order,
             weight_rows,
@@ -143,7 +178,6 @@ impl SoaView {
             scan_suffix_min: Vec::new(),
             scan_rank: Vec::new(),
             by_profit_desc,
-            lanes_ok,
             id: next_view_id(),
         }
     }
@@ -220,23 +254,10 @@ impl SoaView {
         self.m
     }
 
-    /// Lane words per item column.
+    /// The lane-packed weight columns.
     #[inline]
-    pub fn words_per_item(&self) -> usize {
-        self.words_per_item
-    }
-
-    /// Do all weights fit the 15-bit lane payload? When false the lane
-    /// kernels are disabled and callers use the scalar reference path.
-    #[inline]
-    pub fn lanes_ok(&self) -> bool {
-        self.lanes_ok
-    }
-
-    /// Item `j`'s packed weight column.
-    #[inline]
-    pub fn item_lanes(&self, j: usize) -> &[u64] {
-        &self.weight_lanes[j * self.words_per_item..(j + 1) * self.words_per_item]
+    pub fn lanes(&self) -> &LaneColumns {
+        &self.lanes
     }
 
     /// Tabulated drop score of item `j` against constraint `i` — bit-equal
@@ -278,57 +299,60 @@ impl SoaView {
 ///
 /// Invariants (DESIGN.md §12): the cache is valid only for the solution it
 /// was last [`ResidualLanes::sync`]ed against, and only while that solution
-/// is feasible — a negative residual cannot be lane-encoded, so `sync` on an
-/// infeasible solution marks the cache unusable and callers take the scalar
-/// path. Unused trailing lanes hold zero (weight zero vs residual zero:
-/// always fits).
-#[derive(Debug, Clone, Default)]
+/// is feasible — a negative residual cannot be lane-encoded, so the cache
+/// of an infeasible solution is unusable and callers take the scalar path.
+/// Unused trailing lanes hold zero (weight zero vs residual zero: always
+/// fits).
+#[derive(Debug, Clone)]
 pub struct ResidualLanes {
     words: Vec<u64>,
-    exact: bool,
     /// Most-saturated constraint at last sync (smallest residual): the fits
     /// pre-filter tests it scalar-first, since it rejects most candidates.
     filter_i: usize,
-    /// Raw (unsaturated) residual of `filter_i`; `i64::MAX` disables the
-    /// pre-filter (no constraints).
+    /// Raw (unsaturated) residual of `filter_i`: negative exactly when the
+    /// last-synced solution is infeasible, and before the first sync.
     filter_r: i64,
+}
+
+impl Default for ResidualLanes {
+    fn default() -> Self {
+        ResidualLanes::new()
+    }
 }
 
 impl ResidualLanes {
     /// An empty, unusable cache; [`ResidualLanes::sync`] before use.
     pub fn new() -> Self {
         ResidualLanes {
-            filter_r: i64::MAX,
-            ..ResidualLanes::default()
+            words: Vec::new(),
+            filter_i: 0,
+            filter_r: -1,
         }
     }
 
-    /// Rebuild the residual lanes from `sol`'s cached loads in O(m).
-    pub fn sync(&mut self, view: &SoaView, inst: &Instance, sol: &Solution) {
+    /// Rebuild the residual lanes in `cols`' layout from `sol`'s cached
+    /// loads in O(m).
+    pub fn sync(&mut self, cols: &LaneColumns, inst: &Instance, sol: &Solution) {
         self.words.clear();
-        self.words.resize(view.words_per_item, 0);
-        self.exact = true;
+        self.words.resize(cols.words_per_item, 0);
         self.filter_i = 0;
         self.filter_r = i64::MAX;
         for (i, (&load, &cap)) in sol.loads().iter().zip(inst.capacities()).enumerate() {
             let r = cap - load;
-            if r < 0 {
-                self.exact = false;
-                return;
-            }
             if r < self.filter_r {
                 self.filter_i = i;
                 self.filter_r = r;
             }
-            let lane = r.min(LANE_MAX) as u64;
+            let lane = r.clamp(0, LANE_MAX) as u64;
             self.words[i / LANES_PER_WORD] |= lane << ((i % LANES_PER_WORD) * 16);
         }
     }
 
-    /// Is the lane fits-kernel exact for the last-synced solution?
+    /// Is the lane fits-kernel exact for the last-synced solution: do
+    /// `cols` encode every weight, and is the solution feasible?
     #[inline]
-    pub fn usable(&self, view: &SoaView) -> bool {
-        view.lanes_ok && self.exact
+    pub fn usable(&self, cols: &LaneColumns) -> bool {
+        cols.ok && self.filter_r >= 0
     }
 
     /// Most-saturated constraint at last sync (pre-filter index).
@@ -337,45 +361,48 @@ impl ResidualLanes {
         self.filter_i
     }
 
-    /// Raw residual of [`ResidualLanes::filter_constraint`];
-    /// `i64::MAX` when no constraint was seen.
+    /// Raw residual of [`ResidualLanes::filter_constraint`], the smallest
+    /// at the last sync: negative exactly when that solution is infeasible.
     #[inline]
     pub fn filter_residual(&self) -> i64 {
         self.filter_r
     }
 
-    /// The lane-word fits test without the scalar pre-filter — for callers
-    /// that already applied the pre-filter inline (the Add scan folds it
-    /// into its skip predicate).
+    /// The lane-word fits test without the scalar pre-filter, for callers
+    /// that apply it themselves (the Add scan's skip predicate, the dynamic
+    /// fill's mask pass). Requires [`ResidualLanes::usable`].
+    ///
+    /// Each word is one SWAR subtract that tests four constraints: per
+    /// 16-bit lane, `(r | 0x8000) − a` cannot borrow out of its lane
+    /// (minuend ≥ 0x8000, subtrahend ≤ 0x7FFF), and lane bit 15 survives
+    /// iff `r ≥ a`. The words' results are ORed together with no early
+    /// exit: the word at which a candidate first fails varies from
+    /// candidate to candidate, so an exit branch mispredicts and costs
+    /// more than the words it skips (DESIGN.md §12).
     #[inline]
-    pub fn fits_unfiltered(&self, view: &SoaView, j: usize) -> bool {
-        debug_assert!(self.usable(view), "lane fits on an unusable cache");
-        for (&r, &a) in self.words.iter().zip(view.item_lanes(j)) {
-            let z = (r | HIGH).wrapping_sub(a);
-            if !z & HIGH != 0 {
-                return false;
-            }
+    pub fn fits_unfiltered(&self, cols: &LaneColumns, j: usize) -> bool {
+        debug_assert!(self.usable(cols), "lane fits on an unusable cache");
+        let mut overflow = 0;
+        for (&r, &a) in self.words.iter().zip(cols.item(j)) {
+            overflow |= !(r | HIGH).wrapping_sub(a) & HIGH;
         }
-        true
+        overflow == 0
     }
 
     /// Word-parallel fits test: would adding item `j` keep every residual
     /// non-negative? Requires [`ResidualLanes::usable`].
     ///
-    /// Per 16-bit lane the subtraction `(r | 0x8000) − a` cannot borrow out
-    /// of its lane (minuend ≥ 0x8000, subtrahend ≤ 0x7FFF), so one u64
-    /// subtract evaluates four lanes independently; lane bit 15 survives
-    /// iff `r ≥ a`. A scalar pre-filter checks the most-saturated
-    /// constraint first — a single sequential load that settles most
-    /// rejections without touching the item's lane column; the word loop
-    /// then exits on the first violated group.
+    /// A scalar pre-filter checks the most-saturated constraint first — a
+    /// single sequential load that settles most rejections without
+    /// touching the item's lane column — then
+    /// [`ResidualLanes::fits_unfiltered`] tests every constraint.
     #[inline]
     pub fn fits(&self, view: &SoaView, j: usize) -> bool {
-        debug_assert!(self.usable(view), "lane fits on an unusable cache");
-        if self.filter_r != i64::MAX && view.weight_row(self.filter_i)[j] > self.filter_r {
+        debug_assert!(self.usable(&view.lanes), "lane fits on an unusable cache");
+        if view.weight_row(self.filter_i)[j] > self.filter_r {
             return false;
         }
-        self.fits_unfiltered(view, j)
+        self.fits_unfiltered(&view.lanes, j)
     }
 }
 
@@ -389,7 +416,7 @@ mod tests {
     fn view_and_lanes(inst: &Instance, sol: &Solution) -> (SoaView, ResidualLanes) {
         let view = SoaView::new(inst);
         let mut lanes = ResidualLanes::new();
-        lanes.sync(&view, inst, sol);
+        lanes.sync(view.lanes(), inst, sol);
         (view, lanes)
     }
 
@@ -411,7 +438,7 @@ mod tests {
         let mut sol = Solution::empty(&inst);
         sol.add(&inst, 0);
         let (view, lanes) = view_and_lanes(&inst, &sol);
-        assert!(lanes.usable(&view));
+        assert!(lanes.usable(view.lanes()));
         for j in 1..inst.n() {
             assert_eq!(lanes.fits(&view, j), sol.fits(&inst, j), "item {j}");
         }
@@ -425,7 +452,7 @@ mod tests {
             Instance::new("big", 2, 1, vec![1, 1], vec![LANE_MAX, 3], vec![1 << 40]).unwrap();
         let sol = Solution::empty(&inst);
         let (view, lanes) = view_and_lanes(&inst, &sol);
-        assert!(lanes.usable(&view));
+        assert!(lanes.usable(view.lanes()));
         assert!(lanes.fits(&view, 0));
         assert!(lanes.fits(&view, 1));
     }
@@ -434,10 +461,10 @@ mod tests {
     fn oversized_weight_disables_lanes() {
         let inst = Instance::new("w", 2, 1, vec![1, 1], vec![LANE_MAX + 1, 3], vec![100]).unwrap();
         let view = SoaView::new(&inst);
-        assert!(!view.lanes_ok());
+        assert!(!view.lanes().ok());
         let mut lanes = ResidualLanes::new();
-        lanes.sync(&view, &inst, &Solution::empty(&inst));
-        assert!(!lanes.usable(&view));
+        lanes.sync(view.lanes(), &inst, &Solution::empty(&inst));
+        assert!(!lanes.usable(view.lanes()));
     }
 
     #[test]
@@ -447,8 +474,8 @@ mod tests {
         sol.add(&inst, 0);
         sol.add(&inst, 1); // load 6 > cap 4
         let (view, lanes) = view_and_lanes(&inst, &sol);
-        assert!(view.lanes_ok());
-        assert!(!lanes.usable(&view));
+        assert!(view.lanes().ok());
+        assert!(!lanes.usable(view.lanes()));
     }
 
     #[test]
@@ -543,21 +570,21 @@ mod tests {
             let view = SoaView::new(inst);
             let mut lanes = ResidualLanes::new();
             let mut sol = Solution::empty(inst);
-            lanes.sync(&view, inst, &sol);
+            lanes.sync(view.lanes(), inst, &sol);
             for &j in toggles.iter().filter(|&&j| j < inst.n()) {
                 if sol.contains(j) {
                     sol.drop(inst, j);
                 } else {
                     sol.add(inst, j);
                 }
-                lanes.sync(&view, inst, &sol);
+                lanes.sync(view.lanes(), inst, &sol);
                 // The cache must refuse service exactly when the solution
                 // is infeasible or a weight cannot be encoded.
                 assert_eq!(
-                    lanes.usable(&view),
-                    view.lanes_ok() && sol.is_feasible(inst)
+                    lanes.usable(view.lanes()),
+                    view.lanes().ok() && sol.is_feasible(inst)
                 );
-                if !lanes.usable(&view) {
+                if !lanes.usable(view.lanes()) {
                     continue;
                 }
                 for q in 0..inst.n() {

@@ -4,29 +4,37 @@
 //! worse. Costs are per pass; a kernel repeats its pass until one finds
 //! nothing.
 //!
+//! Every refill is one [`DynamicFill`]: a branch-free pass over one row
+//! of n weights, a ⌈m/4⌉-word lane test of each of the S items that pass
+//! it, then per step an O(m) utility for each of the F items that fit,
+//! and per add an O(m) residual sync and a lane re-test of those F. So a
+//! refill costs O(n + S·m + adds · F·m), and F only shrinks.
+//!
 //! * [`swap_intensification`] — the paper's component swapping (§3.2,
 //!   first procedure): exchange a packed item for a more profitable
 //!   unpacked one whenever the exchange keeps the knapsack feasible.
 //!   O(|packed| · (m + n·⌈m/4⌉)) at worst, with O(m/4) the lane fits test;
 //!   the profit-ordered entrant scan usually stops far earlier.
 //! * [`lateral_swap_fill`] — equal-profit, strictly lighter 1-1 swaps that
-//!   free capacity, then one dynamic refill. O(|packed| · (m + n)): weights
-//!   are only read for the rare profit ties.
+//!   free capacity, then one dynamic refill. O(|packed| · (m + n)) plus
+//!   the refill: weights are only read for the rare profit ties.
 //! * [`drop_refill_intensification`] — expel one packed item and rebuild
-//!   greedily (one-for-many trades). Each expelled item costs a refill of
-//!   O(adds · n) lane fits tests plus an O(m) utility per fitting
-//!   candidate.
+//!   greedily (one-for-many trades). O(|packed| · (n/64 + m)) plus one
+//!   refill per expelled item.
 //! * [`ejection_chain_intensification`] — Glover's bounded ejection chain
-//!   (many-for-one trades). Each ejection step costs O(m + |V|·|packed|),
-//!   V being the constraints the entrant violates, plus the refill's
-//!   O(adds · n · m) after the entrant is in.
+//!   (many-for-one trades). Each tried entrant costs O(m) for its violated
+//!   constraints V; each ejection step O(m + |V|·|packed|) over a cache of
+//!   the packed items' weights, rebuilt in O(m·(n/64 + |packed|)) after an
+//!   improvement; and a successful chain one refill. The call packs its
+//!   lane columns once, in O(n·m).
 //!
 //! The fifth kernel, strategic oscillation, lives in
 //! [`crate::oscillate`].
 
 use crate::moves::MoveStats;
 use mkp::eval::Ratios;
-use mkp::soa::ResidualLanes;
+use mkp::greedy::DynamicFill;
+use mkp::soa::{LaneColumns, ResidualLanes};
 use mkp::{Instance, Solution};
 
 /// Apply all profitable feasible 1-1 swaps to `sol`, repeating until a full
@@ -62,8 +70,8 @@ pub fn swap_intensification(
             sol.drop(inst, out);
             // The full scan evaluated every unpacked item except `out`.
             stats.candidate_evals += (inst.n() - sol.cardinality() - 1) as u64;
-            lanes.sync(view, inst, sol);
-            let lanes_live = lanes.usable(view);
+            lanes.sync(view.lanes(), inst, sol);
+            let lanes_live = lanes.usable(view.lanes());
             let mut entrant: Option<usize> = None;
             for &j in view.by_profit_desc() {
                 if inst.profit(j) <= c_out {
@@ -129,8 +137,8 @@ pub fn lateral_swap_fill(
             // Bulk-count the full scan's per-candidate evaluations, then
             // filter on the (rare) profit tie before touching the weights.
             stats.candidate_evals += (inst.n() - sol.cardinality() - 1) as u64;
-            lanes.sync(view, inst, sol);
-            let lanes_live = lanes.usable(view);
+            lanes.sync(view.lanes(), inst, sol);
+            let lanes_live = lanes.usable(view.lanes());
             let mut best_in: Option<(usize, i64)> = None;
             for j in 0..inst.n() {
                 if sol.contains(j) || j == out || inst.profit(j) != c_out {
@@ -170,15 +178,22 @@ pub fn lateral_swap_fill(
 ///
 /// This explores all 1-to-many exchanges reachable by the greedy fill —
 /// the "one big item vs several small ones" trades that neither profitable
-/// nor lateral 1-1 swaps can see. One refill per packed item per pass.
+/// nor lateral 1-1 swaps can see. One refill per packed item per pass, by
+/// [`DynamicFill`] with the expelled item left out (otherwise the fill just
+/// restores the status quo), over the view's lane columns.
+///
+/// Each refill step is charged one evaluation per unpacked item other than
+/// the expelled one, the last step (which finds nothing) included, as the
+/// full scan of every candidate was: `(A+1)·u0 − A(A+1)/2` for `A` adds,
+/// with `u0` the candidates of the first step.
 pub fn drop_refill_intensification(
     inst: &Instance,
     ratios: &Ratios,
     sol: &mut Solution,
     stats: &mut MoveStats,
 ) -> usize {
-    let view = ratios.view();
-    let mut lanes = ResidualLanes::new();
+    let lanes = ratios.view().lanes();
+    let mut fill = DynamicFill::new(inst);
     let mut trial = sol.clone();
     let mut improvements = 0;
     loop {
@@ -189,36 +204,9 @@ pub fn drop_refill_intensification(
             }
             trial.clone_from(sol);
             trial.drop(inst, out);
-            // Refill everything except the expelled item itself (otherwise
-            // the fill just restores the status quo), choosing by dynamic
-            // slack-aware utility.
-            loop {
-                lanes.sync(view, inst, &trial);
-                let lanes_live = lanes.usable(view);
-                let mut best: Option<(usize, f64)> = None;
-                for j in 0..inst.n() {
-                    if j == out || trial.contains(j) {
-                        continue;
-                    }
-                    stats.candidate_evals += 1;
-                    let fits = if lanes_live {
-                        lanes.fits(view, j)
-                    } else {
-                        trial.fits(inst, j)
-                    };
-                    if !fits {
-                        continue;
-                    }
-                    let u = mkp::greedy::dynamic_utility(inst, &trial, j);
-                    if best.is_none_or(|(_, bu)| u > bu) {
-                        best = Some((j, u));
-                    }
-                }
-                match best {
-                    Some((j, _)) => trial.add(inst, j),
-                    None => break,
-                }
-            }
+            let u0 = (inst.n() - trial.cardinality() - 1) as u64;
+            let adds = fill.run(inst, lanes, &mut trial, Some(out)) as u64;
+            stats.candidate_evals += (adds + 1) * u0 - adds * (adds + 1) / 2;
             if trial.value() > sol.value() {
                 sol.clone_from(&trial);
                 improvements += 1;
@@ -240,23 +228,32 @@ pub fn drop_refill_intensification(
 /// [`drop_refill_intensification`] (one-for-many) cannot reach.
 ///
 /// A victim's pressure is its weight summed over the violated constraints
-/// V only, accumulated constraint row by constraint row, so a step costs
-/// O(m + |V|·|packed|) rather than O(m·|packed|). Every item's sum still
-/// adds the same terms in the same (ascending-constraint) order from 0.0,
-/// so each score, and with it every choice, is the full scan's to the bit;
-/// a step counts `|packed|` candidate evaluations, as the per-item scan
-/// did. The trial solution and the scoring buffers are reused across
-/// entrants, so a call allocates the same five buffers whatever n is.
+/// V only. The weights of `sol`'s packed items are cached as f64, one
+/// contiguous run per constraint in ascending item order, and rebuilt
+/// after each improvement; a step adds the runs of the rows in V, in
+/// ascending order, into the pressures. Every item's sum still adds the
+/// same terms in the same order from 0.0, so each score, and with it every
+/// choice, is the full scan's to the bit. Items ejected earlier in the
+/// chain are skipped, and a step counts `|packed|` candidate evaluations
+/// over the trial solution, as the per-item scan did. A step costs
+/// O(m + |V|·|packed|); the refill is [`DynamicFill`] over lane columns
+/// packed once per call.
+///
+/// The trial solution and every buffer are reused across entrants, so a
+/// call allocates at most eight buffers, whatever n is.
 pub fn ejection_chain_intensification(
     inst: &Instance,
     sol: &mut Solution,
     stats: &mut MoveStats,
     max_eject: usize,
 ) -> usize {
+    let lanes = LaneColumns::new(inst);
+    let mut fill = DynamicFill::new(inst);
     let mut trial = sol.clone();
     let mut violated: Vec<usize> = Vec::with_capacity(inst.m());
-    let mut packed: Vec<usize> = Vec::with_capacity(inst.n());
+    let mut weights: Vec<f64> = Vec::with_capacity(inst.n() * inst.m());
     let mut pressure: Vec<f64> = Vec::with_capacity(inst.n());
+    let mut packed = cache_packed_weights(inst, sol, &mut weights);
     let mut improvements = 0;
     loop {
         let mut improved = false;
@@ -276,19 +273,20 @@ pub fn ejection_chain_intensification(
                 }
                 // Eject the packed item pressing hardest (weight per unit
                 // profit) on the constraints item j currently violates.
-                packed.clear();
-                packed.extend(trial.bits().iter_ones());
-                stats.candidate_evals += packed.len() as u64;
+                stats.candidate_evals += (packed - ejected) as u64;
                 pressure.clear();
-                pressure.resize(packed.len(), 0.0);
+                pressure.resize(packed, 0.0);
                 for &i in &violated {
-                    let row = inst.constraint_row(i);
-                    for (p, &k) in pressure.iter_mut().zip(&packed) {
-                        *p += row[k] as f64;
+                    let run = &weights[i * packed..(i + 1) * packed];
+                    for (p, &a) in pressure.iter_mut().zip(run) {
+                        *p += a;
                     }
                 }
                 let mut victim: Option<(usize, f64)> = None;
-                for (&k, &p) in packed.iter().zip(&pressure) {
+                for (k, &p) in sol.bits().iter_ones().zip(&pressure) {
+                    if !trial.contains(k) {
+                        continue; // ejected earlier in this chain
+                    }
                     let score = p / inst.profit(k).max(1) as f64;
                     if score > 0.0 && victim.is_none_or(|(_, s)| score > s) {
                         victim = Some((k, score));
@@ -308,9 +306,10 @@ pub fn ejection_chain_intensification(
                 continue;
             }
             trial.add(inst, j);
-            mkp::greedy::dynamic_greedy_fill(inst, &mut trial);
+            fill.run(inst, &lanes, &mut trial, None);
             if trial.value() > sol.value() {
                 std::mem::swap(sol, &mut trial);
+                packed = cache_packed_weights(inst, sol, &mut weights);
                 improvements += 1;
                 improved = true;
             }
@@ -321,6 +320,18 @@ pub fn ejection_chain_intensification(
     }
     debug_assert!(sol.is_feasible(inst));
     improvements
+}
+
+/// Refill `weights` with the weights of `sol`'s packed items as f64, one
+/// run per constraint, each in ascending item order, and return the
+/// number of packed items (the length of each run).
+fn cache_packed_weights(inst: &Instance, sol: &Solution, weights: &mut Vec<f64>) -> usize {
+    weights.clear();
+    for i in 0..inst.m() {
+        let row = inst.constraint_row(i);
+        weights.extend(sol.bits().iter_ones().map(|k| row[k] as f64));
+    }
+    weights.len() / inst.m()
 }
 
 /// Collect into `out`, ascending, the constraints that adding item `j`
@@ -391,6 +402,70 @@ fn ejection_chain_reference(
             mkp::greedy::dynamic_greedy_fill(inst, &mut trial);
             if trial.value() > sol.value() {
                 *sol = trial;
+                improvements += 1;
+                improved = true;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    debug_assert!(sol.is_feasible(inst));
+    improvements
+}
+
+/// [`drop_refill_intensification`] as it was before its refill ran
+/// through [`DynamicFill`]: every refill step scans every unpacked item but
+/// the expelled one, counting one evaluation each. The oracle the kernel
+/// is held to.
+#[cfg(test)]
+fn drop_refill_reference(
+    inst: &Instance,
+    ratios: &Ratios,
+    sol: &mut Solution,
+    stats: &mut MoveStats,
+) -> usize {
+    let view = ratios.view();
+    let mut lanes = ResidualLanes::new();
+    let mut trial = sol.clone();
+    let mut improvements = 0;
+    loop {
+        let mut improved = false;
+        for out in sol.bits().ones() {
+            if !sol.contains(out) {
+                continue;
+            }
+            trial.clone_from(sol);
+            trial.drop(inst, out);
+            loop {
+                lanes.sync(view.lanes(), inst, &trial);
+                let lanes_live = lanes.usable(view.lanes());
+                let mut best: Option<(usize, f64)> = None;
+                for j in 0..inst.n() {
+                    if j == out || trial.contains(j) {
+                        continue;
+                    }
+                    stats.candidate_evals += 1;
+                    let fits = if lanes_live {
+                        lanes.fits(view, j)
+                    } else {
+                        trial.fits(inst, j)
+                    };
+                    if !fits {
+                        continue;
+                    }
+                    let u = mkp::greedy::dynamic_utility(inst, &trial, j);
+                    if best.is_none_or(|(_, bu)| u > bu) {
+                        best = Some((j, u));
+                    }
+                }
+                match best {
+                    Some((j, _)) => trial.add(inst, j),
+                    None => break,
+                }
+            }
+            if trial.value() > sol.value() {
+                sol.clone_from(&trial);
                 improvements += 1;
                 improved = true;
             }
@@ -643,9 +718,45 @@ mod tests {
         });
     }
 
-    /// The two benchmark-shaped instances the golden values below run on:
-    /// GK 10×250 and the large class at 25×500.
-    fn golden_instances() -> [Instance; 2] {
+    /// Drop-refill makes the reference's choices to the bit, returns the
+    /// same count and charges the same evaluations, on tied instances
+    /// (zero profits, weightless items, zero capacities) from maximal and
+    /// thinned random feasible starts.
+    #[test]
+    fn prop_drop_refill_matches_reference() {
+        prop_check!(|rng| (gen::tied_instance(rng), rng.next_u64()), |input| {
+            let (inst, seed) = input;
+            let ratios = Ratios::new(inst);
+            let mut rng = Xoshiro256::seed_from_u64(*seed);
+            let maximal = random_feasible(inst, &mut rng);
+            let mut thinned = maximal.clone();
+            for j in maximal.bits().iter_ones() {
+                if gen::boolean(&mut rng) {
+                    thinned.drop(inst, j);
+                }
+            }
+            for start in [&maximal, &thinned] {
+                let mut expected = start.clone();
+                let mut expected_stats = MoveStats::default();
+                let expected_count =
+                    drop_refill_reference(inst, &ratios, &mut expected, &mut expected_stats);
+                let mut got = start.clone();
+                let mut got_stats = MoveStats::default();
+                let got_count =
+                    drop_refill_intensification(inst, &ratios, &mut got, &mut got_stats);
+                assert_eq!(got.bits(), expected.bits());
+                assert_eq!(got_count, expected_count);
+                assert_eq!(got_stats.candidate_evals, expected_stats.candidate_evals);
+                assert!(got.check_consistent(inst));
+            }
+        });
+    }
+
+    /// The benchmark-shaped instances the golden values below run on:
+    /// GK 10×250, the large class at 25×500, and the large class at 50×1000
+    /// with L2's tightness, whose 13 lane words end in a 2-lane tail and
+    /// whose last mask word holds 40 items.
+    fn golden_instances() -> [Instance; 3] {
         let gk = gk_instance(
             "g",
             GkSpec {
@@ -665,16 +776,27 @@ mod tests {
                 seed: 5,
             },
         );
-        [gk, large]
+        let wide = large_instance(
+            "w",
+            LargeSpec {
+                n: 1000,
+                m: 50,
+                tightness: 0.25,
+                correlation: 0.5,
+                seed: 12,
+            },
+        );
+        [gk, large, wide]
     }
 
     /// (value, improvements, candidate evaluations, bit fingerprint) from
     /// the greedy start, recorded before the ejection chain scored only the
-    /// violated constraints; any change to either kernel's choices or
+    /// violated constraints (the 50×1000 values before the refills ran
+    /// through `DynamicFill`); any change to either kernel's choices or
     /// evaluation count shows here.
     #[test]
     fn intensification_outputs_are_pinned_across_versions() {
-        let expected: [[(i64, usize, u64, u64); 2]; 2] = [
+        let expected: [[(i64, usize, u64, u64); 2]; 3] = [
             [
                 (107_730, 14, 68_336, 0x279e_7453_a13f_8395),
                 (106_949, 5, 41_890, 0x346f_1d6a_b5d6_75a6),
@@ -682,6 +804,10 @@ mod tests {
             [
                 (155_252, 16, 254_942, 0x7be6_d3f4_a39f_c7d8),
                 (154_455, 15, 298_460, 0x59cd_8814_d84d_9f2d),
+            ],
+            [
+                (168_160, 37, 805_392, 0xc91a_ac78_8b65_4453),
+                (166_697, 24, 1_131_593, 0xd00b_b895_776f_8dd2),
             ],
         ];
         for (inst, [ejection, drop_refill]) in golden_instances().iter().zip(expected) {

@@ -507,8 +507,8 @@ fn add_phase<M: TabuMemory>(
         relaxed.clear();
         skipped.clear();
 
-        lanes.sync(view, inst, sol);
-        let mut lanes_live = lanes.usable(view);
+        lanes.sync(view.lanes(), inst, sol);
+        let mut lanes_live = lanes.usable(view.lanes());
         // The scalar reference pass examines every unpacked item exactly
         // once, and an add mid-pass can only affect the item being visited
         // — so the pass's eval count is the unpacked count at entry,
@@ -561,7 +561,7 @@ fn add_phase<M: TabuMemory>(
                         continue;
                     }
                     let j = order[k];
-                    if !lanes.fits_unfiltered(view, j) {
+                    if !lanes.fits_unfiltered(view.lanes(), j) {
                         continue;
                     }
                     let admissible = if !tabu.is_tabu(j, now) {
@@ -583,8 +583,8 @@ fn add_phase<M: TabuMemory>(
                         } else {
                             sol.add(inst, j);
                             added.push(j);
-                            lanes.sync(view, inst, sol);
-                            lanes_live = lanes.usable(view);
+                            lanes.sync(view.lanes(), inst, sol);
+                            lanes_live = lanes.usable(view.lanes());
                             debug_assert!(lanes_live, "a fitting add kept the solution feasible");
                             let i = lanes.filter_constraint();
                             frow = view.scan_weight_row(i);
@@ -629,8 +629,8 @@ fn add_phase<M: TabuMemory>(
                         sol.add(inst, j);
                         added.push(j);
                         if lanes_live {
-                            lanes.sync(view, inst, sol);
-                            lanes_live = lanes.usable(view);
+                            lanes.sync(view.lanes(), inst, sol);
+                            lanes_live = lanes.usable(view.lanes());
                         }
                     }
                 }
@@ -648,8 +648,8 @@ fn add_phase<M: TabuMemory>(
                 sol.add(inst, j);
                 added.push(j);
                 if lanes_live {
-                    lanes.sync(view, inst, sol);
-                    lanes_live = lanes.usable(view);
+                    lanes.sync(view.lanes(), inst, sol);
+                    lanes_live = lanes.usable(view.lanes());
                 }
             }
         }
@@ -682,8 +682,8 @@ fn add_phase<M: TabuMemory>(
                     added.push(j);
                     card += 1;
                     if lanes_live {
-                        lanes.sync(view, inst, sol);
-                        lanes_live = lanes.usable(view);
+                        lanes.sync(view.lanes(), inst, sol);
+                        lanes_live = lanes.usable(view.lanes());
                     }
                 }
                 None => break,

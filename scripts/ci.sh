@@ -160,23 +160,29 @@ for mode in seq cts1; do
     || { echo "error: mode $mode metrics failed validation" >&2; exit 1; }
 done
 
-step "CORE determinism on the large class (metrics identical, validated)"
+step "CORE and CTS2 determinism on the large class (metrics identical, validated)"
 # On GK 40x5 at most five LP duals are nonzero, so the simplex's four-row
-# pricing blocks barely run; on large 25x500 they carry the LP. Two
-# identically seeded CORE runs must dump byte-identical metrics.
+# pricing blocks barely run; on large 25x500 they carry the LP. CTS2 at
+# this budget finishes its local-search loops, so every assignment ends in
+# the full-space intensification kernels (ejection chain and drop-refill
+# through the lane-tested dynamic fill). Two identically seeded runs of
+# each mode must dump byte-identical metrics.
 tmpfile tmp_large /tmp/ci-large-XXXXXX.mkp
 cargo run --release --offline --locked -p mkp-cli -- \
   generate "$tmp_large" --class large --n 500 --m 25 --seed 7
-for metrics in "$tmp_m1" "$tmp_m2"; do
+for run in "core 200000" "cts2 2000000"; do
+  read -r mode budget <<< "$run"
+  for metrics in "$tmp_m1" "$tmp_m2"; do
+    cargo run --release --offline --locked -p mkp-cli -- \
+      solve "$tmp_large" --mode "$mode" --p 2 --rounds 4 --budget "$budget" --seed 1 \
+      --metrics "$metrics" > /dev/null
+  done
+  cmp -s "$tmp_m1" "$tmp_m2" \
+    || { echo "error: $mode metrics on the large class are not deterministic" >&2; exit 1; }
   cargo run --release --offline --locked -p mkp-cli -- \
-    solve "$tmp_large" --mode core --p 2 --rounds 4 --budget 200000 --seed 1 \
-    --metrics "$metrics" > /dev/null
+    validate-metrics "$tmp_m1" \
+    || { echo "error: $mode metrics on the large class failed validation" >&2; exit 1; }
 done
-cmp -s "$tmp_m1" "$tmp_m2" \
-  || { echo "error: core metrics on the large class are not deterministic" >&2; exit 1; }
-cargo run --release --offline --locked -p mkp-cli -- \
-  validate-metrics "$tmp_m1" \
-  || { echo "error: core metrics on the large class failed validation" >&2; exit 1; }
 
 step "telemetry overhead smoke (A/B harness runs, JSON to results/)"
 cargo run --release --offline --locked -p mkp-bench --bin telemetry_overhead -- \
