@@ -269,7 +269,7 @@ fn bench_soa(h: &mut Harness) {
         h.bench(&format!("lane_fits_scan {m}x{n}"), || {
             let mut hits = 0usize;
             for j in 0..inst.n() {
-                hits += lanes.fits(view, j) as usize;
+                hits += lanes.fits(view.lanes(), &inst, &sol, j) as usize;
             }
             black_box(hits)
         });

@@ -9,10 +9,12 @@
 //! Every entry point runs one search. [`solve_parallel`] fixes the first
 //! `D = ⌊log₂ workers⌋` free variables to the bits of each of `2^D` cells
 //! and proves the cells against one shared incumbent, so a good solution in
-//! one cell prunes in all. The cells run on at most as many threads as the
-//! host runs at once, the calling thread among them, each taking the next
-//! cell from a shared counter; one worker proves the one cell on the
-//! calling thread, so `solve_parallel(inst, cfg, 1)` is [`solve`].
+//! one cell prunes in all, and one shared node budget, so the node limit
+//! bounds the whole proof however many cells split it. The cells run on at
+//! most as many threads as the host runs at once, the calling thread among
+//! them, each taking the next cell from a shared counter; one worker
+//! proves the one cell on the calling thread, so
+//! `solve_parallel(inst, cfg, 1)` is [`solve`].
 
 use crate::bounds::{lp_bound, Surrogate};
 use crate::reduce::{fix_variables, Fixing};
@@ -28,8 +30,8 @@ use std::sync::{Mutex, PoisonError};
 #[derive(Debug, Clone)]
 pub struct BbConfig {
     /// Abort the proof after this many nodes (the incumbent is still
-    /// returned, flagged `proven = false`); each parallel cell gets an
-    /// equal share.
+    /// returned, flagged `proven = false`), counted over all parallel
+    /// cells: they draw on one shared budget.
     pub node_limit: u64,
     /// Scale applied to LP duals when deriving integer surrogate
     /// multipliers.
@@ -180,6 +182,8 @@ fn prove(inst: &Instance, cfg: &BbConfig, warm: Option<&Solution>, workers: usiz
     let cells = 1usize << split;
     let best_value = AtomicI64::new(root.incumbent.value());
     let best_bits = Mutex::new(None);
+    // Relaxed, like `nodes`: the budget is a count and publishes no data.
+    let budget = AtomicU64::new(cfg.node_limit);
     let nodes = AtomicU64::new(0);
     let truncated = AtomicBool::new(false);
 
@@ -201,13 +205,16 @@ fn prove(inst: &Instance, cfg: &BbConfig, warm: Option<&Solution>, workers: usiz
             inst,
             surrogate: &root.surrogate,
             order: &root.order,
-            node_limit: cfg.node_limit / cells as u64,
+            budget: &budget,
+            quota: 0,
             nodes: 0,
             truncated: false,
             best_value: &best_value,
             best_bits: &best_bits,
         };
         search.dive(&mut partial, split, s_remaining);
+        // Hand back the nodes this cell took and did not expand.
+        budget.fetch_add(search.quota.saturating_sub(search.nodes), Ordering::Relaxed);
         nodes.fetch_add(search.nodes, Ordering::Relaxed);
         truncated.fetch_or(search.truncated, Ordering::Relaxed);
     };
@@ -255,14 +262,24 @@ fn for_each_cell(cells: usize, prove_cell: impl Fn(usize) + Sync) {
     });
 }
 
+/// Nodes a cell takes from the shared budget at a time: the atomic is
+/// touched once per this many nodes, and a cell holds at most this many
+/// unexpanded until it ends and hands them back.
+const NODE_CHUNK: u64 = 4096;
+
 /// One cell's prover. The incumbent is shared by every cell: its value in
 /// an atomic, read at every node, and its bits under a lock, written on
 /// improvement. On one thread it prunes exactly as a local best would.
+/// The node budget is shared too: a cell takes nodes from it in chunks of
+/// [`NODE_CHUNK`] and stops, truncated, once it is spent.
 struct Search<'a> {
     inst: &'a Instance,
     surrogate: &'a Surrogate,
     order: &'a [usize],
-    node_limit: u64,
+    /// Nodes of the node limit no cell has taken yet.
+    budget: &'a AtomicU64,
+    /// Nodes this cell has taken from `budget`.
+    quota: u64,
     nodes: u64,
     truncated: bool,
     best_value: &'a AtomicI64,
@@ -287,11 +304,29 @@ impl Search<'_> {
         }
     }
 
+    /// Take up to [`NODE_CHUNK`] more nodes from the shared budget; false
+    /// when it is spent.
+    #[cold]
+    fn take_nodes(&mut self) -> bool {
+        let taken = self
+            .budget
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                (left > 0).then(|| left - left.min(NODE_CHUNK))
+            });
+        match taken {
+            Ok(left) => {
+                self.quota += left.min(NODE_CHUNK);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
     /// DFS from position `k` in the branch order with `s_remaining`
     /// surrogate capacity.
     fn dive(&mut self, partial: &mut Solution, k: usize, s_remaining: i64) {
         self.nodes += 1;
-        if self.nodes > self.node_limit {
+        if self.nodes > self.quota && !self.take_nodes() {
             self.truncated = true;
             return;
         }
@@ -332,7 +367,7 @@ impl Search<'_> {
 mod tests {
     use super::*;
     use crate::dp::solve_single;
-    use mkp::generate::{fp_instance, uncorrelated_instance};
+    use mkp::generate::{fp_instance, gk_instance, uncorrelated_instance, GkSpec};
     use mkp::prop_check;
     use mkp::testkit::gen;
     use std::collections::HashSet;
@@ -546,6 +581,30 @@ mod tests {
             inst.name()
         );
         assert!(par.solution.is_feasible(&inst));
+    }
+
+    /// 4,096 workers split GK 40×5 into 4,096 cells, whose proofs take more
+    /// nodes together than one search needs. Drawing on one shared budget,
+    /// they prove the optimum within the default node limit; an even share
+    /// per cell, 24,414 nodes, left the proof unfinished.
+    #[test]
+    fn many_cells_prove_within_one_shared_node_limit() {
+        let inst = gk_instance(
+            "g",
+            GkSpec {
+                n: 40,
+                m: 5,
+                tightness: 0.5,
+                seed: 7,
+            },
+        );
+        let one = solve_parallel(&inst, &BbConfig::default(), 1);
+        assert!(one.proven);
+        assert_eq!((one.solution.value(), one.nodes), (16_619, 13_964));
+        let many = solve_parallel(&inst, &BbConfig::default(), 1 << 12);
+        assert!(many.proven, "{} nodes", many.nodes);
+        assert_eq!(many.solution.value(), 16_619);
+        assert!(many.nodes <= BbConfig::default().node_limit);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! * **drop score** `a_{i*j} / c_j` against the most saturated constraint
 //!   `i*` — the Drop step removes the packed item maximising it.
 //!
-//! The first two depend only on the instance and are precomputed once into a
-//! [`Ratios`] table; the drop score depends on the current solution and is
-//! computed on the fly by the move code.
+//! All three depend only on the instance (the drop score once `i*` is
+//! chosen) and are precomputed once: the first two into a [`Ratios`]
+//! table, the third as one item ranking per constraint in its
+//! [`SoaView`], which is built for the utility ranking in the same step.
 
 use crate::instance::Instance;
 use crate::soa::SoaView;
@@ -23,66 +24,19 @@ pub struct Ratios {
     burden: Vec<f64>,
     /// Item indices sorted by descending pseudo-utility (ties by index).
     by_utility_desc: Vec<usize>,
-    /// Structure-of-arrays evaluation view (lane-packed weights, drop-score
-    /// tables) built alongside the ratios so every hot path that already
-    /// carries a `&Ratios` gets the word-parallel kernels for free.
+    /// Structure-of-arrays evaluation view (lane-packed weights, drop
+    /// rankings, the Add scan's tables in `by_utility_desc` order) built
+    /// with the ratios so every hot path that already carries a `&Ratios`
+    /// gets the word-parallel kernels for free.
     view: SoaView,
 }
 
 impl Ratios {
-    /// Compute the ratio tables for `inst` in O(n·m).
+    /// Compute the ratio tables and the view for `inst`, in O(m·n log n)
+    /// (the view's per-constraint drop rankings dominate).
     pub fn new(inst: &Instance) -> Self {
-        let n = inst.n();
-        let mut pseudo_utility = Vec::with_capacity(n);
-        let mut burden = Vec::with_capacity(n);
-        for j in 0..n {
-            let mut norm = 0.0f64;
-            for (i, &a) in inst.item_weights(j).iter().enumerate() {
-                let b = inst.capacity(i);
-                if b > 0 {
-                    norm += a as f64 / b as f64;
-                } else if a > 0 {
-                    // Zero capacity with positive weight: the item can never
-                    // be packed; treat its normalised weight as infinite.
-                    norm = f64::INFINITY;
-                    break;
-                }
-            }
-            let c = inst.profit(j) as f64;
-            pseudo_utility.push(if norm == 0.0 {
-                // Weightless item: infinitely attractive (free profit).
-                f64::INFINITY
-            } else {
-                c / norm
-            });
-            burden.push(if c == 0.0 {
-                // Profitless item carrying weight: infinitely burdensome.
-                if inst.item_weight_sum(j) > 0 {
-                    f64::INFINITY
-                } else {
-                    0.0
-                }
-            } else {
-                inst.item_weight_sum(j) as f64 / c
-            });
-        }
-        let mut by_utility_desc: Vec<usize> = (0..n).collect();
-        by_utility_desc.sort_by(|&a, &b| {
-            pseudo_utility[b]
-                .partial_cmp(&pseudo_utility[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut view = SoaView::new(inst);
-        // The Add scan walks the utility ranking; give the view's
-        // pre-filter rows the same order so those loads stream.
-        view.set_scan_order(&by_utility_desc);
-        Ratios {
-            pseudo_utility,
-            burden,
-            by_utility_desc,
-            view,
-        }
+        let (pseudo_utility, burden) = item_ratios(inst);
+        Ratios::ranked(inst, pseudo_utility, burden)
     }
 
     /// A perturbed copy of the ratio tables: each pseudo-utility is scaled
@@ -96,21 +50,34 @@ impl Ratios {
             (0.0..1.0).contains(&strength),
             "perturbation strength {strength} outside [0, 1)"
         );
-        let mut ratios = Ratios::new(inst);
-        for u in &mut ratios.pseudo_utility {
+        let (mut pseudo_utility, burden) = item_ratios(inst);
+        for u in &mut pseudo_utility {
             // ∞ stays ∞ (weightless items stay first), finite values jitter.
             if u.is_finite() {
                 *u *= 1.0 + strength * (2.0 * rng.next_f64() - 1.0);
             }
         }
-        ratios.by_utility_desc.sort_by(|&a, &b| {
-            ratios.pseudo_utility[b]
-                .partial_cmp(&ratios.pseudo_utility[a])
+        Ratios::ranked(inst, pseudo_utility, burden)
+    }
+
+    /// Rank the items by descending pseudo-utility, ties by ascending
+    /// index (utilities are never NaN, so the ranking is a total order),
+    /// and build the view for that scan order.
+    fn ranked(inst: &Instance, pseudo_utility: Vec<f64>, burden: Vec<f64>) -> Self {
+        let mut by_utility_desc: Vec<usize> = (0..inst.n()).collect();
+        by_utility_desc.sort_by(|&a, &b| {
+            pseudo_utility[b]
+                .partial_cmp(&pseudo_utility[a])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        ratios.view.set_scan_order(&ratios.by_utility_desc);
-        ratios
+        let view = SoaView::new(inst, &by_utility_desc);
+        Ratios {
+            pseudo_utility,
+            burden,
+            by_utility_desc,
+            view,
+        }
     }
 
     /// Pseudo-utility `u_j` (higher = more attractive to add).
@@ -136,6 +103,45 @@ impl Ratios {
     pub fn view(&self) -> &SoaView {
         &self.view
     }
+}
+
+/// Every item's pseudo-utility and burden, in O(n·m).
+fn item_ratios(inst: &Instance) -> (Vec<f64>, Vec<f64>) {
+    let n = inst.n();
+    let mut pseudo_utility = Vec::with_capacity(n);
+    let mut burden = Vec::with_capacity(n);
+    for j in 0..n {
+        let mut norm = 0.0f64;
+        for (i, &a) in inst.item_weights(j).iter().enumerate() {
+            let b = inst.capacity(i);
+            if b > 0 {
+                norm += a as f64 / b as f64;
+            } else if a > 0 {
+                // Zero capacity with positive weight: the item can never
+                // be packed; treat its normalised weight as infinite.
+                norm = f64::INFINITY;
+                break;
+            }
+        }
+        let c = inst.profit(j) as f64;
+        pseudo_utility.push(if norm == 0.0 {
+            // Weightless item: infinitely attractive (free profit).
+            f64::INFINITY
+        } else {
+            c / norm
+        });
+        burden.push(if c == 0.0 {
+            // Profitless item carrying weight: infinitely burdensome.
+            if inst.item_weight_sum(j) > 0 {
+                f64::INFINITY
+            } else {
+                0.0
+            }
+        } else {
+            inst.item_weight_sum(j) as f64 / c
+        });
+    }
+    (pseudo_utility, burden)
 }
 
 /// Drop score of packed item `j` against constraint `i`: `a_ij / c_j`

@@ -5,9 +5,11 @@
 //! Every refill by slack-aware (dynamic) utility — the intensification
 //! kernels', strategic oscillation's and path relinking's — runs one
 //! exact fill, [`DynamicFill`]: a branch-free mask pass over the most
-//! saturated constraint's row, a folded lane test of the survivors, and
-//! later steps that re-test only the items that still fit. Its choices
-//! are those of a full scan of every unpacked item (DESIGN.md §12).
+//! saturated constraint's row, the exact fits test of `mkp::soa` on the
+//! survivors (a folded lane test where the lanes decide, the scalar test
+//! elsewhere), and later steps that re-test only the items that still
+//! fit. Its choices are those of a full scan of every unpacked item
+//! (DESIGN.md §12).
 
 use crate::eval::Ratios;
 use crate::instance::Instance;
@@ -124,9 +126,10 @@ pub fn dynamic_greedy_fill_view(inst: &Instance, ratios: &Ratios, sol: &mut Solu
 ///   constraint t. Per block of 64 items, a branch-free mask of
 ///   `a_tj ≤ slack_t`, ANDed with the complement of the solution's bit
 ///   words, leaves the unpacked items that pass one conjunct of the fits
-///   test; only those are tested in full, by the lane test folded over
-///   every word ([`ResidualLanes::fits_unfiltered`]), or by the scalar test
-///   when a weight exceeds the lane payload.
+///   test; only those are tested in full, by
+///   [`ResidualLanes::fits_unfiltered`]: the lane test folded over every
+///   word, which runs the scalar test itself where the lanes cannot
+///   decide.
 /// * Later steps re-test only the previous step's fitting set. Loads only
 ///   grow during a fill and weights are non-negative, so an item that
 ///   does not fit never fits again in that fill (the lazy greedy's
@@ -160,13 +163,6 @@ impl DynamicFill {
         exclude: Option<usize>,
     ) -> usize {
         let DynamicFill { fitting, residual } = self;
-        let fits = |residual: &ResidualLanes, sol: &Solution, j: usize| {
-            if cols.ok() {
-                residual.fits_unfiltered(cols, j)
-            } else {
-                sol.fits(inst, j)
-            }
-        };
         residual.sync(cols, inst, sol);
         let slack = residual.filter_residual();
         if slack < 0 {
@@ -184,7 +180,7 @@ impl DynamicFill {
             while mask != 0 {
                 let j = w * 64 + mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                if j != excluded && fits(residual, sol, j) {
+                if j != excluded && residual.fits_unfiltered(cols, inst, sol, j) {
                     fitting.push(j as u32);
                 }
             }
@@ -204,7 +200,7 @@ impl DynamicFill {
             sol.add(inst, fitting.remove(pos) as usize);
             adds += 1;
             residual.sync(cols, inst, sol);
-            fitting.retain(|&j| fits(residual, sol, j as usize));
+            fitting.retain(|&j| residual.fits_unfiltered(cols, inst, sol, j as usize));
         }
     }
 }
@@ -740,8 +736,8 @@ mod tests {
     /// Instances for the one fill: n across the 64-item mask words (rarely
     /// a multiple of 64), m across the 4-constraint lane words, tied
     /// profits and weightless items; in a third of them one weight exceeds
-    /// `LANE_MAX`, so the lanes are unusable and the fill tests fits
-    /// scalar.
+    /// `LANE_MAX`, so the columns cannot encode it and the fill's fits
+    /// tests run scalar.
     fn arb_fill_instance(rng: &mut Xoshiro256) -> Instance {
         let n = gen::usize_in(rng, 2, 150);
         let m = gen::usize_in(rng, 1, 10);

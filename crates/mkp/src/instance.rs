@@ -36,10 +36,6 @@ pub enum InstanceError {
         what: &'static str,
         index: Option<usize>,
     },
-    /// Item `j` cannot fit in any solution: some `a_ij > b_i`.
-    // Not an error in general MKP, but generators should not emit such items;
-    // kept as a *warning-level* validation available separately.
-    _Reserved,
 }
 
 impl fmt::Display for InstanceError {
@@ -68,7 +64,6 @@ impl fmt::Display for InstanceError {
                     Instance::MAX_MAGNITUDE
                 )
             }
-            InstanceError::_Reserved => write!(f, "reserved"),
         }
     }
 }

@@ -341,6 +341,26 @@ where
     (current, msg, spent)
 }
 
+/// `inst` with every weight and capacity multiplied by `factor`: the same
+/// feasible sets under bigger numbers. Once a weight exceeds
+/// [`crate::soa::LANE_MAX`] (GK weights reach 1,000, so ×40 does it), every
+/// fits test on the copy takes the scalar route.
+pub fn widened(inst: &crate::Instance, factor: i64) -> crate::Instance {
+    let weights = (0..inst.m())
+        .flat_map(|i| inst.constraint_row(i).iter().map(|&a| a * factor))
+        .collect();
+    let capacities = inst.capacities().iter().map(|&b| b * factor).collect();
+    crate::Instance::new(
+        inst.name(),
+        inst.n(),
+        inst.m(),
+        inst.profits().to_vec(),
+        weights,
+        capacities,
+    )
+    .expect("a widened instance stays valid")
+}
+
 /// Seeded generator helpers. All draw from the caller's [`Xoshiro256`],
 /// so a test's whole input derives from one reported seed.
 pub mod gen {

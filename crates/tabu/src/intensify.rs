@@ -71,7 +71,6 @@ pub fn swap_intensification(
             // The full scan evaluated every unpacked item except `out`.
             stats.candidate_evals += (inst.n() - sol.cardinality() - 1) as u64;
             lanes.sync(view.lanes(), inst, sol);
-            let lanes_live = lanes.usable(view.lanes());
             let mut entrant: Option<usize> = None;
             for &j in view.by_profit_desc() {
                 if inst.profit(j) <= c_out {
@@ -80,12 +79,7 @@ pub fn swap_intensification(
                 if sol.contains(j) || j == out {
                     continue;
                 }
-                let fits = if lanes_live {
-                    lanes.fits(view, j)
-                } else {
-                    sol.fits(inst, j)
-                };
-                if fits {
+                if lanes.fits(view.lanes(), inst, sol, j) {
                     entrant = Some(j);
                     break;
                 }
@@ -138,18 +132,12 @@ pub fn lateral_swap_fill(
             // filter on the (rare) profit tie before touching the weights.
             stats.candidate_evals += (inst.n() - sol.cardinality() - 1) as u64;
             lanes.sync(view.lanes(), inst, sol);
-            let lanes_live = lanes.usable(view.lanes());
             let mut best_in: Option<(usize, i64)> = None;
             for j in 0..inst.n() {
                 if sol.contains(j) || j == out || inst.profit(j) != c_out {
                     continue;
                 }
-                let fits = if lanes_live {
-                    lanes.fits(view, j)
-                } else {
-                    sol.fits(inst, j)
-                };
-                if fits {
+                if lanes.fits(view.lanes(), inst, sol, j) {
                     let w_in = inst.item_weight_sum(j);
                     if w_in < w_out && best_in.is_none_or(|(_, w)| w_in < w) {
                         best_in = Some((j, w_in));
@@ -416,17 +404,10 @@ fn ejection_chain_reference(
 
 /// [`drop_refill_intensification`] as it was before its refill ran
 /// through [`DynamicFill`]: every refill step scans every unpacked item but
-/// the expelled one, counting one evaluation each. The oracle the kernel
-/// is held to.
+/// the expelled one with [`Solution::fits`], counting one evaluation each.
+/// The oracle the kernel is held to; it shares no cache with it.
 #[cfg(test)]
-fn drop_refill_reference(
-    inst: &Instance,
-    ratios: &Ratios,
-    sol: &mut Solution,
-    stats: &mut MoveStats,
-) -> usize {
-    let view = ratios.view();
-    let mut lanes = ResidualLanes::new();
+fn drop_refill_reference(inst: &Instance, sol: &mut Solution, stats: &mut MoveStats) -> usize {
     let mut trial = sol.clone();
     let mut improvements = 0;
     loop {
@@ -438,20 +419,13 @@ fn drop_refill_reference(
             trial.clone_from(sol);
             trial.drop(inst, out);
             loop {
-                lanes.sync(view.lanes(), inst, &trial);
-                let lanes_live = lanes.usable(view.lanes());
                 let mut best: Option<(usize, f64)> = None;
                 for j in 0..inst.n() {
                     if j == out || trial.contains(j) {
                         continue;
                     }
                     stats.candidate_evals += 1;
-                    let fits = if lanes_live {
-                        lanes.fits(view, j)
-                    } else {
-                        trial.fits(inst, j)
-                    };
-                    if !fits {
+                    if !trial.fits(inst, j) {
                         continue;
                     }
                     let u = mkp::greedy::dynamic_utility(inst, &trial, j);
@@ -739,7 +713,7 @@ mod tests {
                 let mut expected = start.clone();
                 let mut expected_stats = MoveStats::default();
                 let expected_count =
-                    drop_refill_reference(inst, &ratios, &mut expected, &mut expected_stats);
+                    drop_refill_reference(inst, &mut expected, &mut expected_stats);
                 let mut got = start.clone();
                 let mut got_stats = MoveStats::default();
                 let got_count =

@@ -21,15 +21,16 @@
 //! # Word-parallel hot path
 //!
 //! The scans below are the innermost loops of every experiment, so they
-//! run on the structure-of-arrays view (DESIGN.md §12): drop scores come
-//! from the precomputed table in [`mkp::soa::SoaView`], feasibility tests
-//! use the u64-lane SWAR kernel of [`mkp::soa::ResidualLanes`] (scalar
-//! fallback when the encoding does not apply), and all per-move scratch
+//! run on the structure-of-arrays view (DESIGN.md §12): the Drop step walks
+//! the per-constraint drop rankings of [`mkp::soa::SoaView`], the Add phase
+//! is one scan over the view's scan-order tables, every feasibility test is
+//! the exact fits test of [`mkp::soa::ResidualLanes`] (u64-lane SWAR where
+//! the lanes decide, the scalar test elsewhere), and all per-move scratch
 //! lives in a thread-local [`MoveWorkspace`] so the steady-state path
 //! never touches the allocator. The selected moves, every stats counter
-//! and every RNG draw are bit-identical to the scalar reference — the
-//! equivalence is property-tested in `mkp::soa` and pinned by the
-//! workspace determinism tests.
+//! and every RNG draw are those of the one-at-a-time reference
+//! ([`select_drop`], [`select_add`]) — the equivalence is property-tested
+//! here and in `mkp::soa` and pinned by the workspace determinism tests.
 
 use crate::tabu_list::TabuMemory;
 use mkp::eval::Ratios;
@@ -331,6 +332,9 @@ pub fn select_drop<M: TabuMemory>(
 /// all items). A relaxed pass then re-admits the fitting tabu item closest
 /// to expiry — except items in `exclude` (those dropped by the move in
 /// progress), so a move can never undo itself into a no-op.
+///
+/// [`apply_move`]'s Add phase makes these selections in one scan; this
+/// one-item form is the reference it is tested against.
 #[allow(clippy::too_many_arguments)] // mirrors apply_move's knob set
 pub fn select_add<M: TabuMemory>(
     inst: &Instance,
@@ -471,13 +475,12 @@ pub fn apply_move<M: TabuMemory>(
 ///    move's drops) — so every move ends on a maximal solution and the
 ///    knapsack can never drain.
 ///
-/// Feasibility tests run on the lane-packed residual cache when the
-/// encoding applies (scalar fallback otherwise). The relaxed loop scans
-/// only the recorded first-pass rejections — the sole possible candidates,
-/// since loads grow monotonically through the phase — while
-/// `candidate_evals` advances exactly as if each round rescanned the full
-/// utility order, keeping the budget accounting bit-identical to the
-/// reference implementation.
+/// Its choices, stats and rng draws are those of [`select_add`] applied
+/// one item at a time. Fits tests run on the residual cache, which is
+/// exact on every instance and solution. The relaxed loop scans only the
+/// recorded first-pass rejections — the sole possible candidates, since
+/// loads grow monotonically through the phase — while `candidate_evals`
+/// advances exactly as if each round rescanned the full utility order.
 #[allow(clippy::too_many_arguments)]
 fn add_phase<M: TabuMemory>(
     inst: &Instance,
@@ -502,111 +505,63 @@ fn add_phase<M: TabuMemory>(
             mirror_view,
         } = ws;
         let view = ratios.view();
+        let cols = view.lanes();
         let mut added = ItemList::new();
         let mut aspired = false;
         relaxed.clear();
         skipped.clear();
 
-        lanes.sync(view.lanes(), inst, sol);
-        let mut lanes_live = lanes.usable(view.lanes());
-        // The scalar reference pass examines every unpacked item exactly
-        // once, and an add mid-pass can only affect the item being visited
-        // — so the pass's eval count is the unpacked count at entry,
-        // bookable in bulk.
+        lanes.sync(cols, inst, sol);
+        // The reference pass examines every unpacked item exactly once,
+        // and an add mid-pass can only affect the item being visited — so
+        // the pass's eval count is the unpacked count at entry, bookable
+        // in bulk.
         stats.candidate_evals += (inst.n() - sol.cardinality()) as u64;
-        // Word-parallel first pass. The packed-set mirror exposes the
-        // unpacked scan positions as set bits, so the scan jumps between
-        // real candidates with `trailing_zeros` instead of testing a ~50/50
-        // `contains` branch per position; the pre-filter row (most-saturated
+        // The first pass. The packed-set mirror exposes the unpacked scan
+        // positions as set bits, so the scan jumps between real candidates
+        // with `trailing_zeros` instead of testing a ~50/50 `contains`
+        // branch per position; the pre-filter row (most-saturated
         // constraint, stored in scan order) rejects most visits with one
         // sequential load, and its suffix minima end the scan outright once
         // no later position can pass — rejection on one constraint is
         // exact, so the skipped tail could neither add nor record anything.
-        // Adds keep the solution feasible, so the lane cache cannot become
-        // unusable mid-pass; the filter is refreshed after each re-sync
+        // On an infeasible solution the filter residual is negative and
+        // the scan ends at once. The filter is refreshed after each re-sync
         // because the most-saturated constraint moves.
         let order = ratios.by_utility_desc();
-        let scan_row = view.scan_weight_row(lanes.filter_constraint());
-        let mirror_scan = lanes_live && scan_row.len() == view.n();
-        if mirror_scan {
-            let mut frow = scan_row;
-            let mut suffix = view.scan_suffix_min_row(lanes.filter_constraint());
-            let mut fr = lanes.filter_residual();
-            if *mirror_view != view.id() || sol_words.as_slice() != sol.bits().words() {
-                // Rebuild the mirror for this (view, solution) pair.
-                sol_words.clear();
-                sol_words.extend_from_slice(sol.bits().words());
-                mirror.clear();
-                mirror.resize(sol_words.len(), 0);
-                for (k, &j) in order.iter().enumerate() {
-                    if sol.contains(j) {
-                        mirror[k / 64] |= 1u64 << (k % 64);
-                    }
-                }
-                for k in order.len()..mirror.len() * 64 {
+        let mut frow = view.scan_weight_row(lanes.filter_constraint());
+        let mut suffix = view.scan_suffix_min_row(lanes.filter_constraint());
+        let mut fr = lanes.filter_residual();
+        if *mirror_view != view.id() || sol_words.as_slice() != sol.bits().words() {
+            // Rebuild the mirror for this (view, solution) pair.
+            sol_words.clear();
+            sol_words.extend_from_slice(sol.bits().words());
+            mirror.clear();
+            mirror.resize(sol_words.len(), 0);
+            for (k, &j) in order.iter().enumerate() {
+                if sol.contains(j) {
                     mirror[k / 64] |= 1u64 << (k % 64);
                 }
-                *mirror_view = view.id();
             }
-            'scan: for (wi, &mword) in mirror.iter().enumerate() {
-                let mut unpacked = !mword;
-                while unpacked != 0 {
-                    let k = wi * 64 + unpacked.trailing_zeros() as usize;
-                    unpacked &= unpacked - 1;
-                    if suffix[k] > fr {
-                        // No remaining position can pass the pre-filter.
-                        break 'scan;
-                    }
-                    if frow[k] > fr {
-                        continue;
-                    }
-                    let j = order[k];
-                    if !lanes.fits_unfiltered(view.lanes(), j) {
-                        continue;
-                    }
-                    let admissible = if !tabu.is_tabu(j, now) {
-                        true
-                    } else if sol.value() + inst.profit(j) > best_value {
-                        stats.aspiration_hits += 1;
-                        aspired = true;
-                        true
-                    } else {
-                        stats.tabu_rejections += 1;
-                        if !exclude.contains(&j) {
-                            relaxed.push((j, tabu.relaxation_key(j)));
-                        }
-                        false
-                    };
-                    if admissible {
-                        if noise > 0.0 && rng.chance(noise) {
-                            skipped.push(j);
-                        } else {
-                            sol.add(inst, j);
-                            added.push(j);
-                            lanes.sync(view.lanes(), inst, sol);
-                            lanes_live = lanes.usable(view.lanes());
-                            debug_assert!(lanes_live, "a fitting add kept the solution feasible");
-                            let i = lanes.filter_constraint();
-                            frow = view.scan_weight_row(i);
-                            suffix = view.scan_suffix_min_row(i);
-                            fr = lanes.filter_residual();
-                        }
-                    }
+            for k in order.len()..mirror.len() * 64 {
+                mirror[k / 64] |= 1u64 << (k % 64);
+            }
+            *mirror_view = view.id();
+        }
+        'scan: for (wi, &mword) in mirror.iter().enumerate() {
+            let mut unpacked = !mword;
+            while unpacked != 0 {
+                let k = wi * 64 + unpacked.trailing_zeros() as usize;
+                unpacked &= unpacked - 1;
+                if suffix[k] > fr {
+                    // No remaining position can pass the pre-filter.
+                    break 'scan;
                 }
-            }
-        } else {
-            // Scalar reference pass (tiny/over-wide instances or an
-            // unusable lane cache).
-            for &j in order.iter() {
-                if sol.contains(j) {
+                if frow[k] > fr {
                     continue;
                 }
-                let fits = if lanes_live {
-                    lanes.fits(view, j)
-                } else {
-                    sol.fits(inst, j)
-                };
-                if !fits {
+                let j = order[k];
+                if !lanes.fits_unfiltered(cols, inst, sol, j) {
                     continue;
                 }
                 let admissible = if !tabu.is_tabu(j, now) {
@@ -628,10 +583,11 @@ fn add_phase<M: TabuMemory>(
                     } else {
                         sol.add(inst, j);
                         added.push(j);
-                        if lanes_live {
-                            lanes.sync(view.lanes(), inst, sol);
-                            lanes_live = lanes.usable(view.lanes());
-                        }
+                        lanes.sync(cols, inst, sol);
+                        let i = lanes.filter_constraint();
+                        frow = view.scan_weight_row(i);
+                        suffix = view.scan_suffix_min_row(i);
+                        fr = lanes.filter_residual();
                     }
                 }
             }
@@ -639,18 +595,10 @@ fn add_phase<M: TabuMemory>(
         // Second chance for noisily skipped candidates that still fit.
         for &j in skipped.iter() {
             stats.candidate_evals += 1;
-            let fits = if lanes_live {
-                lanes.fits(view, j)
-            } else {
-                sol.fits(inst, j)
-            };
-            if fits {
+            if lanes.fits(cols, inst, sol, j) {
                 sol.add(inst, j);
                 added.push(j);
-                if lanes_live {
-                    lanes.sync(view.lanes(), inst, sol);
-                    lanes_live = lanes.usable(view.lanes());
-                }
+                lanes.sync(cols, inst, sol);
             }
         }
 
@@ -667,12 +615,7 @@ fn add_phase<M: TabuMemory>(
                 if sol.contains(j) {
                     continue;
                 }
-                let fits = if lanes_live {
-                    lanes.fits(view, j)
-                } else {
-                    sol.fits(inst, j)
-                };
-                if fits && winner.is_none_or(|(_, k)| key < k) {
+                if lanes.fits(cols, inst, sol, j) && winner.is_none_or(|(_, k)| key < k) {
                     winner = Some((j, key));
                 }
             }
@@ -681,25 +624,20 @@ fn add_phase<M: TabuMemory>(
                     sol.add(inst, j);
                     added.push(j);
                     card += 1;
-                    if lanes_live {
-                        lanes.sync(view.lanes(), inst, sol);
-                        lanes_live = lanes.usable(view.lanes());
-                    }
+                    lanes.sync(cols, inst, sol);
                 }
                 None => break,
             }
         }
         // Fold this phase's adds back into the packed-set mirror so the
         // next move's scan skips the rebuild.
-        if mirror_scan {
-            let rank = view.scan_rank();
-            for &j in added.iter() {
-                let k = rank[j] as usize;
-                mirror[k / 64] |= 1u64 << (k % 64);
-            }
-            sol_words.clear();
-            sol_words.extend_from_slice(sol.bits().words());
+        let rank = view.scan_rank();
+        for &j in added.iter() {
+            let k = rank[j] as usize;
+            mirror[k / 64] |= 1u64 << (k % 64);
         }
+        sol_words.clear();
+        sol_words.extend_from_slice(sol.bits().words());
         (added, aspired)
     })
 }
@@ -1049,50 +987,59 @@ mod tests {
         }
     }
 
-    /// The add phase on the SoA fast path must replay the scalar reference
-    /// exactly: same items, same stats, same RNG consumption. The scalar
-    /// reference here is `select_add` applied greedily (noise 0, no tabu),
-    /// which performs the identical admission policy one item at a time.
+    /// The add phase's one scan must replay the scalar reference exactly,
+    /// on lane-encodable instances and on copies whose weights (up to
+    /// 100,000) take the scalar route. The reference here is `select_add`
+    /// applied greedily (noise 0, no tabu), which performs the identical
+    /// admission policy one item at a time.
     #[test]
     fn add_phase_matches_select_add_reference() {
         for seed in 0..8 {
-            let i = uncorrelated_instance("ref", 35, 4, 0.5, seed);
-            let ratios = Ratios::new(&i);
-            let tabu = Recency::new(i.n(), 0);
-            // Fast path: one apply_move with nb_drop 0 saturates via add_phase.
-            let mut fast = Solution::empty(&i);
-            let mut fast_tabu = Recency::new(i.n(), 0);
-            let mut stats = MoveStats::default();
-            apply_move(
-                &i,
-                &ratios,
-                &mut fast,
-                &mut fast_tabu,
-                0,
-                0,
-                i64::MAX,
-                0.0,
-                &mut rng(),
-                &mut stats,
-            );
-            // Reference: repeated single selections.
-            let mut slow = Solution::empty(&i);
-            let mut sstats = MoveStats::default();
-            while let Some((j, _)) = select_add(
-                &i,
-                &ratios,
-                &slow,
-                &tabu,
-                0,
-                i64::MAX,
-                0.0,
-                &[],
-                &mut rng(),
-                &mut sstats,
-            ) {
-                slow.add(&i, j);
+            let narrow = uncorrelated_instance("ref", 35, 4, 0.5, seed);
+            let wide = mkp::testkit::widened(&narrow, 1_000);
+            for i in [narrow, wide] {
+                let ratios = Ratios::new(&i);
+                let tabu = Recency::new(i.n(), 0);
+                // Fast path: one apply_move with nb_drop 0 saturates via add_phase.
+                let mut fast = Solution::empty(&i);
+                let mut fast_tabu = Recency::new(i.n(), 0);
+                let mut stats = MoveStats::default();
+                apply_move(
+                    &i,
+                    &ratios,
+                    &mut fast,
+                    &mut fast_tabu,
+                    0,
+                    0,
+                    i64::MAX,
+                    0.0,
+                    &mut rng(),
+                    &mut stats,
+                );
+                // Reference: repeated single selections.
+                let mut slow = Solution::empty(&i);
+                let mut sstats = MoveStats::default();
+                while let Some((j, _)) = select_add(
+                    &i,
+                    &ratios,
+                    &slow,
+                    &tabu,
+                    0,
+                    i64::MAX,
+                    0.0,
+                    &[],
+                    &mut rng(),
+                    &mut sstats,
+                ) {
+                    slow.add(&i, j);
+                }
+                assert_eq!(
+                    fast.bits(),
+                    slow.bits(),
+                    "seed {seed}, lanes {}",
+                    ratios.view().lanes().ok()
+                );
             }
-            assert_eq!(fast.bits(), slow.bits(), "seed {seed}");
         }
     }
 }

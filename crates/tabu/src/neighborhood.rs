@@ -18,14 +18,15 @@
 //!
 //! # Hot path
 //!
-//! The sequential scan is allocation-free at steady state: the K-best drop
-//! candidates go through a bounded stable insert into reusable scratch
-//! (no sort, no temporary `Vec`), candidate completions are evaluated into
-//! per-slot scratch solutions restored with `clone_from`, and drop scores
-//! stream from the SoA view's precomputed row for the saturated constraint
-//! (one contiguous table walk per scan). Callers that loop — the engine —
-//! hold a [`NeighborhoodScratch`] and use [`best_of_k_move_in`];
-//! [`best_of_k_move`] wraps it with fresh scratch for one-shot use.
+//! The K first drops are the first K packed non-tabu items of the SoA
+//! view's drop ranking for the saturated constraint, the ranking the Drop
+//! step walks, so no score is computed or compared. Every candidate is
+//! evaluated one way, into its own reusable slot restored with
+//! `clone_from`: on the calling thread, or with `parallel` on one scoped
+//! thread per slot. The sequential path is allocation-free at steady
+//! state. Callers that loop — the engine — hold a [`NeighborhoodScratch`]
+//! and use [`best_of_k_move_in`]; [`best_of_k_move`] wraps it with fresh
+//! scratch for one-shot use.
 
 use crate::moves::{apply_move, MoveOutcome, MoveStats};
 use crate::tabu_list::TabuMemory;
@@ -47,22 +48,17 @@ pub enum MoveSelection {
     },
 }
 
-/// One evaluated neighbor: the resulting solution and the move that built it.
-struct Candidate {
-    solution: Solution,
-    outcome: MoveOutcome,
-    stats: MoveStats,
-}
-
-/// Reusable per-engine scratch for [`best_of_k_move_in`]: the bounded
-/// K-best drop buffer and one evaluation slot per candidate, restored with
-/// `clone_from` so the steady-state sequential path never allocates.
+/// Reusable per-engine scratch for [`best_of_k_move_in`]: the first drops
+/// and one evaluation slot per candidate, restored with `clone_from` so
+/// the steady-state sequential path never allocates.
 pub struct NeighborhoodScratch<M> {
-    /// K best (item, drop-score) candidates, descending score, stable.
-    top: Vec<(usize, f64)>,
+    /// The candidates' first drops, best drop score first.
+    first_drops: Vec<usize>,
     slots: Vec<Slot<M>>,
 }
 
+/// One evaluated neighbor: the solution, memory and counters of its
+/// completed move, and the move itself.
 struct Slot<M> {
     sol: Solution,
     mem: M,
@@ -75,7 +71,7 @@ impl<M: TabuMemory + Clone> NeighborhoodScratch<M> {
     /// reused thereafter.
     pub fn new() -> Self {
         NeighborhoodScratch {
-            top: Vec::new(),
+            first_drops: Vec::new(),
             slots: Vec::new(),
         }
     }
@@ -100,54 +96,9 @@ impl<M: TabuMemory + Clone> Default for NeighborhoodScratch<M> {
     }
 }
 
-/// Evaluate one candidate: force `first_drop`, then complete the move with
-/// the standard machinery under an independent RNG stream. Used by the
-/// parallel path, which clones per thread.
-#[allow(clippy::too_many_arguments)] // mirrors apply_move's knob set
-fn evaluate_candidate<M: TabuMemory + Clone>(
-    inst: &Instance,
-    ratios: &Ratios,
-    base: &Solution,
-    tabu: &M,
-    now: u64,
-    nb_drop: usize,
-    best_value: i64,
-    noise: f64,
-    first_drop: usize,
-    seed: u64,
-) -> Candidate {
-    let mut sol = base.clone();
-    let mut mem = tabu.clone();
-    let mut stats = MoveStats::default();
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-
-    // Forced first drop, then the standard move completes the remaining
-    // drops and the add phase.
-    sol.drop(inst, first_drop);
-    mem.forbid(first_drop, now);
-    let mut outcome = apply_move(
-        inst,
-        ratios,
-        &mut sol,
-        &mut mem,
-        now,
-        nb_drop.saturating_sub(1),
-        best_value,
-        noise,
-        &mut rng,
-        &mut stats,
-    );
-    outcome.dropped.insert_front(first_drop);
-    Candidate {
-        solution: sol,
-        outcome,
-        stats,
-    }
-}
-
-/// Evaluate one candidate into a reusable slot (sequential hot path):
-/// identical computation to [`evaluate_candidate`], zero allocations once
-/// the slot's buffers have grown.
+/// Evaluate one candidate into its slot: force `first_drop`, then complete
+/// the move with the standard machinery under an independent RNG stream.
+/// Allocation-free once the slot's buffers have grown.
 #[allow(clippy::too_many_arguments)] // mirrors apply_move's knob set
 fn evaluate_candidate_into<M: TabuMemory + Clone>(
     inst: &Instance,
@@ -191,7 +142,7 @@ fn evaluate_candidate_into<M: TabuMemory + Clone>(
 /// Falls back to the constructive move when the knapsack is empty or no
 /// non-tabu drop candidate exists. Returns the committed move outcome.
 #[allow(clippy::too_many_arguments)] // mirrors apply_move's knob set
-pub fn best_of_k_move_in<M: TabuMemory + Clone + Sync>(
+pub fn best_of_k_move_in<M: TabuMemory + Clone + Send + Sync>(
     inst: &Instance,
     ratios: &Ratios,
     sol: &mut Solution,
@@ -214,30 +165,20 @@ pub fn best_of_k_move_in<M: TabuMemory + Clone + Sync>(
     }
 
     // The K best non-tabu drop candidates against the most saturated
-    // constraint: a bounded stable insert over the set bits, reading the
-    // precomputed score row (equal scores keep scan order, so the result
-    // is exactly "stable sort descending, truncate to width").
+    // constraint: the first K packed non-tabu items of its drop ranking
+    // (descending score, ties by ascending index). The examination counts
+    // one evaluation per packed item.
     let i_star = sol.most_saturated_constraint(inst);
-    let row = ratios.view().drop_score_row(i_star);
-    let top = &mut scratch.top;
-    top.clear();
-    top.reserve(width);
-    for j in sol.bits().iter_ones() {
-        stats.candidate_evals += 1;
-        if tabu.is_tabu(j, now) {
-            continue;
-        }
-        let score = row[j];
-        if top.len() == width && score <= top[width - 1].1 {
-            continue;
-        }
-        let pos = top.partition_point(|&(_, s)| s >= score);
-        if top.len() == width {
-            top.pop();
-        }
-        top.insert(pos, (j, score));
-    }
-    if top.is_empty() {
+    stats.candidate_evals += sol.cardinality() as u64;
+    scratch.first_drops.clear();
+    let candidates = ratios.view().drop_order_row(i_star).iter().copied();
+    scratch.first_drops.extend(
+        candidates
+            .filter(|&j| sol.contains(j) && !tabu.is_tabu(j, now))
+            .take(width),
+    );
+    let k = scratch.first_drops.len();
+    if k == 0 {
         return apply_move(
             inst, ratios, sol, tabu, now, nb_drop, best_value, noise, rng, stats,
         );
@@ -246,90 +187,43 @@ pub fn best_of_k_move_in<M: TabuMemory + Clone + Sync>(
     // Independent per-candidate RNG streams derived once, so parallel and
     // sequential evaluation are bit-identical.
     let base_seed = rng.next_u64();
-    let seed_of = |idx: usize| base_seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let k = top.len();
-
-    if parallel && k > 1 {
-        // Parallel path: clone-per-thread, as before (exists for
-        // architectural completeness; granularity makes it slower here).
-        let candidates: Vec<Candidate> = std::thread::scope(|scope| {
-            let handles: Vec<_> = top
-                .iter()
-                .enumerate()
-                .map(|(idx, &(first_drop, _))| {
-                    let sol = &*sol;
-                    let tabu = &*tabu;
-                    scope.spawn(move || {
-                        evaluate_candidate(
-                            inst,
-                            ratios,
-                            sol,
-                            tabu,
-                            now,
-                            nb_drop,
-                            best_value,
-                            noise,
-                            first_drop,
-                            seed_of(idx),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("candidate evaluation panicked"))
-                .collect()
-        });
-        // Best completion wins; ties break toward the better drop score
-        // (earlier candidate) for determinism.
-        let mut best_idx = 0;
-        for idx in 1..k {
-            if candidates[idx].solution.value() > candidates[best_idx].solution.value() {
-                best_idx = idx;
-            }
-        }
-        for c in &candidates {
-            stats.candidate_evals += c.stats.candidate_evals;
-        }
-        stats.moves += 1;
-        let winner = &candidates[best_idx];
-        sol.clone_from(&winner.solution);
-        for &d in &winner.outcome.dropped {
-            tabu.forbid(d, now);
-        }
-        tabu.observe_solution(sol.bits().fingerprint(), &winner.outcome.dropped, now);
-        return winner.outcome.clone();
-    }
-
-    // Sequential path: evaluate into reusable slots.
     scratch.ensure_slots(k, sol, tabu);
-    for (idx, slot) in scratch.slots[..k].iter_mut().enumerate() {
-        let first_drop = scratch.top[idx].0;
+    let slots = &mut scratch.slots[..k];
+    let evaluate = |idx: usize, first_drop: usize, slot: &mut Slot<M>| {
+        let seed = base_seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         evaluate_candidate_into(
-            inst,
-            ratios,
-            sol,
-            tabu,
-            now,
-            nb_drop,
-            best_value,
-            noise,
-            first_drop,
-            seed_of(idx),
-            slot,
+            inst, ratios, sol, tabu, now, nb_drop, best_value, noise, first_drop, seed, slot,
         );
+    };
+    let jobs = scratch.first_drops.iter().zip(slots.iter_mut()).enumerate();
+    if parallel && k > 1 {
+        // Granularity makes this slower here; it exists for architectural
+        // completeness.
+        let evaluate = &evaluate;
+        std::thread::scope(|scope| {
+            for (idx, (&first_drop, slot)) in jobs {
+                scope.spawn(move || evaluate(idx, first_drop, slot));
+            }
+        });
+    } else {
+        for (idx, (&first_drop, slot)) in jobs {
+            evaluate(idx, first_drop, slot);
+        }
     }
+
+    // Best completion wins; ties break toward the better drop score
+    // (earlier candidate) for determinism.
     let mut best_idx = 0;
     for idx in 1..k {
-        if scratch.slots[idx].sol.value() > scratch.slots[best_idx].sol.value() {
+        if slots[idx].sol.value() > slots[best_idx].sol.value() {
             best_idx = idx;
         }
     }
-    for slot in &scratch.slots[..k] {
+    for slot in slots.iter() {
         stats.candidate_evals += slot.stats.candidate_evals;
     }
     stats.moves += 1;
-    let winner = &scratch.slots[best_idx];
+    let winner = &slots[best_idx];
     sol.clone_from(&winner.sol);
     for &d in &winner.outcome.dropped {
         tabu.forbid(d, now);
@@ -341,7 +235,7 @@ pub fn best_of_k_move_in<M: TabuMemory + Clone + Sync>(
 /// Examine the width-K neighborhood and commit the best completion
 /// (one-shot wrapper over [`best_of_k_move_in`] with fresh scratch).
 #[allow(clippy::too_many_arguments)] // mirrors apply_move's knob set
-pub fn best_of_k_move<M: TabuMemory + Clone + Sync>(
+pub fn best_of_k_move<M: TabuMemory + Clone + Send + Sync>(
     inst: &Instance,
     ratios: &Ratios,
     sol: &mut Solution,
@@ -607,6 +501,54 @@ mod tests {
             !outcome.added.is_empty(),
             "fallback move must fill the knapsack"
         );
+    }
+
+    /// 200 width-4 best-of-K steps from the greedy start on GK 10×250 and
+    /// on its copy with weights and capacities ×40 (the scalar route),
+    /// sequential and parallel: (value sum, last value, candidate
+    /// evaluations, bit fingerprint), recorded before best-of-K took its
+    /// first drops from the drop ranking and evaluated in one way. All
+    /// four runs make the same moves: the scaling keeps every
+    /// pseudo-utility, and here every drop choice.
+    #[test]
+    fn best_of_k_outputs_are_pinned_across_versions() {
+        let gk = gk_instance(
+            "k",
+            GkSpec {
+                n: 250,
+                m: 10,
+                tightness: 0.5,
+                seed: 3,
+            },
+        );
+        let wide = mkp::testkit::widened(&gk, 40);
+        let pin = (21_293_620, 106_827, 334_664, 0xd89e_e1f3_6894_cf7a);
+        for inst in [&gk, &wide] {
+            let ratios = Ratios::new(inst);
+            for parallel in [false, true] {
+                let mut sol = greedy(inst, &ratios);
+                let mut best = sol.value();
+                let mut tabu = Recency::new(inst.n(), 15);
+                let mut rng = Xoshiro256::seed_from_u64(17);
+                let mut stats = MoveStats::default();
+                let mut sum = 0;
+                for now in 0..200 {
+                    best_of_k_move(
+                        inst, &ratios, &mut sol, &mut tabu, now, 2, best, 0.1, 4, parallel,
+                        &mut rng, &mut stats,
+                    );
+                    best = best.max(sol.value());
+                    sum += sol.value();
+                }
+                let got = (
+                    sum,
+                    sol.value(),
+                    stats.candidate_evals,
+                    sol.bits().fingerprint(),
+                );
+                assert_eq!(got, pin, "{} parallel {parallel}", inst.name());
+            }
+        }
     }
 
     #[test]

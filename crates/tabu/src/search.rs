@@ -136,7 +136,7 @@ pub fn run(
 /// just the current round (a fresh history every round makes rounds retrace
 /// each other and the cooperative curves go flat).
 #[allow(clippy::too_many_arguments)]
-pub fn run_with_memory<M: TabuMemory + Clone + Sync>(
+pub fn run_with_memory<M: TabuMemory + Clone + Send + Sync>(
     inst: &Instance,
     ratios: &Ratios,
     initial: Solution,
@@ -166,7 +166,7 @@ pub fn run_with_memory<M: TabuMemory + Clone + Sync>(
     let mut now: u64 = 0;
     let mut exhausted = false;
     // Engine-lifetime scratch for the best-of-K scan: slot solutions,
-    // memories, and the drop-score top list live across moves so the
+    // memories, and the first-drop list live across moves so the
     // steady-state path never allocates.
     let mut scratch: NeighborhoodScratch<M> = NeighborhoodScratch::new();
 
@@ -488,6 +488,77 @@ mod tests {
         );
         assert!(!report.budget_exhausted);
         assert!(report.stats.moves > 0);
+    }
+
+    /// 2M evaluations of the search from the greedy start on GK 10×250
+    /// and large 25×500 with weights and capacities ×40, beyond the lane
+    /// payload, so every fits test takes the scalar route: (best value,
+    /// candidate evaluations, moves, bit fingerprint, next rng draw),
+    /// recorded before the lane-or-scalar choice moved inside `mkp::soa`.
+    #[test]
+    fn scalar_route_outputs_are_pinned_across_versions() {
+        use mkp::generate::{large_instance, LargeSpec};
+        let gk = gk_instance(
+            "g",
+            GkSpec {
+                n: 250,
+                m: 10,
+                tightness: 0.5,
+                seed: 3,
+            },
+        );
+        let large = large_instance(
+            "l",
+            LargeSpec {
+                n: 500,
+                m: 25,
+                tightness: 0.5,
+                correlation: 0.5,
+                seed: 5,
+            },
+        );
+        let expected = [
+            (
+                107_776,
+                2_022_718,
+                799,
+                0xdb42_a73c_a744_1f60,
+                0x8d01_93e9_db71_a8ba,
+            ),
+            (
+                155_160,
+                2_202_866,
+                194,
+                0x72f3_c174_97d8_7d4b,
+                0xce3e_8f80_3ae9_4b8c,
+            ),
+        ];
+        for (inst, pin) in [gk, large].iter().zip(expected) {
+            let inst = mkp::testkit::widened(inst, 40);
+            let ratios = Ratios::new(&inst);
+            assert!(
+                !ratios.view().lanes().ok(),
+                "{}: lanes encode it",
+                inst.name()
+            );
+            let mut rng = Xoshiro256::seed_from_u64(17);
+            let report = run(
+                &inst,
+                &ratios,
+                greedy(&inst, &ratios),
+                &TsConfig::default_for(inst.n()),
+                Budget::evals(2_000_000),
+                &mut rng,
+            );
+            let got = (
+                report.best.value(),
+                report.stats.candidate_evals,
+                report.stats.moves,
+                report.best.bits().fingerprint(),
+                rng.next_u64(),
+            );
+            assert_eq!(got, pin, "{}", inst.name());
+        }
     }
 
     #[test]

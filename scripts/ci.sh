@@ -102,20 +102,23 @@ for mode in seq its cts1 cts2 ats dts; do
     | grep -q '^best value' || { echo "error: mode $mode smoke failed" >&2; exit 1; }
 done
 
-step "exact smoke (one and four B&B workers prove the same optimum)"
+step "exact smoke (one, four and 4096 B&B workers prove the same optimum)"
 # `mkp exact` runs one search whatever the worker count: four workers
-# prove four cells of the tree one worker proves whole.
+# prove four cells of the tree one worker proves whole, and 4096 workers
+# prove 4096 cells within the same node limit, which the cells share.
 exact_optimum() {
   cargo run -q --release --offline --locked -p mkp-cli -- \
     exact "$tmp_mkp" --workers "$1" | grep '^optimum'
 }
 exact_one="$(exact_optimum 1)"
-exact_four="$(exact_optimum 4)"
 case "$exact_one" in
   *"NOT PROVEN"*) echo "error: exact smoke did not prove: $exact_one" >&2; exit 1 ;;
 esac
-[ "$exact_one" = "$exact_four" ] \
-  || { echo "error: exact smoke: '$exact_one' with 1 worker, '$exact_four' with 4" >&2; exit 1; }
+for workers in 4 4096; do
+  exact_w="$(exact_optimum "$workers")"
+  [ "$exact_one" = "$exact_w" ] \
+    || { echo "error: exact smoke: '$exact_one' with 1 worker, '$exact_w' with $workers" >&2; exit 1; }
+done
 
 step "policy smoke (core and repair, incl. a healed mid-run kill)"
 # The two promising-search-space modes: a plain run of each (the labels
