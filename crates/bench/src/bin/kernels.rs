@@ -1,7 +1,8 @@
 //! Microbenchmarks (M1) for the hot kernels: the move operator at several
 //! instance sizes, the intensification procedures, the LP solve, the
-//! master's randomized greedy construction, the exact proof, the wire
-//! codec, and the Hamming kernel the master's SGP leans on.
+//! master's randomized greedy construction, the ratio tables and view
+//! every slave builds, the exact proof, the wire codec, and the Hamming
+//! kernel the master's SGP leans on.
 //!
 //! Runs on the in-tree harness (`mkp_bench::harness`) — no registry
 //! dependency. Usage:
@@ -139,6 +140,44 @@ fn bench_intensification(h: &mut Harness) {
         let mut sol = job_base.clone();
         drop_refill_intensification(&job, &job_ratios, &mut sol, &mut MoveStats::default());
         black_box(sol.value())
+    });
+    // L2's shape class at 50×1000 (tightness 0.25; the golden `wide`
+    // instance of the intensification pins): 13 lane words per item, and
+    // refills whose first pass the weight-level index narrows.
+    let wide = large_instance(
+        "w",
+        LargeSpec {
+            n: 1000,
+            m: 50,
+            tightness: 0.25,
+            correlation: 0.5,
+            seed: 12,
+        },
+    );
+    let wide_base = greedy(&wide, &Ratios::new(&wide));
+    h.bench("ejection_chain 50x1000", || {
+        let mut sol = wide_base.clone();
+        ejection_chain_intensification(&wide, &mut sol, &mut MoveStats::default(), 3);
+        black_box(sol.value())
+    });
+}
+
+fn bench_ratios(h: &mut Harness) {
+    // What every slave builds per problem, CORE per assignment and
+    // relinking once per slice, at L2's size: the ratio tables and the
+    // view, whose 100 drop rankings of 2,500 items dominate.
+    let l2 = large_instance(
+        "b",
+        LargeSpec {
+            n: 2500,
+            m: 100,
+            tightness: 0.25,
+            correlation: 0.5,
+            seed: 12,
+        },
+    );
+    h.bench("ratios_new 100x2500", || {
+        black_box(Ratios::new(&l2).by_utility_desc()[0])
     });
 }
 
@@ -523,6 +562,7 @@ fn main() {
         bench_dynamic_greedy(&mut h);
         bench_dynamic_randomized_greedy(&mut h);
         bench_restriction(&mut h);
+        bench_ratios(&mut h);
         bench_telemetry(&mut h);
         bench_transport(&mut h);
     }

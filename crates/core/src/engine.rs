@@ -982,6 +982,9 @@ pub(crate) fn master_loop<C: Transport>(
 
     match policy.delivery() {
         Delivery::Synchronous => {
+            // Built at the slice's first relink and kept for the slice:
+            // the ratios are a function of the instance alone.
+            let mut relink_ratios: Option<Ratios> = None;
             for round in start_round..rounds {
                 let _round_span = tel.span(0, SpanKind::Round);
                 // Launch the surviving slave searches. The sent assignment
@@ -1055,7 +1058,8 @@ pub(crate) fn master_loop<C: Transport>(
                 // distinct slave solutions (information neither slave holds
                 // alone).
                 if policy.relink(cfg) {
-                    state.total_evals += relink_round(inst, &reports, &mut state.global_best)?;
+                    state.total_evals +=
+                        relink_round(inst, &mut relink_ratios, &reports, &mut state.global_best)?;
                 }
 
                 for (k, report) in &reports {
@@ -1358,9 +1362,11 @@ impl MasterState {
 }
 
 /// Relink the two best distinct solutions of a rendezvous; returns the
-/// candidate evaluations spent.
+/// candidate evaluations spent. `ratios` caches the instance's ratios
+/// across the rendezvous of a slice; the first relink builds them.
 fn relink_round(
     inst: &Instance,
+    ratios: &mut Option<Ratios>,
     reports: &[(usize, ReportMsg)],
     global_best: &mut Option<Solution>,
 ) -> Result<u64, EngineError> {
@@ -1377,10 +1383,9 @@ fn relink_round(
     if tops.len() < 2 || tops[0].bits() == tops[1].bits() {
         return Ok(0);
     }
-    let ratios = Ratios::new(inst);
+    let ratios = ratios.get_or_insert_with(|| Ratios::new(inst));
     let mut stats = mkp_tabu::moves::MoveStats::default();
-    let (relinked, _) =
-        mkp_tabu::relink::path_relink(inst, &ratios, &tops[0], &tops[1], &mut stats);
+    let (relinked, _) = mkp_tabu::relink::path_relink(inst, ratios, &tops[0], &tops[1], &mut stats);
     if global_best
         .as_ref()
         .is_none_or(|g| relinked.value() > g.value())

@@ -4,12 +4,12 @@
 //!
 //! Every refill by slack-aware (dynamic) utility — the intensification
 //! kernels', strategic oscillation's and path relinking's — runs one
-//! exact fill, [`DynamicFill`]: a branch-free mask pass over the most
-//! saturated constraint's row, the exact fits test of `mkp::soa` on the
-//! survivors (a folded lane test where the lanes decide, the scalar test
-//! elsewhere), and later steps that re-test only the items that still
-//! fit. Its choices are those of a full scan of every unpacked item
-//! (DESIGN.md §12).
+//! exact fill, [`DynamicFill`]: the weight-level index of `mkp::soa`
+//! narrows the unpacked items to a superset of those that fit, the exact
+//! fits test of `mkp::soa` decides the survivors (a folded lane test where
+//! the lanes decide, the scalar test elsewhere), and later steps re-test
+//! only the items that still fit. Its choices are those of a full scan of
+//! every unpacked item (DESIGN.md §12).
 
 use crate::eval::Ratios;
 use crate::instance::Instance;
@@ -113,8 +113,9 @@ pub fn dynamic_greedy_fill_view(inst: &Instance, ratios: &Ratios, sol: &mut Solu
 
 /// The dynamic greedy fill every refill runs (the intensification
 /// kernels' and [`dynamic_greedy_fill`]), with its scratch: the items that
-/// still fit, ascending, and the solution's residual lanes. One scratch
-/// serves any number of fills, of any solution and instance.
+/// still fit, ascending, the first step's candidate mask and the
+/// solution's residual lanes. One scratch serves any number of fills, of
+/// any solution and instance.
 ///
 /// Each step scores the same candidates as a scan of every unpacked item
 /// through [`Solution::fits`] would, in the same ascending order, with
@@ -122,11 +123,13 @@ pub fn dynamic_greedy_fill_view(inst: &Instance, ratios: &Ratios, sol: &mut Solu
 /// strict maximum, so every choice is the scan's. It finds them at a
 /// fraction of the cost:
 ///
-/// * The first step passes once over the row of the most saturated
-///   constraint t. Per block of 64 items, a branch-free mask of
-///   `a_tj ≤ slack_t`, ANDed with the complement of the solution's bit
-///   words, leaves the unpacked items that pass one conjunct of the fits
-///   test; only those are tested in full, by
+/// * The first step narrows the unpacked items with
+///   [`LaneColumns::narrow`]: one bitset of the weight-level index ANDed
+///   in per constraint whose residual sits below the top level, which
+///   leaves a superset of the items that fit (in the ejection chain's
+///   refills from the L2 greedy start, 26 of 2,500 items on average for
+///   the 17.8 that fit). Only the survivors, in ascending order, are
+///   tested in full, by
 ///   [`ResidualLanes::fits_unfiltered`]: the lane test folded over every
 ///   word, which runs the scalar test itself where the lanes cannot
 ///   decide.
@@ -139,6 +142,7 @@ pub fn dynamic_greedy_fill_view(inst: &Instance, ratios: &Ratios, sol: &mut Solu
 #[derive(Debug, Clone, Default)]
 pub struct DynamicFill {
     fitting: Vec<u32>,
+    mask: Vec<u64>,
     residual: ResidualLanes,
 }
 
@@ -148,6 +152,7 @@ impl DynamicFill {
     pub fn new(inst: &Instance) -> Self {
         DynamicFill {
             fitting: Vec::with_capacity(inst.n()),
+            mask: Vec::with_capacity(inst.n().div_ceil(64)),
             residual: ResidualLanes::new(),
         }
     }
@@ -162,24 +167,23 @@ impl DynamicFill {
         sol: &mut Solution,
         exclude: Option<usize>,
     ) -> usize {
-        let DynamicFill { fitting, residual } = self;
+        let DynamicFill {
+            fitting,
+            mask,
+            residual,
+        } = self;
         residual.sync(cols, inst, sol);
-        let slack = residual.filter_residual();
-        if slack < 0 {
+        if residual.filter_residual() < 0 {
             return 0; // infeasible: nothing fits
         }
+        cols.narrow(inst, sol, mask);
         fitting.clear();
-        let row = inst.constraint_row(residual.filter_constraint());
         let excluded = exclude.unwrap_or(usize::MAX);
-        for (w, (block, &packed)) in row.chunks(64).zip(sol.bits().words()).enumerate() {
-            let mut mask = 0u64;
-            for (b, &a) in block.iter().enumerate() {
-                mask |= u64::from(a <= slack) << b;
-            }
-            mask &= !packed;
-            while mask != 0 {
-                let j = w * 64 + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+        for (w, &word) in mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 if j != excluded && residual.fits_unfiltered(cols, inst, sol, j) {
                     fitting.push(j as u32);
                 }
@@ -735,23 +739,38 @@ mod tests {
 
     /// Instances for the one fill: n across the 64-item mask words (rarely
     /// a multiple of 64), m across the 4-constraint lane words, tied
-    /// profits and weightless items; in a third of them one weight exceeds
+    /// profits and weightless items; in half of them each row has a weight
+    /// scale of its own (1 to 1,000×, capacity scaled alike), so the rows'
+    /// level shifts differ; in a third of them one weight exceeds
     /// `LANE_MAX`, so the columns cannot encode it and the fill's fits
     /// tests run scalar.
     fn arb_fill_instance(rng: &mut Xoshiro256) -> Instance {
         let n = gen::usize_in(rng, 2, 150);
         let m = gen::usize_in(rng, 1, 10);
-        let profits: Vec<i64> = (0..n).map(|_| gen::i64_in(rng, 0, 20)).collect();
-        let mut weights: Vec<i64> = (0..n * m)
+        let mixed = gen::boolean(rng);
+        let scales: Vec<i64> = (0..m)
             .map(|_| {
-                if gen::usize_in(rng, 0, 5) == 0 {
-                    0
+                if mixed {
+                    [1, 7, 100, 1_000][gen::usize_in(rng, 0, 4)]
                 } else {
-                    gen::i64_in(rng, 1, 30)
+                    1
                 }
             })
             .collect();
-        let mut caps: Vec<i64> = (0..m).map(|_| gen::i64_in(rng, 0, 8 * n as i64)).collect();
+        let profits: Vec<i64> = (0..n).map(|_| gen::i64_in(rng, 0, 20)).collect();
+        let mut weights: Vec<i64> = (0..n * m)
+            .map(|cell| {
+                if gen::usize_in(rng, 0, 5) == 0 {
+                    0
+                } else {
+                    gen::i64_in(rng, 1, 30) * scales[cell / n]
+                }
+            })
+            .collect();
+        let mut caps: Vec<i64> = scales
+            .iter()
+            .map(|&scale| gen::i64_in(rng, 0, 8 * n as i64) * scale)
+            .collect();
         if gen::usize_in(rng, 0, 3) == 0 {
             let cell = gen::usize_in(rng, 0, n * m);
             weights[cell] = crate::soa::LANE_MAX + gen::i64_in(rng, 1, 1_000);

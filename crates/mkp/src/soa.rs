@@ -16,6 +16,17 @@
 //! ≤ [`LANE_MAX`], every residual non-negative) and run the scalar test
 //! elsewhere, so callers never choose a route: the view is an evaluation
 //! cache, never a semantic change.
+//!
+//! Beside the lanes, [`LaneColumns`] holds a weight-level index: per
+//! constraint, the items bucketed by their weight shifted down to
+//! [`LEVELS`] levels, as one bitset per level. [`LaneColumns::narrow`]
+//! ANDs one bitset per constraint into a superset of the items that fit a
+//! solution, so a refill's first pass runs the exact test on a few dozen
+//! items instead of every unpacked one. The index does not depend on the
+//! lane encoding and serves over-wide instances too.
+//!
+//! The view's drop rankings are sorted on packed keys (inverted score
+//! bits above the item index) and stored as `u32`.
 
 use crate::eval::drop_score;
 use crate::instance::Instance;
@@ -34,40 +45,100 @@ const HIGH: u64 = 0x8000_8000_8000_8000;
 /// Monotone source for [`SoaView`] identity tokens (0 is never issued).
 static NEXT_VIEW_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
+/// Levels of the weight-level index in [`LaneColumns`]: each constraint's
+/// weights are shifted right until the largest is below `LEVELS`, and an
+/// item's level is its shifted weight. Chosen on the intensification
+/// kernel benches (medians of 5 alternating smoke rounds, 2-vCPU Xeon VM)
+/// against 16 levels: 4 levels ran every ejection-chain and drop-refill
+/// bench from 10×250 to 50×1000 1.06–1.17× slower, and 32 levels were no
+/// faster beyond noise (0.94–1.04×) and 1.30× slower on
+/// `ejection_chain 5x100`, which builds its index per call. On L2
+/// (100×2500) the index takes 96 kB at 4 levels, 480 kB at 16 and 992 kB
+/// at 32.
+pub const LEVELS: usize = 16;
+
 /// An instance's weight columns packed four constraints per `u64` word,
 /// 16 bits per lane: the one lane encoding every word-parallel fits test
 /// reads. Part of [`SoaView`]; a kernel that holds no view (the ejection
 /// chain) packs its own in O(n·m).
+///
+/// Beside the lanes it holds a weight-level index, which does not depend
+/// on the lane encoding: per constraint i a shift `s_i`, the smallest
+/// with `max_j a_ij >> s_i < LEVELS`, and per level `l < LEVELS − 1` the
+/// bitset `{j : a_ij >> s_i ≤ l}`. [`LaneColumns::narrow`] intersects one
+/// bitset per constraint into a superset of the items that fit.
 #[derive(Debug, Clone)]
 pub struct LaneColumns {
     words_per_item: usize,
-    /// `words[j * words_per_item + w]` holds constraints `4w .. 4w+3` of
-    /// item `j`, 16 bits each; unused lanes are zero (zero weight always
-    /// fits). Empty when a weight exceeds [`LANE_MAX`].
+    /// The lane words, then the level index. `words[j * words_per_item +
+    /// w]` holds constraints `4w .. 4w+3` of item `j`, 16 bits each;
+    /// unused lanes are zero (zero weight always fits). There are no lane
+    /// words when a weight exceeds [`LANE_MAX`]. From `index_start` on,
+    /// the ⌈n/64⌉ words at `index_start + (i * (LEVELS − 1) + l) * blocks`
+    /// hold the level-`l` bitset of constraint `i`, bits past n zero.
     words: Vec<u64>,
+    /// `shifts[i]` = `s_i`, the level shift of constraint `i`.
+    shifts: Vec<u32>,
+    /// Start of the level index in `words`.
+    index_start: usize,
+    /// Words per item bitset, ⌈n/64⌉.
+    blocks: usize,
     /// All weights fit the lane payload.
     ok: bool,
 }
 
 impl LaneColumns {
-    /// Pack `inst`'s columns in O(n·m); left empty when a weight exceeds
-    /// [`LANE_MAX`].
+    /// Pack `inst`'s columns and build the level index in O(n·m); the lane
+    /// words are left out when a weight exceeds [`LANE_MAX`].
     pub fn new(inst: &Instance) -> Self {
         let (n, m) = (inst.n(), inst.m());
         let words_per_item = m.div_ceil(LANES_PER_WORD);
+        let blocks = n.div_ceil(64);
         let ok = (0..n).all(|j| inst.item_weights(j).iter().all(|&a| a <= LANE_MAX));
-        let mut words = Vec::new();
+        let index_start = if ok { n * words_per_item } else { 0 };
+        let set_words = (LEVELS - 1) * blocks;
+        let mut words = vec![0u64; index_start + m * set_words];
         if ok {
-            words.resize(n * words_per_item, 0u64);
-            for (j, column) in words.chunks_exact_mut(words_per_item).enumerate() {
+            for (j, column) in words[..index_start]
+                .chunks_exact_mut(words_per_item)
+                .enumerate()
+            {
                 for (i, &a) in inst.item_weights(j).iter().enumerate() {
                     column[i / LANES_PER_WORD] |= (a as u64) << ((i % LANES_PER_WORD) * 16);
+                }
+            }
+        }
+        let mut shifts = Vec::with_capacity(m);
+        for i in 0..m {
+            let row = inst.constraint_row(i);
+            let max = row.iter().copied().max().unwrap_or(0);
+            let mut shift = 0;
+            while max >> shift >= LEVELS as i64 {
+                shift += 1;
+            }
+            shifts.push(shift);
+            let start = index_start + i * set_words;
+            let sets = &mut words[start..start + set_words];
+            for (j, &a) in row.iter().enumerate() {
+                let level = (a >> shift) as usize;
+                if level < LEVELS - 1 {
+                    sets[level * blocks + j / 64] |= 1 << (j % 64);
+                }
+            }
+            // Prefix OR: level l also holds every item below it.
+            for l in 1..LEVELS - 1 {
+                let (below, at) = sets.split_at_mut(l * blocks);
+                for (word, &prev) in at[..blocks].iter_mut().zip(&below[(l - 1) * blocks..]) {
+                    *word |= prev;
                 }
             }
         }
         LaneColumns {
             words_per_item,
             words,
+            shifts,
+            index_start,
+            blocks,
             ok,
         }
     }
@@ -85,6 +156,40 @@ impl LaneColumns {
     fn item(&self, j: usize) -> &[u64] {
         &self.words[j * self.words_per_item..(j + 1) * self.words_per_item]
     }
+
+    /// Write into `mask`, as ⌈n/64⌉ words over the items, a superset of
+    /// the items outside `sol` that fit it, and nothing at or past n;
+    /// `inst` must be the columns' instance. With every residual `r_i`
+    /// non-negative, each constraint whose level `r_i >> s_i` is below
+    /// `LEVELS − 1` intersects its bitset of that level; the others admit
+    /// every item. `a_ij ≤ r_i` implies `a_ij >> s_i ≤ r_i >> s_i`, so
+    /// every fitting item survives. A negative residual fits nothing and
+    /// leaves the mask empty. O(n/64 · m).
+    pub fn narrow(&self, inst: &Instance, sol: &Solution, mask: &mut Vec<u64>) {
+        mask.clear();
+        mask.extend(sol.bits().words().iter().map(|&packed| !packed));
+        let tail = inst.n() % 64;
+        if tail != 0 {
+            let last = mask.len() - 1;
+            mask[last] &= (1u64 << tail) - 1;
+        }
+        let set_words = (LEVELS - 1) * self.blocks;
+        let rows = sol.loads().iter().zip(inst.capacities()).zip(&self.shifts);
+        for (i, ((&load, &cap), &shift)) in rows.enumerate() {
+            let r = cap - load;
+            if r < 0 {
+                mask.fill(0);
+                return;
+            }
+            let level = r >> shift;
+            if level < (LEVELS - 1) as i64 {
+                let at = self.index_start + i * set_words + level as usize * self.blocks;
+                for (word, &set) in mask.iter_mut().zip(&self.words[at..at + self.blocks]) {
+                    *word &= set;
+                }
+            }
+        }
+    }
 }
 
 /// Structure-of-arrays evaluation view of an instance: lane-packed weight
@@ -101,7 +206,7 @@ pub struct SoaView {
     /// exactly the order a max-scan with a strict `>` visits its winners.
     /// The Drop selection walks this static ranking instead of comparing
     /// scores per packed item.
-    drop_order: Vec<usize>,
+    drop_order: Vec<u32>,
     /// The weight matrix with each row permuted into the scan order
     /// (`scan_weight_rows[i * n + k]` = `a_i,order[k]`): the Add scan walks
     /// the utility ranking, and this layout turns its pre-filter loads into
@@ -127,26 +232,28 @@ pub struct SoaView {
 impl SoaView {
     /// Build the view of `inst` for the Add scan order `order` (a
     /// permutation of `0..n`, the utility ranking) in O(n·m + m·n log n).
+    ///
+    /// Each drop ranking sorts packed keys: the score's bits inverted
+    /// above the item index. Drop scores are never NaN and never −0.0
+    /// (`+0.0`, positive, or `+∞`), so their bit patterns order as their
+    /// values do, and the inverted bits order them descending. The keys
+    /// are unique, so the unstable sort gives the stable sort's order.
     pub fn new(inst: &Instance, order: &[usize]) -> Self {
         let (n, m) = (inst.n(), inst.m());
         assert_eq!(order.len(), n, "the scan order must rank every item");
+        assert!(u32::try_from(n).is_ok(), "item indices must fit u32");
         let mut drop_order = Vec::with_capacity(n * m);
         let mut scan_weight_rows = Vec::with_capacity(n * m);
         let mut scan_suffix_min = Vec::with_capacity(n * m);
-        let mut scores = vec![0f64; n];
+        let mut keys = vec![0u128; n];
         for i in 0..m {
-            for (j, score) in scores.iter_mut().enumerate() {
-                *score = drop_score(inst, i, j);
+            for (j, key) in keys.iter_mut().enumerate() {
+                let score = drop_score(inst, i, j);
+                debug_assert!(score >= 0.0 && score.is_sign_positive());
+                *key = u128::from(!score.to_bits()) << 32 | j as u128;
             }
-            let start = drop_order.len();
-            drop_order.extend(0..n);
-            // Scores are never NaN (finite or +inf), so partial_cmp is total.
-            drop_order[start..].sort_by(|&a, &b| {
-                scores[b]
-                    .partial_cmp(&scores[a])
-                    .expect("drop scores are comparable")
-                    .then(a.cmp(&b))
-            });
+            keys.sort_unstable();
+            drop_order.extend(keys.iter().map(|&key| key as u32));
             let row = inst.constraint_row(i);
             scan_weight_rows.extend(order.iter().map(|&j| row[j]));
             let start = scan_suffix_min.len();
@@ -208,7 +315,7 @@ impl SoaView {
     /// Items ranked by descending drop score against constraint `i`, ties
     /// by ascending index.
     #[inline]
-    pub fn drop_order_row(&self, i: usize) -> &[usize] {
+    pub fn drop_order_row(&self, i: usize) -> &[u32] {
         &self.drop_order[i * self.n..(i + 1) * self.n]
     }
 
@@ -291,9 +398,9 @@ impl ResidualLanes {
     }
 
     /// [`Solution::fits`] for `sol`, the last-synced solution over `cols`,
-    /// without the one-row pre-filter, for callers that apply it
-    /// themselves (the Add scan's skip predicate, the dynamic fill's mask
-    /// pass).
+    /// without the one-row pre-filter, for callers that narrow the
+    /// candidates themselves (the Add scan's skip predicate, the dynamic
+    /// fill's level index).
     ///
     /// On the lane route each word is one SWAR subtract that tests four
     /// constraints: per 16-bit lane, `(r | 0x8000) − a` cannot borrow out
@@ -435,16 +542,20 @@ mod tests {
         assert!(sol.fits(&inst, 1));
     }
 
-    #[test]
-    fn drop_order_ranks_scores_descending_with_index_ties() {
-        let inst = crate::generate::uncorrelated_instance("o", 40, 6, 0.5, 9);
-        let view = view_of(&inst);
+    /// Each drop ranking of `inst`'s view is a permutation in descending
+    /// score, ties by ascending index.
+    fn assert_drop_order(inst: &Instance) {
+        let view = view_of(inst);
         for i in 0..inst.m() {
-            let score = |j| drop_score(&inst, i, j);
+            let score = |j: u32| drop_score(inst, i, j as usize);
             let order = view.drop_order_row(i);
-            let mut seen: Vec<usize> = order.to_vec();
+            let mut seen = order.to_vec();
             seen.sort_unstable();
-            assert_eq!(seen, (0..inst.n()).collect::<Vec<_>>(), "permutation");
+            assert_eq!(
+                seen,
+                (0..inst.n() as u32).collect::<Vec<_>>(),
+                "permutation"
+            );
             for pair in order.windows(2) {
                 let (a, b) = (pair[0], pair[1]);
                 assert!(
@@ -453,6 +564,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// On an uncorrelated instance, and on tied ones, whose zero profits
+    /// and weights give `+∞` and `0.0` scores and many equal ones.
+    #[test]
+    fn drop_order_ranks_scores_descending_with_index_ties() {
+        assert_drop_order(&crate::generate::uncorrelated_instance("o", 40, 6, 0.5, 9));
+        prop_check!(|rng| gen::tied_instance(rng), |inst| assert_drop_order(
+            inst
+        ));
     }
 
     #[test]
@@ -541,6 +662,101 @@ mod tests {
                         scalar,
                         "item {q} after toggling {j}, feasible {feasible}, unfiltered"
                     );
+                }
+            }
+        });
+    }
+
+    /// The items of `mask`, ascending.
+    fn mask_items(mask: &[u64]) -> Vec<usize> {
+        (0..mask.len() * 64)
+            .filter(|&j| mask[j / 64] >> (j % 64) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn narrow_drops_the_items_above_each_residual_level() {
+        // Row 0 spans levels 0–15 (shift 0); row 1 weighs nothing.
+        let inst = Instance::new(
+            "n",
+            4,
+            2,
+            vec![1, 1, 1, 1],
+            vec![
+                15, 3, 9, 5, //
+                0, 0, 0, 0,
+            ],
+            vec![8, 0],
+        )
+        .unwrap();
+        let cols = LaneColumns::new(&inst);
+        let mut mask = Vec::new();
+        let sol = Solution::empty(&inst);
+        cols.narrow(&inst, &sol, &mut mask);
+        assert_eq!(mask_items(&mask), [1, 3]);
+        let mut sol = sol;
+        sol.add(&inst, 1); // residual 5: item 3 still fits
+        cols.narrow(&inst, &sol, &mut mask);
+        assert_eq!(mask_items(&mask), [3]);
+    }
+
+    /// Instances for the level index: n around multiples of 64 or below
+    /// m, and per row a weight scale of its own — all zero, below the
+    /// level count, up to [`LANE_MAX`], or far above it.
+    fn arb_level_instance(rng: &mut Xoshiro256) -> Instance {
+        let n = match gen::usize_in(rng, 0, 3) {
+            0 => 64 * gen::usize_in(rng, 1, 3) + gen::usize_in(rng, 0, 3) - 1,
+            1 => gen::usize_in(rng, 1, 4),
+            _ => gen::usize_in(rng, 1, 200),
+        };
+        let m = gen::usize_in(rng, 1, 12);
+        let profits: Vec<i64> = (0..n).map(|_| gen::i64_in(rng, 0, 50)).collect();
+        let mut weights = Vec::with_capacity(n * m);
+        let mut caps = Vec::with_capacity(m);
+        for _ in 0..m {
+            let max_w = [0, LEVELS as i64 - 1, 1_000, LANE_MAX, 1 << 40][gen::usize_in(rng, 0, 5)];
+            weights.extend((0..n).map(|_| gen::i64_in(rng, 0, max_w)));
+            caps.push(gen::i64_in(rng, 0, max_w.max(1) * n as i64 / 2));
+        }
+        Instance::new("levels", n, m, profits, weights, caps).unwrap()
+    }
+
+    /// The narrowed set of a solution holds every unpacked item that fits
+    /// it, nothing packed and nothing at or past n: on feasible starts
+    /// (empty, maximal and thinned) it is a superset of the fitting
+    /// items, and on an infeasible one, which nothing fits, it is empty.
+    #[test]
+    fn prop_narrow_keeps_every_fitting_item() {
+        prop_check!(|rng| (arb_level_instance(rng), rng.next_u64()), |input| {
+            let (inst, seed) = input;
+            let mut rng = Xoshiro256::seed_from_u64(*seed);
+            let cols = LaneColumns::new(inst);
+            let maximal = crate::greedy::random_feasible(inst, &mut rng);
+            let mut thinned = maximal.clone();
+            for j in maximal.bits().iter_ones() {
+                if gen::boolean(&mut rng) {
+                    thinned.drop(inst, j);
+                }
+            }
+            let bits = crate::BitVec::from_bools((0..inst.n()).map(|_| gen::boolean(&mut rng)));
+            let random = Solution::from_bits(inst, bits);
+            let mut mask = Vec::new();
+            for sol in [Solution::empty(inst), maximal, thinned, random] {
+                cols.narrow(inst, &sol, &mut mask);
+                assert_eq!(mask.len(), inst.n().div_ceil(64));
+                let narrowed = mask_items(&mask);
+                assert!(narrowed.iter().all(|&j| j < inst.n() && !sol.contains(j)));
+                let fitting: Vec<usize> = sol
+                    .bits()
+                    .iter_zeros()
+                    .filter(|&j| sol.fits(inst, j))
+                    .collect();
+                assert!(
+                    fitting.iter().all(|j| narrowed.binary_search(j).is_ok()),
+                    "fitting {fitting:?} not within {narrowed:?}"
+                );
+                if !sol.is_feasible(inst) {
+                    assert!(narrowed.is_empty());
                 }
             }
         });

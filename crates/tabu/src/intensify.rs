@@ -4,11 +4,13 @@
 //! worse. Costs are per pass; a kernel repeats its pass until one finds
 //! nothing.
 //!
-//! Every refill is one [`DynamicFill`]: a branch-free pass over one row
-//! of n weights, a ⌈m/4⌉-word lane test of each of the S items that pass
-//! it, then per step an O(m) utility for each of the F items that fit,
-//! and per add an O(m) residual sync and a lane re-test of those F. So a
-//! refill costs O(n + S·m + adds · F·m), and F only shrinks.
+//! Every refill is one [`DynamicFill`]: a pass over the weight-level
+//! index that ANDs at most one ⌈n/64⌉-word bitset per constraint, a
+//! ⌈m/4⌉-word lane test of each of the S items that survive it, then per
+//! step an O(m) utility for each of the F items that fit, and per add an
+//! O(m) residual sync and a lane re-test of those F. So a refill costs
+//! O(m·n/64 + S·m + adds · F·m), and F only shrinks. In the chain's
+//! refills from the L2 (100×2500) greedy start S averages 26 and F 17.8.
 //!
 //! * [`swap_intensification`] — the paper's component swapping (§3.2,
 //!   first procedure): exchange a packed item for a more profitable
@@ -22,11 +24,12 @@
 //!   greedily (one-for-many trades). O(|packed| · (n/64 + m)) plus one
 //!   refill per expelled item.
 //! * [`ejection_chain_intensification`] — Glover's bounded ejection chain
-//!   (many-for-one trades). Each tried entrant costs O(m) for its violated
-//!   constraints V; each ejection step O(m + |V|·|packed|) over a cache of
-//!   the packed items' weights, rebuilt in O(m·(n/64 + |packed|)) after an
+//!   (many-for-one trades). Each tried entrant costs an O(m) fits test;
+//!   each ejection step O(m + |V|·|packed|) for its violated constraints
+//!   V, as array operations over a cache of the packed items' weights,
+//!   profits and indices, rebuilt in O(m·(n/64 + |packed|)) after an
 //!   improvement; and a successful chain one refill. The call packs its
-//!   lane columns once, in O(n·m).
+//!   lane columns and level index once, in O(n·m).
 //!
 //! The fifth kernel, strategic oscillation, lives in
 //! [`crate::oscillate`].
@@ -216,16 +219,19 @@ pub fn drop_refill_intensification(
 /// [`drop_refill_intensification`] (one-for-many) cannot reach.
 ///
 /// A victim's pressure is its weight summed over the violated constraints
-/// V only. The weights of `sol`'s packed items are cached as f64, one
-/// contiguous run per constraint in ascending item order, and rebuilt
-/// after each improvement; a step adds the runs of the rows in V, in
-/// ascending order, into the pressures. Every item's sum still adds the
-/// same terms in the same order from 0.0, so each score, and with it every
-/// choice, is the full scan's to the bit. Items ejected earlier in the
-/// chain are skipped, and a step counts `|packed|` candidate evaluations
-/// over the trial solution, as the per-item scan did. A step costs
-/// O(m + |V|·|packed|); the refill is [`DynamicFill`] over lane columns
-/// packed once per call.
+/// V only, divided by its profit (at least 1). `sol`'s packed items are
+/// cached as f64 runs in ascending item order ([`PackedItems`]): one
+/// weight run per constraint, the profits and the indices, rebuilt after
+/// each improvement. A step adds the weight runs of the rows in V, in
+/// ascending order, into the pressure run, zeroes the pressures of the
+/// items ejected earlier in the chain, divides by the profit run element
+/// by element and takes the first strict maximum above 0. Every item's
+/// score adds the same terms in the same order from 0.0 and divides by
+/// the same profit, so each score, and with it every choice, is the full
+/// scan's to the bit; an ejected item scores 0 and never wins. A step
+/// counts `|packed|` candidate evaluations over the trial solution, as the
+/// per-item scan did, and costs O(m + |V|·|packed|); the refill is
+/// [`DynamicFill`] over lane columns packed once per call.
 ///
 /// The trial solution and every buffer are reused across entrants, so a
 /// call allocates at most eight buffers, whatever n is.
@@ -238,19 +244,13 @@ pub fn ejection_chain_intensification(
     let lanes = LaneColumns::new(inst);
     let mut fill = DynamicFill::new(inst);
     let mut trial = sol.clone();
-    let mut violated: Vec<usize> = Vec::with_capacity(inst.m());
-    let mut weights: Vec<f64> = Vec::with_capacity(inst.n() * inst.m());
-    let mut pressure: Vec<f64> = Vec::with_capacity(inst.n());
-    let mut packed = cache_packed_weights(inst, sol, &mut weights);
+    let mut cache = PackedItems::new(inst);
+    cache.rebuild(inst, sol);
     let mut improvements = 0;
     loop {
         let mut improved = false;
         for j in 0..inst.n() {
-            if sol.contains(j) {
-                continue;
-            }
-            violated_constraints(inst, sol, j, &mut violated);
-            if violated.is_empty() {
+            if sol.contains(j) || sol.fits(inst, j) {
                 continue; // fitting items are the greedy fill's business
             }
             trial.clone_from(sol);
@@ -261,32 +261,14 @@ pub fn ejection_chain_intensification(
                 }
                 // Eject the packed item pressing hardest (weight per unit
                 // profit) on the constraints item j currently violates.
-                stats.candidate_evals += (packed - ejected) as u64;
-                pressure.clear();
-                pressure.resize(packed, 0.0);
-                for &i in &violated {
-                    let run = &weights[i * packed..(i + 1) * packed];
-                    for (p, &a) in pressure.iter_mut().zip(run) {
-                        *p += a;
-                    }
-                }
-                let mut victim: Option<(usize, f64)> = None;
-                for (k, &p) in sol.bits().iter_ones().zip(&pressure) {
-                    if !trial.contains(k) {
-                        continue; // ejected earlier in this chain
-                    }
-                    let score = p / inst.profit(k).max(1) as f64;
-                    if score > 0.0 && victim.is_none_or(|(_, s)| score > s) {
-                        victim = Some((k, score));
-                    }
-                }
-                let Some((k, _)) = victim else {
+                stats.candidate_evals += (cache.packed - ejected) as u64;
+                let Some(pos) = cache.victim(inst, &trial, j, ejected) else {
                     break false; // violation not caused by packed items
                 };
-                trial.drop(inst, k);
+                trial.drop(inst, cache.item(pos));
+                cache.eject(ejected, pos);
                 ejected += 1;
-                violated_constraints(inst, &trial, j, &mut violated);
-                if violated.is_empty() {
+                if trial.fits(inst, j) {
                     break true;
                 }
             };
@@ -297,7 +279,7 @@ pub fn ejection_chain_intensification(
             fill.run(inst, &lanes, &mut trial, None);
             if trial.value() > sol.value() {
                 std::mem::swap(sol, &mut trial);
-                packed = cache_packed_weights(inst, sol, &mut weights);
+                cache.rebuild(inst, sol);
                 improvements += 1;
                 improved = true;
             }
@@ -310,31 +292,97 @@ pub fn ejection_chain_intensification(
     improvements
 }
 
-/// Refill `weights` with the weights of `sol`'s packed items as f64, one
-/// run per constraint, each in ascending item order, and return the
-/// number of packed items (the length of each run).
-fn cache_packed_weights(inst: &Instance, sol: &Solution, weights: &mut Vec<f64>) -> usize {
-    weights.clear();
-    for i in 0..inst.m() {
-        let row = inst.constraint_row(i);
-        weights.extend(sol.bits().iter_ones().map(|k| row[k] as f64));
-    }
-    weights.len() / inst.m()
+/// A solution's packed items as the ejection chain scores them: one f64
+/// buffer of `m + 4` runs, each `packed` long and in ascending item order.
+/// Runs `0..m` hold the weights against each constraint, then come the
+/// profits (at least 1), the item indices, the pressure scratch, and the
+/// positions ejected so far in the current chain. Indices and positions
+/// are below n, so f64 holds them exactly.
+struct PackedItems {
+    buf: Vec<f64>,
+    m: usize,
+    packed: usize,
 }
 
-/// Collect into `out`, ascending, the constraints that adding item `j`
-/// to `sol` would violate. Empty exactly when `sol.fits(inst, j)`.
-fn violated_constraints(inst: &Instance, sol: &Solution, j: usize, out: &mut Vec<usize>) {
-    out.clear();
-    let rows = sol
-        .loads()
-        .iter()
-        .zip(inst.item_weights(j))
-        .zip(inst.capacities());
-    for (i, ((&load, &a), &cap)) in rows.enumerate() {
-        if load + a > cap {
-            out.push(i);
+impl PackedItems {
+    /// Room for any solution of `inst`: a rebuild never grows the buffer.
+    fn new(inst: &Instance) -> Self {
+        PackedItems {
+            buf: Vec::with_capacity(inst.n() * (inst.m() + 4)),
+            m: inst.m(),
+            packed: 0,
         }
+    }
+
+    /// Cache `sol`'s packed items, in O(m·(n/64 + |packed|)).
+    fn rebuild(&mut self, inst: &Instance, sol: &Solution) {
+        let packed = || sol.bits().iter_ones();
+        self.buf.clear();
+        for i in 0..self.m {
+            let row = inst.constraint_row(i);
+            self.buf.extend(packed().map(|k| row[k] as f64));
+        }
+        self.buf
+            .extend(packed().map(|k| inst.profit(k).max(1) as f64));
+        self.buf.extend(packed().map(|k| k as f64));
+        self.packed = sol.cardinality();
+        self.buf.resize((self.m + 4) * self.packed, 0.0);
+    }
+
+    /// The item at position `pos`.
+    fn item(&self, pos: usize) -> usize {
+        self.buf[(self.m + 1) * self.packed + pos] as usize
+    }
+
+    /// Record `pos` as the chain's `nth` ejection.
+    fn eject(&mut self, nth: usize, pos: usize) {
+        self.buf[(self.m + 3) * self.packed + nth] = pos as f64;
+    }
+
+    /// The position of the packed item pressing hardest on the
+    /// constraints that adding `j` to `trial` violates: the first strict
+    /// maximum above 0 of pressure per unit profit, the `ejected` items of
+    /// the chain so far scoring 0. `None` when every score is 0.
+    fn victim(
+        &mut self,
+        inst: &Instance,
+        trial: &Solution,
+        j: usize,
+        ejected: usize,
+    ) -> Option<usize> {
+        let (p, m) = (self.packed, self.m);
+        let (weights, rest) = self.buf.split_at_mut(m * p);
+        let (profits, rest) = rest.split_at_mut(p);
+        let (_indices, rest) = rest.split_at_mut(p);
+        let (pressure, positions) = rest.split_at_mut(p);
+        pressure.fill(0.0);
+        let rows = trial
+            .loads()
+            .iter()
+            .zip(inst.item_weights(j))
+            .zip(inst.capacities());
+        for (i, ((&load, &a), &cap)) in rows.enumerate() {
+            if load + a > cap {
+                for (q, &w) in pressure.iter_mut().zip(&weights[i * p..(i + 1) * p]) {
+                    *q += w;
+                }
+            }
+        }
+        for &pos in &positions[..ejected] {
+            pressure[pos as usize] = 0.0;
+        }
+        for (q, &c) in pressure.iter_mut().zip(profits.iter()) {
+            *q /= c;
+        }
+        let mut victim = None;
+        let mut best = 0.0;
+        for (pos, &score) in pressure.iter().enumerate() {
+            if score > best {
+                victim = Some(pos);
+                best = score;
+            }
+        }
+        victim
     }
 }
 

@@ -300,7 +300,7 @@ pub fn select_drop<M: TabuMemory>(
     if non_tabu == 0 {
         // Every packed item tabu (or knapsack empty): ignore tabu status,
         // best scorer wins — no RNG draw, matching the empty-TopK path.
-        return order.iter().copied().find(|&j| sol.contains(j));
+        return order.iter().map(|&j| j as usize).find(|&j| sol.contains(j));
     }
     // The first min(RCL_WIDTH, non_tabu) packed non-tabu items in ranking
     // order are precisely the TopK buffer's contents.
@@ -311,7 +311,7 @@ pub fn select_drop<M: TabuMemory>(
         0
     };
     let mut seen = 0usize;
-    for &j in order {
+    for j in order.iter().map(|&j| j as usize) {
         if sol.contains(j) && !tabu.is_tabu(j, now) {
             if seen == k {
                 return Some(j);

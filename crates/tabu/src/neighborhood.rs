@@ -171,7 +171,11 @@ pub fn best_of_k_move_in<M: TabuMemory + Clone + Send + Sync>(
     let i_star = sol.most_saturated_constraint(inst);
     stats.candidate_evals += sol.cardinality() as u64;
     scratch.first_drops.clear();
-    let candidates = ratios.view().drop_order_row(i_star).iter().copied();
+    let candidates = ratios
+        .view()
+        .drop_order_row(i_star)
+        .iter()
+        .map(|&j| j as usize);
     scratch.first_drops.extend(
         candidates
             .filter(|&j| sol.contains(j) && !tabu.is_tabu(j, now))

@@ -77,6 +77,18 @@ cargo build --release --offline --locked
 step "tests (offline, every workspace package)"
 cargo test -q --offline --locked --workspace
 
+step "kernel oracles at depth (20,000 cases per property, release)"
+# The exact kernels against their reference oracles, far past the default
+# 64 cases: the dynamic fill, its level-index narrowing and the lane fits
+# test (mkp), the ejection chain and drop-refill (mkp-tabu), and the drop
+# rankings on tied instances. About 12 s of testing on 2 cores.
+TESTKIT_CASES=20000 cargo test -q --release --offline --locked -p mkp --lib -- \
+  prop_dynamic_fill_matches_reference prop_view_fill_matches_scalar_fill \
+  prop_lane_fits_equals_scalar prop_narrow_keeps_every_fitting_item \
+  drop_order_ranks_scores_descending_with_index_ties
+TESTKIT_CASES=20000 cargo test -q --release --offline --locked -p mkp-tabu --lib -- \
+  prop_ejection_chain_matches_reference prop_drop_refill_matches_reference
+
 step "telemetry tests (deterministic counters, spans, event ring)"
 cargo test -q --offline --locked --test telemetry
 
