@@ -16,24 +16,27 @@
 //! mailboxes are rebuilt per run, the slave threads are not — see
 //! `pvm_lite::farm`).
 //!
-//! Report delivery comes in two flavours ([`Delivery`]):
+//! The master runs one loop for both report deliveries ([`Delivery`]).
+//! Reports may *arrive* in any order; the master buffers each under its
+//! logical `(round, worker)` slot and *processes* the buffer in that
+//! order, so every run is bit-deterministic. The delivery only picks the
+//! release rule, that is, when a worker's next assignment leaves:
 //!
-//! * **Synchronous** — the paper's rendezvous: the master gathers all P
-//!   reports of a round before updating anything.
-//! * **Pipelined** — the §6 asynchronous extension (ATS): no global
-//!   rendezvous; a worker's next assignment leaves as soon as the master
-//!   has processed that worker's report. Reports may *arrive* in any
-//!   order, but the master buffers them and *processes* them in logical
-//!   `(round, worker)` order, so the run is bit-deterministic while the
-//!   workers still overlap rounds freely.
+//! * **Synchronous** — the paper's rendezvous: once every live worker's
+//!   round-r report is in, the master processes round r and releases
+//!   round r+1 to every worker.
+//! * **Pipelined** — the §6 asynchronous extension (ATS): worker k's
+//!   next assignment leaves as soon as k's report is processed, so the
+//!   workers overlap rounds freely.
 //!
 //! # Recovery (DESIGN.md §10)
 //!
-//! Losing a slave no longer has to cost its share of the search. With
-//! `RunConfig::max_restarts > 0` the master *resurrects* a lost worker:
-//! exponential backoff, respawn the task on a thread of its own
-//! ([`TaskCtx::respawn`]), re-send the problem, transplant the worker's
-//! long-term History
+//! Losing a slave no longer has to cost its share of the search. Both
+//! release rules heal through one path. A worker that misses its report
+//! deadline, or whose assignment cannot be sent, is *resurrected* while
+//! its `RunConfig::max_restarts` budget lasts: exponential backoff,
+//! respawn the task on a thread of its own ([`TaskCtx::respawn`]),
+//! re-send the problem, transplant the worker's long-term History
 //! ([`tags::SEED`]), then redo the outstanding assignment seeded from the
 //! master's B-best elite. Each assignment carries an incarnation *epoch*
 //! that the slave echoes, so a superseded incarnation's stale report can
@@ -59,16 +62,19 @@ use pvm_lite::{
     CommStats, Envelope, FaultAction, FaultPlan, TaskCtx, TaskOutcome, Transport, WorkerPool,
 };
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the master receives reports (see the module docs).
+/// When the master releases a worker's next assignment (see the module
+/// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
-    /// Gather all P reports per round before updating (SEQ/ITS/CTS/DTS).
+    /// Release round r+1 once all of round r's reports are in and
+    /// processed (every mode but ATS).
     Synchronous,
-    /// Process reports in logical order as they arrive; a worker's next
-    /// assignment leaves without waiting for its peers (ATS).
+    /// Release a worker's next round as soon as its report is processed,
+    /// without waiting for its peers (ATS).
     Pipelined,
 }
 
@@ -103,8 +109,8 @@ pub trait CoopPolicy: Send {
     }
 
     /// Whether the master relinks the two best distinct slave solutions
-    /// after each synchronous rendezvous (ignored under pipelined
-    /// delivery, which has no rendezvous).
+    /// of each synchronous round before processing it. [`admit`] refuses
+    /// it under pipelined delivery, which has no round to relink.
     fn relink(&self, cfg: &RunConfig) -> bool {
         let _ = cfg;
         false
@@ -549,6 +555,13 @@ pub(crate) fn admit(
                 .to_string(),
         );
     }
+    if policy.relink(cfg) && pipelined {
+        return reject(
+            "relinking requires synchronous delivery: the pipelined ATS \
+             master has no complete round to relink"
+                .to_string(),
+        );
+    }
     match park_after {
         Some(0) => return reject("park_after must be at least one round".to_string()),
         Some(_) if pipelined => {
@@ -677,7 +690,8 @@ impl Workers {
     }
 
     /// Record that worker `k` rejoined: the incarnation started by
-    /// restart `attempt` ([`begin_rebirth`]) reported its redo of `round`.
+    /// restart `attempt` ([`Master::begin_rebirth`]) reported its redo of
+    /// `round`.
     fn confirm_rebirth(&mut self, k: usize, round: usize, attempt: usize, tel: &Telemetry) {
         self.resurrections.push(Resurrection {
             worker: k,
@@ -696,18 +710,18 @@ fn backoff_delay(cfg: &RunConfig, attempts_so_far: usize) -> Duration {
         .saturating_mul(1u32 << attempts_so_far.min(16))
 }
 
-/// The master's one receive path, shared by both delivery schemes: block
-/// until the next report from a `wanted` worker arrives, or `deadline`
-/// passes (`None`: wait forever). Reports from unwanted workers
-/// (quarantined, already reported this round) and from superseded
-/// incarnations (stale epoch) are dropped and counted; anything else that
-/// is not a decodable report from a worker task is a protocol violation.
-/// `Ok(None)` means the deadline passed or every sender is gone.
+/// The master's one receive path: block until the next report from a
+/// `wanted` worker arrives, or `deadline` passes (`None`: wait forever).
+/// Reports from unwanted workers (quarantined, or owing no report) and
+/// from superseded incarnations (stale epoch) are dropped and counted;
+/// anything else that is not a decodable report from a worker task is a
+/// protocol violation. `Ok(None)` means the deadline passed or every
+/// sender is gone.
 fn next_report<C: Transport>(
     ctx: &C,
     deadline: Option<Instant>,
     epochs: &[u64],
-    wanted: &[bool],
+    wanted: impl Fn(usize) -> bool,
     tel: &Telemetry,
 ) -> Result<Option<(usize, ReportMsg)>, EngineError> {
     loop {
@@ -730,9 +744,9 @@ fn next_report<C: Transport>(
                 detail: format!("report from out-of-range task {}", env.from),
             });
         };
-        if !wanted[k] {
+        if !wanted(k) {
             tel.add(0, Counter::StaleIgnored, 1);
-            continue; // stale: quarantined or already reported
+            continue; // stale: quarantined or owing nothing
         }
         if env.tag != tags::REPORT {
             return Err(EngineError::ProtocolViolation {
@@ -756,29 +770,7 @@ fn next_report<C: Transport>(
     }
 }
 
-/// Gather reports from the workers flagged in `need` under a single
-/// deadline, clearing each flag as its report lands; `need` entries still
-/// set on return are the workers that missed the deadline.
-fn gather_reports<C: Transport>(
-    ctx: &C,
-    epochs: &[u64],
-    timeout: Duration,
-    need: &mut [bool],
-    tel: &Telemetry,
-) -> Result<Vec<(usize, ReportMsg)>, EngineError> {
-    let deadline = Instant::now().checked_add(timeout);
-    let mut got = Vec::new();
-    while need.contains(&true) {
-        let Some((k, report)) = next_report(ctx, deadline, epochs, need, tel)? else {
-            break;
-        };
-        need[k] = false;
-        got.push((k, report));
-    }
-    Ok(got)
-}
-
-/// How a [`begin_rebirth`] attempt ended.
+/// How a [`Master::begin_rebirth`] attempt ended.
 enum Rebirth {
     /// The transport cannot produce a new incarnation (supervision
     /// retired).
@@ -790,111 +782,248 @@ enum Rebirth {
     Sent { attempt: usize },
 }
 
-/// Start the next restart attempt for worker `k` (DESIGN.md §10: lost →
-/// backoff → respawn → reseed): back off, spend a restart credit, bump
-/// the epoch, respawn the task, re-send the problem, transplant its
-/// History, and redo `assign` under the new epoch from an elite-seeded
-/// start. The caller checks the restart budget first and waits for the
-/// redo's report; both delivery schemes rebirth through here.
-#[allow(clippy::too_many_arguments)] // the full recovery context
-fn begin_rebirth<C: Transport>(
-    ctx: &C,
-    problem: &ProblemMsg,
-    workers: &mut Workers,
-    cfg: &RunConfig,
-    k: usize,
-    assign: &AssignMsg,
-    elite: &[Solution],
-    tel: &Telemetry,
-) -> Rebirth {
-    std::thread::sleep(backoff_delay(cfg, workers.restarts_used[k]));
-    workers.restarts_used[k] += 1;
-    tel.add(0, Counter::Restarts, 1);
-    let attempt = workers.restarts_used[k];
-    workers.epochs[k] += 1;
-    if !ctx.respawn(k + 1) {
-        return Rebirth::Refused;
-    }
-    // A send failure means the fresh incarnation died before its mailbox
-    // drained.
-    if ctx.send(k + 1, tags::PROBLEM, problem).is_err() {
-        return Rebirth::Lost;
-    }
-    tel.add(0, Counter::ProblemMsgsSent, 1);
-    if ctx.send(k + 1, tags::SEED, &workers.histories[k]).is_err() {
-        return Rebirth::Lost;
-    }
-    tel.add(0, Counter::SeedMsgsSent, 1);
-    let mut redo = assign.clone();
-    if !elite.is_empty() && redo.cell.is_none() {
-        // Reseed from the master's B-best elite instead of the dead
-        // incarnation's private trajectory; rotate through the bank so
-        // repeated attempts explore different restarts.
-        redo.initial = elite[(attempt - 1) % elite.len()].bits().clone();
-    }
-    if !send_assignment(ctx, k, &mut redo, workers.epochs[k], tel) {
-        return Rebirth::Lost;
-    }
-    Rebirth::Sent { attempt }
+/// One slice of the Fig. 2 master after the problem broadcast: the
+/// master's state and its view of the `(round, worker)` grid. Reports
+/// are buffered under their logical slot as they arrive and processed in
+/// slot order; the release rule ([`Delivery`]) only decides when a
+/// worker's next assignment leaves.
+struct Master<'a, C: Transport> {
+    ctx: &'a C,
+    inst: &'a Instance,
+    cfg: &'a RunConfig,
+    tel: &'a Telemetry,
+    policy: &'a mut dyn CoopPolicy,
+    problem: ProblemMsg,
+    rng: Xoshiro256,
+    state: MasterState,
+    workers: Workers,
+    /// Reports received but not yet processed, by `(round, worker)`.
+    buffer: BTreeMap<(usize, usize), ReportMsg>,
+    /// `arrived[k]`: the round of worker k's next report. Per-worker
+    /// channels are FIFO, so reports arrive in round order.
+    arrived: Vec<usize>,
+    /// `released[k]`: the rounds released to worker k so far; k owes a
+    /// report while `released[k] > arrived[k]`.
+    released: Vec<usize>,
+    /// Each worker's latest assignment, which a rebirth redoes.
+    sent: Vec<Option<AssignMsg>>,
+    /// A rebirth in flight: the round it redoes and its attempt,
+    /// confirmed when the redo's report arrives.
+    rebirth: Vec<Option<(usize, usize)>>,
 }
 
-/// Stamp `assign` with worker `k`'s incarnation `epoch` and send it,
-/// counting it if it left: the one ASSIGN path of both delivery schemes
-/// and of a rebirth's redo. Returns whether the send succeeded.
-fn send_assignment<C: Transport>(
-    ctx: &C,
-    k: usize,
-    assign: &mut AssignMsg,
-    epoch: u64,
-    tel: &Telemetry,
-) -> bool {
-    assign.epoch = epoch;
-    let sent = ctx.send(k + 1, tags::ASSIGN, assign).is_ok();
-    if sent {
-        tel.add(0, Counter::AssignMsgsSent, 1);
+impl<C: Transport> Master<'_, C> {
+    /// Whether worker `k` is alive and owes the master a report.
+    fn owes(&self, k: usize) -> bool {
+        self.workers.alive[k] && self.released[k] > self.arrived[k]
     }
-    sent
-}
 
-/// Try to bring worker `k` back mid-round: rebirth attempts
-/// ([`begin_rebirth`]), each followed by a wait for the redo report, while
-/// the restart budget lasts. Returns the redo report on success, `None`
-/// when the budget ran dry or supervision refused.
-#[allow(clippy::too_many_arguments)] // the full recovery context
-fn resurrect<C: Transport>(
-    ctx: &C,
-    problem: &ProblemMsg,
-    workers: &mut Workers,
-    cfg: &RunConfig,
-    k: usize,
-    round: usize,
-    assign: &AssignMsg,
-    elite: &[Solution],
-    tel: &Telemetry,
-) -> Result<Option<ReportMsg>, EngineError> {
-    while workers.restarts_used[k] < cfg.max_restarts {
-        let attempt = match begin_rebirth(ctx, problem, workers, cfg, k, assign, elite, tel) {
-            Rebirth::Refused => return Ok(None),
-            Rebirth::Lost => continue, // burn the attempt and back off longer
-            Rebirth::Sent { attempt } => attempt,
-        };
-        let deadline = Instant::now().checked_add(cfg.report_timeout);
-        let only_k: Vec<bool> = (0..workers.epochs.len()).map(|j| j == k).collect();
-        if let Some((_, report)) = next_report(ctx, deadline, &workers.epochs, &only_k, tel)? {
-            workers.confirm_rebirth(k, round, attempt, tel);
-            return Ok(Some(report));
+    /// Stamp `assign` with worker `k`'s incarnation epoch and send it,
+    /// counting it if it left: the one ASSIGN path of a release and of a
+    /// rebirth's redo. Returns whether the send succeeded.
+    fn send_assignment(&self, k: usize, assign: &mut AssignMsg) -> bool {
+        assign.epoch = self.workers.epochs[k];
+        let sent = self.ctx.send(k + 1, tags::ASSIGN, assign).is_ok();
+        if sent {
+            self.tel.add(0, Counter::AssignMsgsSent, 1);
         }
+        sent
     }
-    Ok(None)
+
+    /// Release `round` to the live workers among `ks`, in worker order,
+    /// under one Assign span. A worker whose ASSIGN cannot be sent heals
+    /// at once.
+    fn release(&mut self, round: usize, ks: Range<usize>) -> Result<(), EngineError> {
+        let _assign_span = self.tel.span(0, SpanKind::Assign);
+        for k in ks {
+            if !self.workers.alive[k] {
+                continue;
+            }
+            let mut assign = self
+                .policy
+                .assign(k, round, self.inst, self.cfg, &mut self.rng);
+            let delivered = self.send_assignment(k, &mut assign);
+            self.released[k] = round + 1;
+            self.sent[k] = Some(assign);
+            if !delivered {
+                self.heal(k, round, LossCause::Unreachable)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Wait until `deadline` for the next report a worker owes, bank its
+    /// History and buffer it under its slot; a redo's report confirms its
+    /// rebirth. Returns false when the deadline passed first.
+    fn receive(&mut self, deadline: Option<Instant>) -> Result<bool, EngineError> {
+        let owes = |k| self.owes(k);
+        let received = next_report(self.ctx, deadline, &self.workers.epochs, owes, self.tel)?;
+        let Some((k, report)) = received else {
+            return Ok(false);
+        };
+        if let Some((round, attempt)) = self.rebirth[k].take() {
+            self.workers.confirm_rebirth(k, round, attempt, self.tel);
+        }
+        self.workers.bank_history(k, &report);
+        self.buffer.insert((self.arrived[k], k), report);
+        self.arrived[k] += 1;
+        Ok(true)
+    }
+
+    /// A deadline passed: every worker still owing a report is out of
+    /// time and heals. Each expiry thus spends a restart credit or
+    /// quarantines a worker, both finite, so the master loop terminates.
+    fn heal_overdue(&mut self) -> Result<(), EngineError> {
+        for k in 0..self.sent.len() {
+            if self.owes(k) {
+                self.heal(k, self.arrived[k], LossCause::Deadline)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The one healing path: worker `k` cannot deliver its report for
+    /// `round` (`cause`). While its restart budget lasts it is reborn to
+    /// redo its latest assignment; a redo that cannot be sent burns its
+    /// attempt, and the next starts at once. Past the budget, or when the
+    /// transport cannot respawn it, `k` is quarantined.
+    fn heal(&mut self, k: usize, round: usize, cause: LossCause) -> Result<(), EngineError> {
+        while self.workers.restarts_used[k] < self.cfg.max_restarts {
+            match self.begin_rebirth(k) {
+                Rebirth::Sent { attempt } => {
+                    self.rebirth[k] = Some((round, attempt));
+                    return Ok(());
+                }
+                Rebirth::Lost => {} // back off longer and try again
+                Rebirth::Refused => break,
+            }
+        }
+        self.workers.mark_lost(k, round, cause, self.tel)
+    }
+
+    /// Start the next restart attempt for worker `k` (DESIGN.md §10: lost
+    /// → backoff → respawn → reseed): back off, spend a restart credit,
+    /// bump the epoch, respawn the task, re-send the problem, transplant
+    /// its History, and redo its latest assignment under the new epoch
+    /// from an elite-seeded start.
+    fn begin_rebirth(&mut self, k: usize) -> Rebirth {
+        let (ctx, tel, workers) = (self.ctx, self.tel, &mut self.workers);
+        std::thread::sleep(backoff_delay(self.cfg, workers.restarts_used[k]));
+        workers.restarts_used[k] += 1;
+        tel.add(0, Counter::Restarts, 1);
+        let attempt = workers.restarts_used[k];
+        workers.epochs[k] += 1;
+        if !ctx.respawn(k + 1) {
+            return Rebirth::Refused;
+        }
+        // A send failure means the fresh incarnation died before its mailbox
+        // drained.
+        if ctx.send(k + 1, tags::PROBLEM, &self.problem).is_err() {
+            return Rebirth::Lost;
+        }
+        tel.add(0, Counter::ProblemMsgsSent, 1);
+        if ctx.send(k + 1, tags::SEED, &workers.histories[k]).is_err() {
+            return Rebirth::Lost;
+        }
+        tel.add(0, Counter::SeedMsgsSent, 1);
+        let mut redo = self.sent[k].clone().expect("a reborn worker was assigned");
+        let elite = self.state.elite.solutions();
+        if !elite.is_empty() && redo.cell.is_none() {
+            // Reseed from the master's B-best elite instead of the dead
+            // incarnation's private trajectory; rotate through the bank so
+            // repeated attempts explore different restarts.
+            redo.initial = elite[(attempt - 1) % elite.len()].bits().clone();
+        }
+        if !self.send_assignment(k, &mut redo) {
+            return Rebirth::Lost;
+        }
+        Rebirth::Sent { attempt }
+    }
+
+    /// Fold worker `k`'s report for `round`: counters, global best,
+    /// elite, then the policy's update. A report whose claimed value
+    /// doesn't survive re-evaluation is a protocol violation, not a
+    /// panic.
+    fn process(&mut self, k: usize, round: usize, report: &ReportMsg) -> Result<(), EngineError> {
+        let (inst, cfg, tel) = (self.inst, self.cfg, self.tel);
+        let (state, rng) = (&mut self.state, &mut self.rng);
+        state.total_moves += report.moves;
+        state.total_evals += report.evals;
+        let slave_best = report.checked_best_solution(inst).map_err(|detail| {
+            EngineError::ProtocolViolation {
+                detail: format!("task {}: {detail}", k + 1),
+            }
+        })?;
+        if state
+            .global_best
+            .as_ref()
+            .is_none_or(|g| slave_best.value() > g.value())
+        {
+            state.global_best = Some(slave_best.clone());
+            tel.add(0, Counter::IncumbentUpdates, 1);
+            tel.event(0, EventKind::NewIncumbent, round, slave_best.value());
+        }
+        state.elite.offer(&slave_best);
+        // Just folded: the global best is at least this report's best.
+        let global_best = state.global_best.as_ref().unwrap_or(&slave_best);
+        let regen = self
+            .policy
+            .absorb(k, round, report, &slave_best, global_best, inst, cfg, rng);
+        state.regenerations += regen;
+        if regen > 0 {
+            tel.add(0, Counter::Retunes, regen);
+            tel.event(0, EventKind::Retune, round, k as i64);
+        }
+        Ok(())
+    }
+
+    /// Serialize the master's complete state as of the top of
+    /// `next_round`.
+    fn snapshot(&self, next_round: usize) -> Result<Snapshot, EngineError> {
+        let (policy, state, workers) = (&self.policy, &self.state, &self.workers);
+        let blob = policy.snapshot().ok_or_else(|| EngineError::Unsupported {
+            detail: format!("{:?} does not support checkpointing", policy.mode()),
+        })?;
+        let global_best = state
+            .global_best
+            .as_ref()
+            .ok_or_else(|| EngineError::Internal {
+                detail: "checkpoint requested before any processed report".into(),
+            })?;
+        let elite = state.elite.solutions().iter().map(|s| s.bits().clone());
+        Ok(Snapshot {
+            mode: policy.mode(),
+            fingerprint: instance_fingerprint(self.inst),
+            cfg_digest: config_digest(self.cfg),
+            next_round,
+            rng: self.rng.state(),
+            global_best: global_best.bits().clone(),
+            round_best: state.round_best.clone(),
+            total_moves: state.total_moves,
+            total_evals: state.total_evals,
+            regenerations: state.regenerations,
+            elite: elite.collect(),
+            alive: workers.alive.clone(),
+            losses: workers.losses.clone(),
+            resurrections: workers.resurrections.clone(),
+            restarts_used: workers.restarts_used.iter().map(|&r| r as u64).collect(),
+            epochs: workers.epochs.clone(),
+            histories: workers.histories.clone(),
+            policy: blob,
+        })
+    }
 }
 
 /// The generic Fig. 2 master: broadcast, assign, collect, update — now
-/// self-healing. A worker that becomes unreachable, misses its report
-/// deadline or (as the pool later reveals) panicked is *resurrected* while
-/// its restart budget lasts ([`resurrect`]); past the budget it is
-/// *quarantined*: dropped from assignment and collection, its loss
-/// recorded, the round loop continuing with the survivors. Only losing the
-/// last worker aborts the run.
+/// self-healing. Both release rules run the one loop below: it processes
+/// the `(round, worker)` buffer in order, waits under a deadline when the
+/// rule's next report is missing, and releases assignments as the rule
+/// says. A worker that becomes unreachable, misses its report deadline or
+/// (as the pool later reveals) panicked is *resurrected* while its restart
+/// budget lasts ([`Master::heal`]); past the budget it is *quarantined*:
+/// dropped from assignment and collection, its loss recorded, the loop
+/// continuing with the survivors. Only losing the last worker aborts the
+/// run.
 ///
 /// The caller has [`admit`]ted the slice, so `policy` already holds
 /// `resume`'s restored state, and it owns the farm: it calls
@@ -928,7 +1057,7 @@ pub(crate) fn master_loop<C: Transport>(
         })?;
     tel.add(0, Counter::ProblemMsgsSent, (ctx.ntasks() - 1) as u64);
 
-    let (mut rng, mut state, mut workers, start_round) = match &resume {
+    let (rng, state, workers, start_round) = match &resume {
         None => {
             let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
             let initials = policy.prepare(inst, cfg, &mut rng);
@@ -980,308 +1109,143 @@ pub(crate) fn master_loop<C: Transport>(
     };
     drop(resume);
 
-    match policy.delivery() {
-        Delivery::Synchronous => {
-            // Built at the slice's first relink and kept for the slice:
-            // the ratios are a function of the instance alone.
-            let mut relink_ratios: Option<Ratios> = None;
-            for round in start_round..rounds {
-                let _round_span = tel.span(0, SpanKind::Round);
-                // Launch the surviving slave searches. The sent assignment
-                // is kept per worker so a resurrection can redo it.
-                let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
-                let mut send_failed = vec![false; active];
-                {
-                    let _assign_span = tel.span(0, SpanKind::Assign);
-                    for k in 0..active {
-                        if !workers.alive[k] {
-                            continue;
-                        }
-                        let mut assign = policy.assign(k, round, inst, cfg, &mut rng);
-                        send_failed[k] =
-                            !send_assignment(ctx, k, &mut assign, workers.epochs[k], tel);
-                        sent[k] = Some(assign);
-                    }
-                }
-
-                // Rendezvous: gather the survivors' reports (slaves finish
-                // ≈ simultaneously because the eval budget, not
-                // wall-clock, bounds each search). One deadline covers the
-                // whole gather; a worker that misses it is resurrected
-                // while its restart budget lasts, then quarantined. The
-                // reports are processed in slave-id order below, so the
-                // update is deterministic regardless of arrival order.
-                let mut need: Vec<bool> = (0..active)
-                    .map(|k| workers.alive[k] && !send_failed[k])
-                    .collect();
-                let mut reports = {
-                    let _gather_span = tel.span(0, SpanKind::Gather);
-                    gather_reports(ctx, &workers.epochs, cfg.report_timeout, &mut need, tel)?
-                };
-                for k in 0..active {
-                    if !workers.alive[k] {
-                        continue;
-                    }
-                    let missed = need[k] || send_failed[k];
-                    if !missed {
-                        continue;
-                    }
-                    let assign = sent[k].as_ref().expect("alive workers were assigned");
-                    match resurrect(
-                        ctx,
-                        &problem,
-                        &mut workers,
-                        cfg,
-                        k,
-                        round,
-                        assign,
-                        state.elite.solutions(),
-                        tel,
-                    )? {
-                        Some(report) => reports.push((k, report)),
-                        None => {
-                            let cause = if send_failed[k] {
-                                LossCause::Unreachable
-                            } else {
-                                LossCause::Deadline
-                            };
-                            workers.mark_lost(k, round, cause, tel)?;
-                        }
-                    }
-                }
-                reports.sort_by_key(|&(k, _)| k);
-                for (k, report) in &reports {
-                    workers.bank_history(*k, report);
-                }
-
-                // Optional master-side exploitation: relink the two best
-                // distinct slave solutions (information neither slave holds
-                // alone).
-                if policy.relink(cfg) {
-                    state.total_evals +=
-                        relink_round(inst, &mut relink_ratios, &reports, &mut state.global_best)?;
-                }
-
-                for (k, report) in &reports {
-                    state.process_report(*k, round, report, policy, inst, cfg, &mut rng, tel)?;
-                }
-                state.close_round()?;
-
-                // Periodic checkpoint and quantum-boundary park share one
-                // snapshot: the state as of the top of `round + 1`. The
-                // final round is never snapshotted — the run is over. A
-                // parked slice is thus the identical artifact a periodic
-                // checkpoint writes, so a resumed job continues
-                // bit-identically to one that never parked.
-                let checkpoint = cfg
-                    .checkpoint
-                    .as_ref()
-                    .filter(|cp| (round + 1) % cp.every == 0);
-                let park = park_after.is_some_and(|park| round + 1 - start_round >= park);
-                if round + 1 < rounds && (checkpoint.is_some() || park) {
-                    let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
-                    let snap =
-                        build_snapshot(policy, inst, cfg, round + 1, &rng, &state, &workers)?;
-                    if let Some(cp) = checkpoint {
-                        let nbytes = snap.to_file_bytes().len() as u64;
-                        snap.save(&cp.path).map_err(|e| EngineError::Internal {
-                            detail: format!("checkpoint write failed: {e}"),
-                        })?;
-                        tel.add(0, Counter::CheckpointsWritten, 1);
-                        tel.add(0, Counter::CheckpointBytes, nbytes);
-                        tel.event(0, EventKind::Checkpoint, round + 1, nbytes as i64);
-                    }
-                    if park {
-                        return Ok(SliceOutcome::Parked(Box::new(snap)));
-                    }
-                }
+    let pipelined = policy.delivery() == Delivery::Pipelined;
+    let mut m = Master {
+        ctx,
+        inst,
+        cfg,
+        tel,
+        policy,
+        problem,
+        rng,
+        state,
+        workers,
+        buffer: BTreeMap::new(),
+        arrived: vec![start_round; active],
+        released: vec![start_round; active],
+        sent: vec![None; active],
+        rebirth: vec![None; active],
+    };
+    // Built at the slice's first relink and kept for the slice: the
+    // ratios are a function of the instance alone.
+    let mut relink_ratios: Option<Ratios> = None;
+    // One Round span per synchronous round. The pipeline has no round
+    // boundary, so one Round span covers the whole run.
+    let mut round_span = Some(tel.span(0, SpanKind::Round));
+    if pipelined {
+        for k in 0..active {
+            m.release(0, k..k + 1)?;
+        }
+    } else {
+        m.release(start_round, 0..active)?;
+    }
+    // The open deadline window and its Gather span: the pipeline opens
+    // one per wait (the budget is per expected report, and stale
+    // stragglers don't extend it), a synchronous round keeps one until
+    // its last report is in.
+    let mut window = None;
+    let mut cursor = (start_round, 0);
+    while cursor.0 < rounds {
+        let (round, k) = cursor;
+        // The release rule's processing gate: the pipeline processes the
+        // cursor's report as soon as it is in, a synchronous round waits
+        // for all of its reports. A quarantined worker's slot is skipped.
+        let gate = if pipelined { k + 1 } else { active };
+        let ready = (k..gate).all(|j| !m.workers.alive[j] || m.buffer.contains_key(&(round, j)));
+        if !ready {
+            let deadline = window
+                .get_or_insert_with(|| {
+                    let deadline = Instant::now().checked_add(cfg.report_timeout);
+                    (deadline, tel.span(0, SpanKind::Gather))
+                })
+                .0;
+            let received = m.receive(deadline)?;
+            if pipelined || !received {
+                window = None;
+            }
+            if !received {
+                m.heal_overdue()?;
+            }
+            continue;
+        }
+        window = None;
+        if k == 0 && !pipelined && m.policy.relink(cfg) {
+            // Optional master-side exploitation: relink the two best
+            // distinct slave solutions of the round (information neither
+            // slave holds alone).
+            let reports = m.buffer.range((round, 0)..(round + 1, 0));
+            let reports = reports.map(|(&(_, j), report)| (j, report));
+            m.state.total_evals +=
+                relink_round(inst, &mut relink_ratios, reports, &mut m.state.global_best)?;
+        }
+        if let Some(report) = m.buffer.remove(&cursor) {
+            m.process(k, round, &report)?;
+            if pipelined && round + 1 < rounds && m.workers.alive[k] {
+                m.release(round + 1, k..k + 1)?;
             }
         }
-        Delivery::Pipelined => {
-            // Reports arrive in scheduler order; `arrived[k]` counts how
-            // many worker `k` has sent, which *is* the logical round of its
-            // next arrival (per-worker channels are FIFO). The buffer plus
-            // the (round, worker) cursor turn that arrival stream into a
-            // deterministic processing order — and each processed report
-            // immediately releases that worker's next assignment, so no
-            // worker ever waits for a rendezvous. `assigned[k]` counts
-            // assignments sent, so `assigned[k] > arrived[k]` means worker
-            // `k` owes a report — the workers a deadline expiry resurrects
-            // or quarantines.
-            let mut arrived = vec![0usize; active];
-            let mut assigned = vec![0usize; active];
-            let mut sent: Vec<Option<AssignMsg>> = vec![None; active];
-            // A rebirth in flight: (round it redoes, attempt); confirmed
-            // into a Resurrection record when the redo report arrives.
-            let mut rebirth: Vec<Option<(usize, usize)>> = vec![None; active];
-            let mut buffer: BTreeMap<(usize, usize), ReportMsg> = BTreeMap::new();
-            let mut cursor = (0usize, 0usize);
-            // The pipeline has no rendezvous, so one Round span covers the
-            // whole asynchronous run; Assign/Gather spans nest inside it.
-            let _round_span = tel.span(0, SpanKind::Round);
+        if k + 1 < active {
+            cursor = (round, k + 1);
+            continue;
+        }
+        m.state.close_round()?;
+        cursor = (round + 1, 0);
+        if pipelined {
+            continue;
+        }
 
-            // Bootstrap: every worker gets its round-0 assignment.
-            for k in 0..active {
-                let _assign_span = tel.span(0, SpanKind::Assign);
-                let mut assign = policy.assign(k, 0, inst, cfg, &mut rng);
-                if send_assignment(ctx, k, &mut assign, workers.epochs[k], tel) {
-                    assigned[k] = 1;
-                } else {
-                    workers.mark_lost(k, 0, LossCause::Unreachable, tel)?;
-                }
-                sent[k] = Some(assign);
+        // Periodic checkpoint and quantum-boundary park share one
+        // snapshot: the state as of the top of `round + 1`. The final
+        // round is never snapshotted — the run is over. A parked slice is
+        // thus the identical artifact a periodic checkpoint writes, so a
+        // resumed job continues bit-identically to one that never parked.
+        let checkpoint = cfg
+            .checkpoint
+            .as_ref()
+            .filter(|cp| (round + 1) % cp.every == 0);
+        let park = park_after.is_some_and(|park| round + 1 - start_round >= park);
+        if round + 1 < rounds && (checkpoint.is_some() || park) {
+            let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
+            let snap = m.snapshot(round + 1)?;
+            if let Some(cp) = checkpoint {
+                let nbytes = snap.to_file_bytes().len() as u64;
+                snap.save(&cp.path).map_err(|e| EngineError::Internal {
+                    detail: format!("checkpoint write failed: {e}"),
+                })?;
+                tel.add(0, Counter::CheckpointsWritten, 1);
+                tel.add(0, Counter::CheckpointBytes, nbytes);
+                tel.event(0, EventKind::Checkpoint, round + 1, nbytes as i64);
             }
-
-            'outer: loop {
-                // Drain: process buffered reports in logical order. A
-                // quarantined worker's never-coming report is skipped so
-                // the cursor keeps rotating over the survivors; a live
-                // worker's missing report sends us to the wait below.
-                loop {
-                    let (round, k) = cursor;
-                    if round >= rounds {
-                        break 'outer;
-                    }
-                    if let Some(report) = buffer.remove(&cursor) {
-                        state
-                            .process_report(k, round, &report, policy, inst, cfg, &mut rng, tel)?;
-                        if round + 1 < rounds && workers.alive[k] {
-                            let _assign_span = tel.span(0, SpanKind::Assign);
-                            let mut assign = policy.assign(k, round + 1, inst, cfg, &mut rng);
-                            if send_assignment(ctx, k, &mut assign, workers.epochs[k], tel) {
-                                assigned[k] += 1;
-                            } else {
-                                workers.mark_lost(k, round + 1, LossCause::Unreachable, tel)?;
-                            }
-                            sent[k] = Some(assign);
-                        }
-                    } else if workers.alive[k] {
-                        break; // report still in flight: wait for it
-                    }
-                    cursor = if k + 1 < active {
-                        (round, k + 1)
-                    } else {
-                        state.close_round()?;
-                        (round + 1, 0)
-                    };
-                }
-
-                // Wait for one more report under a single deadline (the
-                // timeout budget is per expected report, not per arrival —
-                // stale stragglers burning the clock don't extend it).
-                let deadline = Instant::now().checked_add(cfg.report_timeout);
-                let received = {
-                    let _gather_span = tel.span(0, SpanKind::Gather);
-                    next_report(ctx, deadline, &workers.epochs, &workers.alive, tel)?
-                };
-                if let Some((k, report)) = received {
-                    if let Some((round, attempt)) = rebirth[k].take() {
-                        workers.confirm_rebirth(k, round, attempt, tel);
-                    }
-                    workers.bank_history(k, &report);
-                    buffer.insert((arrived[k], k), report);
-                    arrived[k] += 1;
-                    continue;
-                }
-                // The deadline expired: every live worker still owing a
-                // report is out of time. While a worker's restart budget
-                // lasts the master starts one rebirth per expiry; past
-                // the budget it is quarantined. Each expiry thus either
-                // consumes a restart credit or quarantines a worker, and
-                // both are finite — the loop terminates.
-                for k in 0..active {
-                    if !workers.alive[k] || assigned[k] <= arrived[k] {
-                        continue;
-                    }
-                    let round = arrived[k];
-                    if workers.restarts_used[k] < cfg.max_restarts {
-                        let assign = sent[k]
-                            .as_ref()
-                            .expect("an owed report implies a stored assignment");
-                        // Whether or not the rebirth took, the worker
-                        // still owes its report; the next deadline
-                        // window decides.
-                        rebirth[k] = match begin_rebirth(
-                            ctx,
-                            &problem,
-                            &mut workers,
-                            cfg,
-                            k,
-                            assign,
-                            state.elite.solutions(),
-                            tel,
-                        ) {
-                            Rebirth::Sent { attempt } => Some((round, attempt)),
-                            Rebirth::Refused | Rebirth::Lost => None,
-                        };
-                        continue;
-                    }
-                    workers.mark_lost(k, round, LossCause::Deadline, tel)?;
-                }
+            if park {
+                return Ok(SliceOutcome::Parked(Box::new(snap)));
             }
+        }
+        round_span = None;
+        if round + 1 < rounds {
+            round_span = Some(tel.span(0, SpanKind::Round));
+            m.release(round + 1, 0..active)?;
         }
     }
+    drop(round_span);
 
-    let best = state.global_best.ok_or_else(|| EngineError::Internal {
+    let best = m.state.global_best.ok_or_else(|| EngineError::Internal {
         detail: "run finished without any processed report".into(),
     })?;
     debug_assert!(best.is_feasible(inst));
     Ok(SliceOutcome::Finished(Box::new(ModeReport {
-        mode: policy.mode(),
+        mode: m.policy.mode(),
         best,
-        round_best: state.round_best,
-        total_moves: state.total_moves,
-        total_evals: state.total_evals,
-        regenerations: state.regenerations,
+        round_best: m.state.round_best,
+        total_moves: m.state.total_moves,
+        total_evals: m.state.total_evals,
+        regenerations: m.state.regenerations,
         wall: start.elapsed(),
-        lost_workers: workers.losses,
-        resurrections: workers.resurrections,
+        lost_workers: m.workers.losses,
+        resurrections: m.workers.resurrections,
         // Filled by the engine after the farm joins; the master loop only
         // sees its own (still-live) side of the registry.
         telemetry: TelemetrySnapshot::default(),
     })))
-}
-
-/// Serialize the master's complete state as of the top of `next_round`.
-fn build_snapshot(
-    policy: &mut dyn CoopPolicy,
-    inst: &Instance,
-    cfg: &RunConfig,
-    next_round: usize,
-    rng: &Xoshiro256,
-    state: &MasterState,
-    workers: &Workers,
-) -> Result<Snapshot, EngineError> {
-    let blob = policy.snapshot().ok_or_else(|| EngineError::Unsupported {
-        detail: format!("{:?} does not support checkpointing", policy.mode()),
-    })?;
-    let global_best = state
-        .global_best
-        .as_ref()
-        .ok_or_else(|| EngineError::Internal {
-            detail: "checkpoint requested before any processed report".into(),
-        })?;
-    let elite = state.elite.solutions().iter().map(|s| s.bits().clone());
-    Ok(Snapshot {
-        mode: policy.mode(),
-        fingerprint: instance_fingerprint(inst),
-        cfg_digest: config_digest(cfg),
-        next_round,
-        rng: rng.state(),
-        global_best: global_best.bits().clone(),
-        round_best: state.round_best.clone(),
-        total_moves: state.total_moves,
-        total_evals: state.total_evals,
-        regenerations: state.regenerations,
-        elite: elite.collect(),
-        alive: workers.alive.clone(),
-        losses: workers.losses.clone(),
-        resurrections: workers.resurrections.clone(),
-        restarts_used: workers.restarts_used.iter().map(|&r| r as u64).collect(),
-        epochs: workers.epochs.clone(),
-        histories: workers.histories.clone(),
-        policy: blob,
-    })
 }
 
 /// The master's running aggregation over reports.
@@ -1311,66 +1275,19 @@ impl MasterState {
         self.round_best.push(best.value());
         Ok(())
     }
-
-    /// Fold one report: counters, global best, elite, then the policy's
-    /// update. Shared by both delivery schemes so their master updates are
-    /// identical given identical processing order. A report whose claimed
-    /// value doesn't survive re-evaluation is a protocol violation, not a
-    /// panic.
-    #[allow(clippy::too_many_arguments)] // internal fold step
-    fn process_report(
-        &mut self,
-        k: usize,
-        round: usize,
-        report: &ReportMsg,
-        policy: &mut dyn CoopPolicy,
-        inst: &Instance,
-        cfg: &RunConfig,
-        rng: &mut Xoshiro256,
-        tel: &Telemetry,
-    ) -> Result<(), EngineError> {
-        self.total_moves += report.moves;
-        self.total_evals += report.evals;
-        let slave_best = report.checked_best_solution(inst).map_err(|detail| {
-            EngineError::ProtocolViolation {
-                detail: format!("task {}: {detail}", k + 1),
-            }
-        })?;
-        if self
-            .global_best
-            .as_ref()
-            .is_none_or(|g| slave_best.value() > g.value())
-        {
-            self.global_best = Some(slave_best.clone());
-            tel.add(0, Counter::IncumbentUpdates, 1);
-            tel.event(0, EventKind::NewIncumbent, round, slave_best.value());
-        }
-        self.elite.offer(&slave_best);
-        // Just folded: the global best is at least this report's best.
-        let global_best = match &self.global_best {
-            Some(g) => g.clone(),
-            None => slave_best.clone(),
-        };
-        let regen = policy.absorb(k, round, report, &slave_best, &global_best, inst, cfg, rng);
-        self.regenerations += regen;
-        if regen > 0 {
-            tel.add(0, Counter::Retunes, regen);
-            tel.event(0, EventKind::Retune, round, k as i64);
-        }
-        Ok(())
-    }
 }
 
-/// Relink the two best distinct solutions of a rendezvous; returns the
-/// candidate evaluations spent. `ratios` caches the instance's ratios
-/// across the rendezvous of a slice; the first relink builds them.
-fn relink_round(
+/// Relink the two best distinct solutions of a round's `(worker, report)`
+/// pairs; returns the candidate evaluations spent. `ratios` caches the
+/// instance's ratios across the rounds of a slice; the first relink
+/// builds them.
+fn relink_round<'r>(
     inst: &Instance,
     ratios: &mut Option<Ratios>,
-    reports: &[(usize, ReportMsg)],
+    reports: impl Iterator<Item = (usize, &'r ReportMsg)>,
     global_best: &mut Option<Solution>,
 ) -> Result<u64, EngineError> {
-    let mut tops = Vec::with_capacity(reports.len());
+    let mut tops = Vec::new();
     for (k, report) in reports {
         let sol = report.checked_best_solution(inst).map_err(|detail| {
             EngineError::ProtocolViolation {
@@ -1762,6 +1679,24 @@ mod tests {
     }
 
     #[test]
+    fn relinking_a_pipelined_mode_is_rejected_up_front() {
+        // ATS has no complete round to relink, so the flag is refused
+        // before the farm hears anything instead of being ignored.
+        let inst = inst();
+        let mut engine = Engine::new(3);
+        let mut cfg = cfg();
+        cfg.relink = true;
+        match engine.run(&inst, Mode::Asynchronous, &cfg) {
+            Err(EngineError::Unsupported { detail }) => {
+                assert!(detail.contains("relink"), "{detail}")
+            }
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        assert!(engine.pool.last_comm_stats().is_empty(), "the farm ran");
+        assert!(engine.run(&inst, Mode::CooperativeAdaptive, &cfg).is_ok());
+    }
+
+    #[test]
     fn invalid_config_is_rejected_up_front() {
         let inst = inst();
         let mut engine = Engine::new(3);
@@ -1975,7 +1910,8 @@ mod tests {
     }
 
     /// The master's endpoint with worker 1's mailbox closed to
-    /// assignments: every ASSIGN to it fails from its `from`-th on.
+    /// assignments: every ASSIGN to it fails from its `from`-th on, a
+    /// rebirth's redo included. Respawns reach the pool.
     struct DeafWorker<'a> {
         ctx: &'a pvm_lite::TaskCtx,
         from: usize,
@@ -2008,20 +1944,35 @@ mod tests {
         fn comm_stats(&self) -> CommStats {
             Transport::comm_stats(self.ctx)
         }
+
+        fn respawn(&self, tid: pvm_lite::TaskId) -> bool {
+            Transport::respawn(self.ctx, tid)
+        }
     }
 
     #[test]
     fn an_unreachable_worker_is_quarantined_under_both_delivery_schemes() {
         // The synchronous launch, the pipelined bootstrap (n = 0) and the
         // pipelined release (n = 1) each lose worker 1 at its n-th
-        // assignment, and the survivors finish every round.
+        // assignment, and the survivors finish every round. With a
+        // restart budget, both rebirths' redos fail to send too, so worker
+        // 1 spends its budget and is quarantined in the same round, with
+        // no report deadline waited out.
         let inst = inst();
-        let cfg = cfg();
-        for (mode, n) in [
-            (Mode::CooperativeAdaptive, 1),
-            (Mode::Asynchronous, 0),
-            (Mode::Asynchronous, 1),
+        for (mode, n, max_restarts) in [
+            (Mode::CooperativeAdaptive, 1, 0),
+            (Mode::Asynchronous, 0, 0),
+            (Mode::Asynchronous, 1, 0),
+            (Mode::CooperativeAdaptive, 1, 2),
+            (Mode::Asynchronous, 0, 2),
+            (Mode::Asynchronous, 1, 2),
         ] {
+            let cfg = RunConfig {
+                report_timeout: Duration::from_secs(20),
+                max_restarts,
+                ..cfg()
+            };
+            let start = Instant::now();
             let tel = Arc::new(Telemetry::new(cfg.p + 1));
             let mut policy = admit(&inst, mode, &cfg, None, None).unwrap();
             let mut pool = WorkerPool::new(cfg.p + 1);
@@ -2053,6 +2004,14 @@ mod tests {
                 (cfg.p * cfg.rounds - (cfg.rounds - n)) as u64,
                 "{mode:?} from {n}"
             );
+            let case = format!("{mode:?} from {n} with {max_restarts} restarts");
+            assert_eq!(
+                tel.counter(0, Counter::Restarts),
+                max_restarts as u64,
+                "{case}"
+            );
+            let took = start.elapsed();
+            assert!(took < cfg.report_timeout, "{case} took {took:?}");
         }
     }
 

@@ -28,12 +28,12 @@ use pvm_lite::{Endpoint, NetFaultState, SocketError, SocketHub, SocketTransport,
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How many consecutive connect-then-hear-nothing cycles a slave rides
-/// out before concluding the listener is a zombie. Each cycle already
-/// waits the full patience inside the slave loop, so three silent
-/// cycles mean 3× patience with zero master traffic — long past any
-/// plausible master restart.
-const MAX_SILENT_RECONNECTS: u32 = 3;
+/// How many connect-then-hear-nothing cycles a slave that has never
+/// heard from its master rides out before concluding the listener is a
+/// zombie. Each cycle already waits the full patience inside the slave
+/// loop, so three silent cycles mean 3× patience with zero master
+/// traffic — long past any plausible master start.
+const MAX_SILENT_RECONNECTS: u64 = 3;
 
 /// Run `mode` as a distributed master: listen on `listen`, wait up to the
 /// configured patience for `cfg.p` slave processes, then drive the engine's
@@ -125,10 +125,13 @@ pub enum ServeOutcome {
 /// Two bounds keep an orphan from spinning forever: the connect loop
 /// itself gives up once `patience` lapses without a listener answering
 /// ([`SocketTransport::connect_with_retry`]), and a listener that
-/// accepts but never speaks is abandoned after
-/// [`MAX_SILENT_RECONNECTS`] consecutive traffic-less cycles. Both end
-/// as [`ServeOutcome::MasterLost`] (exit 2 at the CLI) when the master
-/// had ever been reached, and as an error (exit 1) when it never was.
+/// accepts but has never spoken is abandoned after
+/// [`MAX_SILENT_RECONNECTS`] traffic-less cycles. A master that has
+/// spoken is served for as long as its endpoint answers, however long it
+/// stays silent: a job server sends its slaves nothing between jobs.
+/// Both bounds end as [`ServeOutcome::MasterLost`] (exit 2 at the CLI)
+/// when the master had ever been reached, and as an error (exit 1) when
+/// it never was.
 pub fn serve_slave(connect: &Endpoint, patience: Duration) -> Result<ServeOutcome, String> {
     serve_slave_with(connect, patience, None)
 }
@@ -143,7 +146,7 @@ pub fn serve_slave_with(
 ) -> Result<ServeOutcome, String> {
     let mut slot: Option<usize> = None;
     let mut attempt: u64 = 0;
-    let mut silent_cycles: u32 = 0;
+    let mut heard = false;
     loop {
         let transport = match SocketTransport::connect_with_retry(
             connect,
@@ -183,16 +186,14 @@ pub fn serve_slave_with(
                 ));
             }
             SlaveExit::Lost => {
-                // Link dropped: reconnect — unless the listener keeps
-                // accepting us and then saying nothing, in which case it
-                // is a zombie and we are the orphan that must stop.
-                if Transport::comm_stats(&transport).received > heard_before {
-                    silent_cycles = 0;
-                } else {
-                    silent_cycles += 1;
-                    if silent_cycles >= MAX_SILENT_RECONNECTS {
-                        return Ok(ServeOutcome::MasterLost);
-                    }
+                // The link dropped or a whole patience passed in silence:
+                // reconnect, which also checks that the master's endpoint
+                // still answers — unless the listener has only ever
+                // accepted us and said nothing, in which case it is a
+                // zombie and we are the orphan that must stop.
+                heard |= Transport::comm_stats(&transport).received > heard_before;
+                if !heard && attempt >= MAX_SILENT_RECONNECTS {
+                    return Ok(ServeOutcome::MasterLost);
                 }
             }
         }

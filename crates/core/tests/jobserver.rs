@@ -830,3 +830,68 @@ fn a_restart_with_fewer_slaves_skips_the_jobs_it_cannot_run() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An idle socket server keeps its fleet. The job server sends its
+/// slaves nothing between jobs, so a slave with 1 s of patience sits
+/// through silent spells while the server idles; having served this
+/// server, it keeps serving it while the server's endpoint answers, and
+/// the next job still runs, bit-identical to its solo run.
+#[test]
+fn an_idle_socket_server_keeps_its_slaves() {
+    let dir = tmp_dir("idle-fleet");
+    let ep = endpoint(&dir, "clients.sock");
+    let slaves = endpoint(&dir, "slaves.sock");
+    let server = {
+        let (ep, slaves) = (ep.clone(), slaves.clone());
+        let cfg = ServeConfig {
+            max_jobs: 2,
+            patience: PATIENCE,
+            ..ServeConfig::default()
+        };
+        std::thread::spawn(move || serve(&ep, ServeBackend::Socket { slaves, p: 1 }, &cfg))
+    };
+    // The slave's 1 s of patience also bounds its first dial, so it
+    // starts once the server listens for slaves.
+    let Endpoint::Unix(slave_socket) = &slaves else {
+        unreachable!("the test endpoints are Unix sockets")
+    };
+    let listening = Instant::now();
+    while !slave_socket.exists() {
+        assert!(listening.elapsed() < PATIENCE, "the server never listened");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let slave = std::thread::spawn(move || serve_slave(&slaves, Duration::from_secs(1)));
+
+    let (mode, rounds, budget) = (Mode::Cooperative, 2usize, 20_000u64);
+    let job = |seed: u64| {
+        let spec = SubmitSpec {
+            mode,
+            p: 1,
+            rounds,
+            budget_evals: budget,
+            seed,
+            deadline: None,
+        };
+        submit_job(&ep, &instance(95 + seed), &spec, PATIENCE, |_| {}).unwrap()
+    };
+    let first = job(1);
+    assert!(matches!(first, SubmitOutcome::Done(_)), "{first:?}");
+    // Longer than the slave's cycle of patience it last heard in plus
+    // three silent ones.
+    std::thread::sleep(Duration::from_secs(5));
+    let second = job(2);
+    let solo = run_mode(
+        &instance(97),
+        mode,
+        &RunConfig {
+            p: 1,
+            rounds,
+            ..RunConfig::new(budget, 2)
+        },
+    );
+    assert_matches_solo(&second, &solo);
+    let stats = server.join().unwrap().unwrap();
+    assert_eq!((stats.accepted, stats.done), (2, 2), "{stats:?}");
+    assert_eq!(slave.join().unwrap(), Ok(ServeOutcome::Finished));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -99,15 +99,8 @@ pub fn dynamic_utility(inst: &Instance, sol: &Solution, j: usize) -> f64 {
 /// Saturate `sol` greedily by **dynamic** utility: each step adds the
 /// fitting item of highest [`dynamic_utility`] on the current solution,
 /// the lowest index on ties, until nothing fits. Runs [`DynamicFill`] over
-/// lane columns it packs itself in O(n·m); a caller that holds the
-/// instance's [`Ratios`] should use [`dynamic_greedy_fill_view`], which
-/// reuses the view's.
-pub fn dynamic_greedy_fill(inst: &Instance, sol: &mut Solution) {
-    DynamicFill::new(inst).run(inst, &LaneColumns::new(inst), sol, None);
-}
-
-/// [`dynamic_greedy_fill`] over the lane columns of `ratios`' view.
-pub fn dynamic_greedy_fill_view(inst: &Instance, ratios: &Ratios, sol: &mut Solution) {
+/// the lane columns of `ratios`' view.
+pub fn dynamic_greedy_fill(inst: &Instance, ratios: &Ratios, sol: &mut Solution) {
     DynamicFill::new(inst).run(inst, ratios.view().lanes(), sol, None);
 }
 
@@ -519,7 +512,7 @@ mod tests {
     fn dynamic_fill_is_feasible_and_maximal() {
         let i = inst();
         let mut sol = Solution::empty(&i);
-        dynamic_greedy_fill(&i, &mut sol);
+        DynamicFill::new(&i).run(&i, &LaneColumns::new(&i), &mut sol, None);
         assert!(sol.is_feasible(&i));
         for j in 0..i.n() {
             if !sol.contains(j) {
@@ -579,7 +572,7 @@ mod tests {
         let ratios = Ratios::new(&i);
         let stat = greedy(&i, &ratios);
         let mut sol = Solution::empty(&i);
-        dynamic_greedy_fill(&i, &mut sol);
+        DynamicFill::new(&i).run(&i, &LaneColumns::new(&i), &mut sol, None);
         assert!(sol.value() >= stat.value());
     }
 
@@ -712,9 +705,9 @@ mod tests {
                     let mut reference = start.clone();
                     dynamic_greedy_fill_reference(inst, &mut reference);
                     let mut scalar = start.clone();
-                    dynamic_greedy_fill(inst, &mut scalar);
+                    DynamicFill::new(inst).run(inst, &LaneColumns::new(inst), &mut scalar, None);
                     let mut lane = start;
-                    dynamic_greedy_fill_view(inst, &r, &mut lane);
+                    dynamic_greedy_fill(inst, &r, &mut lane);
                     assert_eq!(scalar.bits(), reference.bits(), "scalar fill");
                     assert_eq!(lane.bits(), reference.bits(), "lane fill");
                 }

@@ -159,7 +159,7 @@ pub fn lateral_swap_fill(
             break;
         }
     }
-    mkp::greedy::dynamic_greedy_fill_view(inst, ratios, sol);
+    mkp::greedy::dynamic_greedy_fill(inst, ratios, sol);
     debug_assert!(sol.is_feasible(inst));
     sol.value() > before
 }
@@ -435,7 +435,7 @@ fn ejection_chain_reference(
                 continue;
             }
             trial.add(inst, j);
-            mkp::greedy::dynamic_greedy_fill(inst, &mut trial);
+            DynamicFill::new(inst).run(inst, &LaneColumns::new(inst), &mut trial, None);
             if trial.value() > sol.value() {
                 *sol = trial;
                 improvements += 1;

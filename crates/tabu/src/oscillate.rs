@@ -11,7 +11,7 @@
 
 use crate::moves::MoveStats;
 use mkp::eval::Ratios;
-use mkp::greedy::{dynamic_greedy_fill_view, project_feasible};
+use mkp::greedy::{dynamic_greedy_fill, project_feasible};
 use mkp::{Instance, Solution};
 
 /// One strategic oscillation episode from `sol`.
@@ -53,7 +53,7 @@ pub fn strategic_oscillation(
 
     // Phase 3: the projection may have opened room for cheap items;
     // refill with slack-aware scores (word-parallel fits pruning).
-    dynamic_greedy_fill_view(inst, ratios, &mut trial);
+    dynamic_greedy_fill(inst, ratios, &mut trial);
     stats.moves += 1;
 
     debug_assert!(trial.is_feasible(inst));

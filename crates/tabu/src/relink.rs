@@ -11,7 +11,7 @@
 
 use crate::moves::MoveStats;
 use mkp::eval::Ratios;
-use mkp::greedy::{dynamic_greedy_fill_view, project_feasible};
+use mkp::greedy::{dynamic_greedy_fill, project_feasible};
 use mkp::{Instance, Solution};
 
 /// Walk from `a` toward `b`; return the best intermediate solution (which
@@ -102,7 +102,7 @@ pub fn path_relink(
         steps += progress;
         // Evaluate the saturated version of the intermediate point.
         let mut filled = current.clone();
-        dynamic_greedy_fill_view(inst, ratios, &mut filled);
+        dynamic_greedy_fill(inst, ratios, &mut filled);
         if filled.value() > best.value() {
             best = filled;
         }
