@@ -13,7 +13,7 @@
 //!
 //! Default JSON report: `results/kernels.json`.
 
-use mkp::eval::Ratios;
+use mkp::eval::{Ranking, Ratios};
 use mkp::generate::{fp_instance, gk_instance, large_instance, GkSpec, LargeSpec};
 use mkp::greedy::greedy;
 use mkp::{BitVec, Xoshiro256};
@@ -154,7 +154,7 @@ fn bench_intensification(h: &mut Harness) {
             seed: 12,
         },
     );
-    let wide_base = greedy(&wide, &Ratios::new(&wide));
+    let wide_base = greedy(&wide, &Ranking::new(&wide));
     h.bench("ejection_chain 50x1000", || {
         let mut sol = wide_base.clone();
         ejection_chain_intensification(&wide, &mut sol, &mut MoveStats::default(), 3);
@@ -259,9 +259,9 @@ fn bench_greedy(h: &mut Harness) {
             seed: 5,
         },
     );
-    let ratios = Ratios::new(&inst);
+    let ranking = Ranking::new(&inst);
     h.bench("greedy 25x500", || {
-        black_box(greedy(&inst, &ratios).value())
+        black_box(greedy(&inst, &ranking).value())
     });
 }
 
@@ -275,8 +275,7 @@ fn bench_history(h: &mut Harness) {
             seed: 6,
         },
     );
-    let ratios = Ratios::new(&inst);
-    let sol = greedy(&inst, &ratios);
+    let sol = greedy(&inst, &Ranking::new(&inst));
     let mut hist = History::new(inst.n());
     h.bench("history record 25x500", || {
         hist.record(&sol);
@@ -473,8 +472,7 @@ fn bench_restriction(h: &mut Harness) {
             seed: 10,
         },
     );
-    let ratios = Ratios::new(&inst);
-    let split: Vec<usize> = ratios.by_utility_desc()[100..104].to_vec();
+    let split: Vec<usize> = Ranking::new(&inst).by_utility_desc()[100..104].to_vec();
     h.bench("restriction build+lift 25x500", || {
         let r = Restriction::new(&inst, &split[..2], &split[2..]).unwrap();
         let sub_sol = greedy(r.instance(), &Ratios::new(r.instance()));

@@ -2,7 +2,7 @@
 //! tests can exercise the full command path without capturing stdout.
 
 use crate::args::{ArgError, Args};
-use mkp::eval::Ratios;
+use mkp::eval::Ranking;
 use mkp::generate::{
     chu_beasley_instance, gk_instance, large_instance, uncorrelated_instance, GkSpec, LargeSpec,
 };
@@ -294,7 +294,7 @@ pub fn cmd_stats(args: &Args) -> Result<String, CliError> {
     }
     let inst = read_instance(args.positional(0, "instance.mkp")?)?;
     let s = instance_stats(&inst);
-    let g = greedy(&inst, &Ratios::new(&inst));
+    let g = greedy(&inst, &Ranking::new(&inst));
     let mut out = String::new();
     let _ = writeln!(out, "instance   : {}", inst.name());
     let _ = writeln!(out, "items      : {}", s.n);

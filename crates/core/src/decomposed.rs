@@ -17,7 +17,7 @@
 use crate::engine::{assignment_seed, CoopPolicy};
 use crate::messages::{AssignMsg, CellMsg, ReportMsg};
 use crate::runner::{Mode, RunConfig};
-use mkp::eval::Ratios;
+use mkp::eval::Ranking;
 use mkp::stats::instance_stats;
 use mkp::{BitVec, Instance, Solution, Xoshiro256};
 use mkp_tabu::{Strategy, StrategyBounds};
@@ -25,8 +25,8 @@ use mkp_tabu::{Strategy, StrategyBounds};
 /// Pick the `d` split variables: the items straddling the expected
 /// cardinality boundary in the static utility order (the most uncertain
 /// packing decisions).
-pub fn split_variables(inst: &Instance, ratios: &Ratios, d: usize) -> Vec<usize> {
-    let order = ratios.by_utility_desc();
+pub fn split_variables(inst: &Instance, ranking: &Ranking, d: usize) -> Vec<usize> {
+    let order = ranking.by_utility_desc();
     let boundary = (instance_stats(inst).expected_cardinality as usize).min(inst.n() - 1);
     let lo = boundary.saturating_sub(d / 2);
     order[lo..(lo + d).min(inst.n())].to_vec()
@@ -63,8 +63,7 @@ impl CoopPolicy for DecomposedPolicy {
     fn prepare(&mut self, inst: &Instance, cfg: &RunConfig, rng: &mut Xoshiro256) -> Vec<Solution> {
         let d = (cfg.p as f64).log2().floor() as usize;
         self.cells = 1usize << d;
-        let ratios = Ratios::new(inst);
-        self.split = split_variables(inst, &ratios, d);
+        self.split = split_variables(inst, &Ranking::new(inst), d);
         // Strategies only matter for infeasible-cell fallbacks, but drawing
         // them unconditionally keeps the master rng stream independent of
         // which cells happen to be feasible.
@@ -150,8 +149,7 @@ mod tests {
                 seed: 1,
             },
         );
-        let ratios = Ratios::new(&inst);
-        let split = split_variables(&inst, &ratios, 3);
+        let split = split_variables(&inst, &Ranking::new(&inst), 3);
         assert_eq!(split.len(), 3);
         // All split vars are distinct and in range.
         let mut s = split.clone();

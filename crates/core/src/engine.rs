@@ -514,6 +514,14 @@ pub(crate) fn admit(
                 snap.alive.len()
             ));
         }
+        let named = snap.losses.iter().map(|loss| loss.worker);
+        let mut named = named.chain(snap.resurrections.iter().map(|r| r.worker));
+        if let Some(k) = named.find(|&k| k >= active) {
+            return reject(format!(
+                "snapshot records a loss or resurrection of worker {k}, \
+                 run configures {active}"
+            ));
+        }
         if snap.next_round == 0
             || snap.next_round >= rounds
             || snap.round_best.len() != snap.next_round
@@ -1830,6 +1838,34 @@ mod tests {
         let last = short_elite.elite.len() - 1;
         short_elite.elite[last] = cut(&snap.elite[last]);
         assert_refused_up_front("elite", &inst, &cfg, Some(short_elite), "elite");
+    }
+
+    #[test]
+    fn a_snapshot_that_names_a_worker_the_run_lacks_is_refused_up_front() {
+        let inst = inst();
+        let mut cfg = cfg();
+        cfg.report_timeout = Duration::from_secs(1);
+        let slice = Engine::new(3).run_slice(&inst, Mode::CooperativeAdaptive, &cfg, None, Some(1));
+        let Ok(SliceOutcome::Parked(snap)) = slice else {
+            panic!("a three-round slice parks after one round: {slice:?}");
+        };
+        let mut lost = (*snap).clone();
+        lost.losses.push(WorkerLoss {
+            worker: 99,
+            round: 0,
+            cause: LossCause::Deadline,
+        });
+        // The same bytes a re-saved checkpoint file would carry.
+        let lost = Snapshot::from_bytes(&lost.to_bytes()).unwrap();
+        assert_refused_up_front("loss", &inst, &cfg, Some(lost), "worker 99");
+        let mut revived = (*snap).clone();
+        revived.resurrections.push(Resurrection {
+            worker: cfg.p,
+            round: 0,
+            attempt: 1,
+        });
+        let needle = format!("worker {}", cfg.p);
+        assert_refused_up_front("resurrection", &inst, &cfg, Some(revived), &needle);
     }
 
     #[test]

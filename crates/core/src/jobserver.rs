@@ -1706,12 +1706,41 @@ mod tests {
         assert_eq!(back.best_solution(&inst).bits(), &report.best_bits);
     }
 
+    /// Decode `bytes` with each byte in turn XOR-ed by 0x01, 0x80 and
+    /// 0xFF. Whether a copy decodes or is refused, `decode` must return:
+    /// a panic fails the test, naming `what` and the flip.
+    fn survives_every_flip(what: &str, bytes: &[u8], decode: impl Fn(&[u8])) {
+        let mut flipped = bytes.to_vec();
+        for pos in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                flipped[pos] ^= mask;
+                let decoded =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(&flipped)));
+                assert!(
+                    decoded.is_ok(),
+                    "{what} panicked on byte {pos} ^ {mask:#04x}"
+                );
+                flipped[pos] ^= mask;
+            }
+        }
+    }
+
     /// Every message the engine, the job server and a snapshot file decode
-    /// is refused, in every build, when a byte follows it.
+    /// is refused, in every build, when a byte follows it or any of its
+    /// bytes is cut off, and decodes or is refused, never panics, with
+    /// any one byte flipped.
     #[test]
     fn every_wire_message_rejects_a_trailing_byte() {
         fn refused<T: Wire>(what: &str, msg: &T) {
             let mut bytes = msg.to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(
+                    T::from_bytes(&bytes[..cut]).is_err(),
+                    "{what} decoded from its first {cut} of {} bytes",
+                    bytes.len()
+                );
+            }
+            survives_every_flip(what, &bytes, |flipped| drop(T::from_bytes(flipped)));
             bytes.push(0);
             let decoded = T::from_bytes(&bytes);
             assert!(
@@ -1789,6 +1818,34 @@ mod tests {
         );
         refused("job report", &report);
         refused("snapshot", &*snapshot);
+    }
+
+    /// The policy blob of a parked slice, restored with any one byte
+    /// flipped, restores or is refused, never panics, for every policy
+    /// that parks.
+    #[test]
+    fn a_flipped_policy_blob_never_panics_restore() {
+        let inst = tiny_instance(7);
+        let cfg = RunConfig {
+            p: 2,
+            rounds: 2,
+            ..RunConfig::new(20_000, 1)
+        };
+        for mode in [
+            Mode::Cooperative,
+            Mode::CooperativeAdaptive,
+            Mode::Core,
+            Mode::Repair,
+        ] {
+            let parked = Engine::new(2).run_slice(&inst, mode, &cfg, None, Some(1));
+            let Ok(SliceOutcome::Parked(snapshot)) = parked else {
+                panic!("{mode:?}: a two-round slice parks after one round");
+            };
+            let what = format!("{mode:?} policy blob");
+            survives_every_flip(&what, &snapshot.policy, |flipped| {
+                drop(crate::engine::policy_for(mode).restore(&inst, &cfg, flipped));
+            });
+        }
     }
 
     #[test]

@@ -6,25 +6,31 @@
 //! is that regime expressed over the paper's master/slave engine:
 //!
 //! * each worker holds a *bank* entry — its personal best-so-far — started
-//!   from [`mkp::greedy::perturbed_greedy`] (a greedy fill driven by
-//!   noise-perturbed pseudo-utilities, a different packing order per seed);
+//!   from a greedy fill over a [`Ranking::perturbed`] (noise-perturbed
+//!   pseudo-utilities, a different packing order per seed);
 //! * every later round the master *kicks* the bank entry (toggles a random
 //!   fraction of its bits, usually leaving it infeasible) and hands the
-//!   wreck to [`mkp::greedy::randomized_repair`] — randomized largest-burden
-//!   drops to feasibility, then greedy saturation — producing a feasible,
-//!   maximal restart point near, but not at, the worker's best;
+//!   wreck to [`mkp::greedy::randomized_repair`] over a freshly perturbed
+//!   ranking — randomized largest-burden drops to feasibility, then greedy
+//!   saturation — producing a feasible, maximal restart point near, but not
+//!   at, the worker's best;
 //! * workers are **independent**: no ISP exchange, no SGP tuning — the only
 //!   cross-worker interaction is the engine's generic fold into the global
 //!   best. That makes REPAIR the randomized-restart control against which
 //!   the cooperative modes are measured on the very-large suite.
+//!
+//! The master only constructs: every bank entry and restart point reads a
+//! [`Ranking`] (utilities, burdens and their order), never the evaluation
+//! view a slave's search builds, so a restart costs the perturbation's
+//! O(n·m + n log n) and the repair itself.
 
 use crate::engine::{assignment_seed, CoopPolicy, Delivery};
 use crate::messages::{
     pack_solutions, pack_strategy, unpack_solutions, unpack_strategy, AssignMsg, ReportMsg,
 };
 use crate::runner::{Mode, RunConfig};
-use mkp::eval::Ratios;
-use mkp::greedy::{perturbed_greedy, randomized_repair};
+use mkp::eval::Ranking;
+use mkp::greedy::{greedy, randomized_repair};
 use mkp::{Instance, Solution, Xoshiro256};
 use mkp_tabu::{Strategy, StrategyBounds};
 use pvm_lite::codec::{CodecError, PackBuffer, UnpackBuffer};
@@ -68,8 +74,8 @@ impl RepairPolicy {
             let j = rng.range_inclusive(0, (n - 1) as u64) as usize;
             bits.set(j, !bits.get(j));
         }
-        let ratios = Ratios::perturbed(inst, rng, PERTURB_STRENGTH);
-        randomized_repair(inst, &ratios, rng, bits)
+        let ranking = Ranking::perturbed(inst, rng, PERTURB_STRENGTH);
+        randomized_repair(inst, &ranking, rng, bits)
     }
 }
 
@@ -99,7 +105,7 @@ impl CoopPolicy for RepairPolicy {
         let bounds = StrategyBounds::for_instance_size(inst.n());
         self.strategies = (0..p).map(|_| bounds.random(rng)).collect();
         self.bank = (0..p)
-            .map(|_| perturbed_greedy(inst, rng, PERTURB_STRENGTH))
+            .map(|_| greedy(inst, &Ranking::perturbed(inst, rng, PERTURB_STRENGTH)))
             .collect();
         self.bank.clone()
     }

@@ -18,7 +18,7 @@
 
 use crate::bounds::{lp_bound, Surrogate};
 use crate::reduce::{fix_variables, Fixing};
-use mkp::eval::Ratios;
+use mkp::eval::Ranking;
 use mkp::greedy::greedy;
 use mkp::{BitVec, Instance, Solution};
 use std::num::NonZeroUsize;
@@ -106,8 +106,7 @@ impl Root {
         cfg: &BbConfig,
         warm: Option<&Solution>,
     ) -> ControlFlow<BbResult, Root> {
-        let ratios = Ratios::new(inst);
-        let mut incumbent = greedy(inst, &ratios);
+        let mut incumbent = greedy(inst, &Ranking::new(inst));
         if let Some(w) = warm {
             assert!(w.is_feasible(inst), "warm-start incumbent must be feasible");
             if w.value() > incumbent.value() {

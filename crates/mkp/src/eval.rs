@@ -10,33 +10,32 @@
 //!   `i*` — the Drop step removes the packed item maximising it.
 //!
 //! All three depend only on the instance (the drop score once `i*` is
-//! chosen) and are precomputed once: the first two into a [`Ratios`]
-//! table, the third as one item ranking per constraint in its
-//! [`SoaView`], which is built for the utility ranking in the same step.
+//! chosen) and are precomputed once. The first two and the utility
+//! ranking form a [`Ranking`], all a construction reads (the greedy
+//! fills, the projection, the repair). A [`Ratios`] is a ranking plus the
+//! [`SoaView`] a search reads, which holds the third as one item ranking
+//! per constraint; only a search builds one.
 
 use crate::instance::Instance;
 use crate::soa::SoaView;
+use std::ops::Deref;
 
-/// Precomputed per-item ratios for an instance.
+/// Precomputed per-item pseudo-utilities, burdens and utility ranking of
+/// an instance: what a construction reads.
 #[derive(Debug, Clone)]
-pub struct Ratios {
+pub struct Ranking {
     pseudo_utility: Vec<f64>,
     burden: Vec<f64>,
     /// Item indices sorted by descending pseudo-utility (ties by index).
     by_utility_desc: Vec<usize>,
-    /// Structure-of-arrays evaluation view (lane-packed weights, drop
-    /// rankings, the Add scan's tables in `by_utility_desc` order) built
-    /// with the ratios so every hot path that already carries a `&Ratios`
-    /// gets the word-parallel kernels for free.
-    view: SoaView,
 }
 
-impl Ratios {
-    /// Compute the ratio tables and the view for `inst`, in O(m·n log n)
-    /// (the view's per-constraint drop rankings dominate).
+impl Ranking {
+    /// Compute the ratio tables and the ranking for `inst`, in
+    /// O(n·m + n log n).
     pub fn new(inst: &Instance) -> Self {
         let (pseudo_utility, burden) = item_ratios(inst);
-        Ratios::ranked(inst, pseudo_utility, burden)
+        Ranking::ranked(pseudo_utility, burden)
     }
 
     /// A perturbed copy of the ratio tables: each pseudo-utility is scaled
@@ -57,26 +56,23 @@ impl Ratios {
                 *u *= 1.0 + strength * (2.0 * rng.next_f64() - 1.0);
             }
         }
-        Ratios::ranked(inst, pseudo_utility, burden)
+        Ranking::ranked(pseudo_utility, burden)
     }
 
     /// Rank the items by descending pseudo-utility, ties by ascending
-    /// index (utilities are never NaN, so the ranking is a total order),
-    /// and build the view for that scan order.
-    fn ranked(inst: &Instance, pseudo_utility: Vec<f64>, burden: Vec<f64>) -> Self {
-        let mut by_utility_desc: Vec<usize> = (0..inst.n()).collect();
+    /// index (utilities are never NaN, so the ranking is a total order).
+    fn ranked(pseudo_utility: Vec<f64>, burden: Vec<f64>) -> Self {
+        let mut by_utility_desc: Vec<usize> = (0..pseudo_utility.len()).collect();
         by_utility_desc.sort_by(|&a, &b| {
             pseudo_utility[b]
                 .partial_cmp(&pseudo_utility[a])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let view = SoaView::new(inst, &by_utility_desc);
-        Ratios {
+        Ranking {
             pseudo_utility,
             burden,
             by_utility_desc,
-            view,
         }
     }
 
@@ -97,11 +93,40 @@ impl Ratios {
     pub fn by_utility_desc(&self) -> &[usize] {
         &self.by_utility_desc
     }
+}
+
+/// A [`Ranking`] plus the structure-of-arrays evaluation view a search
+/// reads (lane-packed weights, drop rankings, the Add scan's tables in
+/// `by_utility_desc` order). Dereferences to its ranking, so every
+/// construction takes a `&Ratios` where it takes a `&Ranking`.
+#[derive(Debug, Clone)]
+pub struct Ratios {
+    ranking: Ranking,
+    view: SoaView,
+}
+
+impl Ratios {
+    /// Compute the ranking and the view for `inst`, in O(m·n log n) (the
+    /// view's per-constraint drop rankings dominate).
+    pub fn new(inst: &Instance) -> Self {
+        let ranking = Ranking::new(inst);
+        let view = SoaView::new(inst, ranking.by_utility_desc());
+        Ratios { ranking, view }
+    }
 
     /// The structure-of-arrays evaluation view (see [`crate::soa`]).
     #[inline]
     pub fn view(&self) -> &SoaView {
         &self.view
+    }
+}
+
+impl Deref for Ratios {
+    type Target = Ranking;
+
+    #[inline]
+    fn deref(&self) -> &Ranking {
+        &self.ranking
     }
 }
 
@@ -180,7 +205,7 @@ mod tests {
 
     #[test]
     fn pseudo_utility_values() {
-        let r = Ratios::new(&inst());
+        let r = Ranking::new(&inst());
         // u_0 = 10 / (5/8 + 1/4) = 10 / 0.875
         assert!((r.pseudo_utility(0) - 10.0 / 0.875).abs() < 1e-9);
         // u_1 = 6 / (4/8 + 2/4) = 6
@@ -191,7 +216,7 @@ mod tests {
 
     #[test]
     fn burden_values() {
-        let r = Ratios::new(&inst());
+        let r = Ranking::new(&inst());
         assert!((r.burden(0) - 6.0 / 10.0).abs() < 1e-9);
         assert!((r.burden(1) - 1.0).abs() < 1e-9);
         assert!((r.burden(2) - 6.0 / 4.0).abs() < 1e-9);
@@ -199,7 +224,7 @@ mod tests {
 
     #[test]
     fn utility_order_descending() {
-        let r = Ratios::new(&inst());
+        let r = Ranking::new(&inst());
         let order = r.by_utility_desc();
         for w in order.windows(2) {
             assert!(r.pseudo_utility(w[0]) >= r.pseudo_utility(w[1]));
@@ -210,7 +235,7 @@ mod tests {
     #[test]
     fn zero_profit_item_is_infinitely_burdensome() {
         let i = Instance::new("z", 2, 1, vec![0, 5], vec![3, 3], vec![10]).unwrap();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         assert!(r.burden(0).is_infinite());
         assert!(r.burden(1).is_finite());
     }
@@ -218,7 +243,7 @@ mod tests {
     #[test]
     fn weightless_item_is_infinitely_attractive() {
         let i = Instance::new("w", 2, 1, vec![5, 5], vec![0, 3], vec![10]).unwrap();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         assert!(r.pseudo_utility(0).is_infinite());
         assert_eq!(r.by_utility_desc()[0], 0);
     }
@@ -226,11 +251,21 @@ mod tests {
     #[test]
     fn zero_capacity_handled() {
         let i = Instance::new("zc", 2, 1, vec![5, 5], vec![1, 0], vec![0]).unwrap();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         // Item 0 needs capacity that doesn't exist: norm = ∞, so u = c/∞ = 0.
         assert_eq!(r.pseudo_utility(0), 0.0);
         // Item 1 is weightless → ∞.
         assert!(r.pseudo_utility(1).is_infinite());
+    }
+
+    #[test]
+    fn ratios_scan_their_own_ranking() {
+        let inst = inst();
+        let (ratios, ranking) = (Ratios::new(&inst), Ranking::new(&inst));
+        assert_eq!(ratios.by_utility_desc(), ranking.by_utility_desc());
+        for (k, &j) in ratios.by_utility_desc().iter().enumerate() {
+            assert_eq!(ratios.view().scan_rank()[j] as usize, k);
+        }
     }
 
     #[test]

@@ -2,6 +2,11 @@
 //! feasibility projection used by strategic oscillation and the master's
 //! restart logic.
 //!
+//! The constructions by static utility or burden ([`greedy_fill`],
+//! [`randomized_greedy`], [`project_feasible`], [`randomized_repair`])
+//! read a [`Ranking`] alone, so a caller that only constructs never builds
+//! the evaluation view a search reads.
+//!
 //! Every refill by slack-aware (dynamic) utility — the intensification
 //! kernels', strategic oscillation's and path relinking's — runs one
 //! exact fill, [`DynamicFill`]: the weight-level index of `mkp::soa`
@@ -11,7 +16,7 @@
 //! only the items that still fit. Its choices are those of a full scan of
 //! every unpacked item (DESIGN.md §12).
 
-use crate::eval::Ratios;
+use crate::eval::{Ranking, Ratios};
 use crate::instance::Instance;
 use crate::rng::Xoshiro256;
 use crate::soa::{LaneColumns, ResidualLanes};
@@ -23,8 +28,8 @@ use std::collections::BinaryHeap;
 /// every one that still fits. Starts from the current contents of `sol`
 /// (pass [`Solution::empty`] for a from-scratch build). Always returns with
 /// `sol` feasible **if it was feasible on entry**.
-pub fn greedy_fill(inst: &Instance, ratios: &Ratios, sol: &mut Solution) {
-    for &j in ratios.by_utility_desc() {
+pub fn greedy_fill(inst: &Instance, ranking: &Ranking, sol: &mut Solution) {
+    for &j in ranking.by_utility_desc() {
         if !sol.contains(j) && sol.fits(inst, j) {
             sol.add(inst, j);
         }
@@ -32,19 +37,20 @@ pub fn greedy_fill(inst: &Instance, ratios: &Ratios, sol: &mut Solution) {
 }
 
 /// From-scratch greedy solution by descending pseudo-utility.
-pub fn greedy(inst: &Instance, ratios: &Ratios) -> Solution {
+pub fn greedy(inst: &Instance, ranking: &Ranking) -> Solution {
     let mut sol = Solution::empty(inst);
-    greedy_fill(inst, ratios, &mut sol);
+    greedy_fill(inst, ranking, &mut sol);
     sol
 }
 
 /// GRASP-style randomized greedy: at each step pick uniformly among the
 /// `rcl` best-still-fitting items (restricted candidate list). `rcl = 1`
-/// degenerates to the deterministic greedy. Used by the master's ISP to
-/// inject fresh diverse starting solutions.
+/// degenerates to the deterministic greedy. The solver's own starts come
+/// from [`dynamic_randomized_greedy`]; this static variant serves the
+/// ablations, the examples and the tests.
 pub fn randomized_greedy(
     inst: &Instance,
-    ratios: &Ratios,
+    ranking: &Ranking,
     rng: &mut Xoshiro256,
     rcl: usize,
 ) -> Solution {
@@ -52,10 +58,9 @@ pub fn randomized_greedy(
     let mut sol = Solution::empty(inst);
     // Candidates kept in utility order; we re-scan for fitting ones each
     // round, O(adds · n · m) at worst. That is quadratic in n, which the
-    // large class (n = 2,500) would feel; the solver's starts come from
-    // `dynamic_randomized_greedy` instead, and this static variant only
-    // serves the ablations, examples and tests, all at a few hundred items.
-    let order = ratios.by_utility_desc();
+    // large class (n = 2,500) would feel; its callers all run at a few
+    // hundred items.
+    let order = ranking.by_utility_desc();
     let mut packed_something = true;
     while packed_something {
         packed_something = false;
@@ -362,16 +367,16 @@ pub fn random_feasible(inst: &Instance, rng: &mut Xoshiro256) -> Solution {
 /// repeatedly expelling the packed item with the largest burden
 /// `Σ_i a_ij / c_j` (paper §3.2: "excluding from the knapsack the less
 /// interesting objects"). Returns the number of items dropped.
-pub fn project_feasible(inst: &Instance, ratios: &Ratios, sol: &mut Solution) -> usize {
+pub fn project_feasible(inst: &Instance, ranking: &Ranking, sol: &mut Solution) -> usize {
     let mut dropped = 0;
     while !sol.is_feasible(inst) {
         let victim = sol
             .bits()
             .iter_ones()
             .max_by(|&a, &b| {
-                ratios
+                ranking
                     .burden(a)
-                    .partial_cmp(&ratios.burden(b))
+                    .partial_cmp(&ranking.burden(b))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     // Ties: prefer dropping the lower-profit item.
                     .then_with(|| inst.profit(b).cmp(&inst.profit(a)))
@@ -381,17 +386,6 @@ pub fn project_feasible(inst: &Instance, ratios: &Ratios, sol: &mut Solution) ->
         dropped += 1;
     }
     dropped
-}
-
-/// From-scratch randomized construction: a plain greedy fill driven by
-/// [`Ratios::perturbed`] utilities — every call with a fresh rng state
-/// explores a different profit-density-guided packing order. The repair
-/// policy's restart generator (Martins, arXiv 2405.15569).
-pub fn perturbed_greedy(inst: &Instance, rng: &mut Xoshiro256, strength: f64) -> Solution {
-    let ratios = Ratios::perturbed(inst, rng, strength);
-    let mut sol = Solution::empty(inst);
-    greedy_fill(inst, &ratios, &mut sol);
-    sol
 }
 
 /// Repair an **arbitrary** assignment into a feasible, maximal solution:
@@ -405,10 +399,10 @@ pub fn perturbed_greedy(inst: &Instance, rng: &mut Xoshiro256, strength: f64) ->
 /// Always terminates (each drop removes an item, each fill pass only adds
 /// items that fit), always returns a feasible solution that is maximal
 /// (no single item can be added), and is a pure function of
-/// `(inst, ratios, rng state, bits)`.
+/// `(inst, ranking, rng state, bits)`.
 pub fn randomized_repair(
     inst: &Instance,
-    ratios: &Ratios,
+    ranking: &Ranking,
     rng: &mut Xoshiro256,
     bits: crate::bitset::BitVec,
 ) -> Solution {
@@ -417,9 +411,9 @@ pub fn randomized_repair(
     while !sol.is_feasible(inst) {
         let mut worst: Vec<usize> = sol.bits().iter_ones().collect();
         worst.sort_by(|&a, &b| {
-            ratios
+            ranking
                 .burden(b)
-                .partial_cmp(&ratios.burden(a))
+                .partial_cmp(&ranking.burden(a))
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| inst.profit(a).cmp(&inst.profit(b)))
         });
@@ -427,7 +421,7 @@ pub fn randomized_repair(
         let victim = *rng.choose(&worst);
         sol.drop(inst, victim);
     }
-    greedy_fill(inst, ratios, &mut sol);
+    greedy_fill(inst, ranking, &mut sol);
     sol
 }
 
@@ -456,7 +450,7 @@ mod tests {
     #[test]
     fn greedy_is_feasible_and_nonempty() {
         let i = inst();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         let sol = greedy(&i, &r);
         assert!(sol.is_feasible(&i));
         assert!(sol.value() > 0);
@@ -467,7 +461,7 @@ mod tests {
     fn greedy_is_maximal() {
         // No remaining item should fit once greedy returns.
         let i = inst();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         let sol = greedy(&i, &r);
         for j in 0..i.n() {
             if !sol.contains(j) {
@@ -479,7 +473,7 @@ mod tests {
     #[test]
     fn rcl_one_matches_deterministic_greedy() {
         let i = inst();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         let mut rng = Xoshiro256::seed_from_u64(5);
         let a = randomized_greedy(&i, &r, &mut rng, 1);
         let b = greedy(&i, &r);
@@ -489,7 +483,7 @@ mod tests {
     #[test]
     fn randomized_greedy_feasible_and_deterministic_per_seed() {
         let i = inst();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         let mut r1 = Xoshiro256::seed_from_u64(99);
         let mut r2 = Xoshiro256::seed_from_u64(99);
         let a = randomized_greedy(&i, &r, &mut r1, 3);
@@ -569,7 +563,7 @@ mod tests {
             vec![69],
         )
         .unwrap();
-        let ratios = Ratios::new(&i);
+        let ratios = Ranking::new(&i);
         let stat = greedy(&i, &ratios);
         let mut sol = Solution::empty(&i);
         DynamicFill::new(&i).run(&i, &LaneColumns::new(&i), &mut sol, None);
@@ -579,7 +573,7 @@ mod tests {
     #[test]
     fn project_restores_feasibility() {
         let i = inst();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         // Pack everything: loads [15, 11] vs caps [7, 6] — badly infeasible.
         let all = BitVec::from_bools(vec![true; i.n()]);
         let mut sol = Solution::from_bits(&i, all);
@@ -593,7 +587,7 @@ mod tests {
     #[test]
     fn project_noop_on_feasible() {
         let i = inst();
-        let r = Ratios::new(&i);
+        let r = Ranking::new(&i);
         let mut sol = Solution::empty(&i);
         assert_eq!(project_feasible(&i, &r, &mut sol), 0);
     }
@@ -813,7 +807,7 @@ mod tests {
     fn prop_greedy_always_feasible() {
         prop_check!(|rng| (arb_instance(rng), rng.next_u64()), |input| {
             let (inst, seed) = input;
-            let r = Ratios::new(inst);
+            let r = Ranking::new(inst);
             assert!(greedy(inst, &r).is_feasible(inst));
             let mut rng = Xoshiro256::seed_from_u64(*seed);
             assert!(randomized_greedy(inst, &r, &mut rng, 4).is_feasible(inst));
@@ -827,7 +821,7 @@ mod tests {
             |rng| (arb_instance(rng), gen::vec_of(rng, 25, 25, gen::boolean)),
             |input| {
                 let (inst, bools) = input;
-                let r = Ratios::new(inst);
+                let r = Ranking::new(inst);
                 let bits = BitVec::from_bools(
                     bools
                         .iter()
@@ -857,7 +851,7 @@ mod tests {
             ),
             |input| {
                 let (inst, seed, bools) = input;
-                let r = Ratios::new(inst);
+                let r = Ranking::new(inst);
                 let bits = BitVec::from_bools(
                     bools
                         .iter()
@@ -881,25 +875,26 @@ mod tests {
         );
     }
 
-    /// Perturbed construction stays feasible and maximal, is reproducible
-    /// per seed, and at zero strength collapses to the deterministic
-    /// greedy.
+    /// A greedy over a perturbed ranking stays feasible and maximal, is
+    /// reproducible per seed, and at zero strength collapses to the
+    /// deterministic greedy.
     #[test]
     fn prop_perturbed_greedy_feasible_and_seeded() {
         prop_check!(|rng| (arb_instance(rng), rng.next_u64()), |input| {
             let (inst, seed) = input;
-            let mut rng = Xoshiro256::seed_from_u64(*seed);
-            let sol = perturbed_greedy(inst, &mut rng, 0.3);
+            let perturbed_greedy = |seed: u64, strength: f64| {
+                let mut rng = Xoshiro256::seed_from_u64(seed);
+                greedy(inst, &Ranking::perturbed(inst, &mut rng, strength))
+            };
+            let sol = perturbed_greedy(*seed, 0.3);
             assert!(sol.is_feasible(inst));
             for j in sol.bits().iter_zeros() {
                 assert!(!sol.fits(inst, j), "perturbed fill not maximal");
             }
-            let mut rng2 = Xoshiro256::seed_from_u64(*seed);
-            assert_eq!(sol.bits(), perturbed_greedy(inst, &mut rng2, 0.3).bits());
+            assert_eq!(sol.bits(), perturbed_greedy(*seed, 0.3).bits());
             // Zero strength must reproduce the deterministic greedy.
-            let plain = greedy(inst, &Ratios::new(inst));
-            let mut rng3 = Xoshiro256::seed_from_u64(*seed);
-            assert_eq!(perturbed_greedy(inst, &mut rng3, 0.0).bits(), plain.bits());
+            let plain = greedy(inst, &Ranking::new(inst));
+            assert_eq!(perturbed_greedy(*seed, 0.0).bits(), plain.bits());
         });
     }
 }

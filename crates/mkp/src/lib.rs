@@ -9,7 +9,9 @@
 //!   evaluation, the hot kernel of the tabu search;
 //! * [`bitset::BitVec`] — packed bit vectors (Hamming distances between
 //!   slave solutions drive the master's strategy adaptation);
-//! * [`eval::Ratios`] — precomputed pseudo-utility/burden tables;
+//! * [`eval::Ranking`] — precomputed pseudo-utility/burden tables and the
+//!   utility ranking, all a construction reads;
+//! * [`eval::Ratios`] — a ranking plus the evaluation view a search reads;
 //! * [`soa::SoaView`] — structure-of-arrays evaluation view: lane-packed
 //!   weight columns and cached residual capacities for word-parallel
 //!   (SWAR) feasibility tests in the move kernels;
@@ -24,12 +26,11 @@
 //!
 //! ```
 //! use mkp::generate::{gk_instance, GkSpec};
-//! use mkp::eval::Ratios;
+//! use mkp::eval::Ranking;
 //! use mkp::greedy::greedy;
 //!
 //! let inst = gk_instance("demo", GkSpec { n: 50, m: 5, tightness: 0.5, seed: 1 });
-//! let ratios = Ratios::new(&inst);
-//! let sol = greedy(&inst, &ratios);
+//! let sol = greedy(&inst, &Ranking::new(&inst));
 //! assert!(sol.is_feasible(&inst));
 //! ```
 

@@ -59,8 +59,9 @@ pub const LEVELS: usize = 16;
 
 /// An instance's weight columns packed four constraints per `u64` word,
 /// 16 bits per lane: the one lane encoding every word-parallel fits test
-/// reads. Part of [`SoaView`]; a kernel that holds no view (the ejection
-/// chain) packs its own in O(n·m).
+/// reads. Part of [`SoaView`]; a caller of the ejection chain that holds
+/// no view packs its own in O(n·m) through
+/// `ejection_chain_intensification`.
 ///
 /// Beside the lanes it holds a weight-level index, which does not depend
 /// on the lane encoding: per constraint i a shift `s_i`, the smallest
@@ -195,8 +196,9 @@ impl LaneColumns {
 /// Structure-of-arrays evaluation view of an instance: lane-packed weight
 /// columns, the drop rankings, the Add scan's tables and a
 /// profit-descending item order for intensification scans. Built once per
-/// instance and scan order, alongside [`crate::eval::Ratios`]; immutable
-/// thereafter.
+/// instance, in the utility ranking's scan order, by
+/// [`crate::eval::Ratios::new`] for a search to read (a construction reads
+/// the [`crate::eval::Ranking`] alone); immutable thereafter.
 #[derive(Debug, Clone)]
 pub struct SoaView {
     n: usize,

@@ -23,13 +23,16 @@
 //! * [`drop_refill_intensification`] — expel one packed item and rebuild
 //!   greedily (one-for-many trades). O(|packed| · (n/64 + m)) plus one
 //!   refill per expelled item.
-//! * [`ejection_chain_intensification`] — Glover's bounded ejection chain
+//! * [`ejection_chain_over`] — Glover's bounded ejection chain
 //!   (many-for-one trades). Each tried entrant costs an O(m) fits test;
 //!   each ejection step O(m + |V|·|packed|) for its violated constraints
 //!   V, as array operations over a cache of the packed items' weights,
 //!   profits and indices, rebuilt in O(m·(n/64 + |packed|)) after an
-//!   improvement; and a successful chain one refill. The call packs its
-//!   lane columns and level index once, in O(n·m).
+//!   improvement; and a successful chain one refill. Its refills read
+//!   the lane columns of the search's view;
+//!   [`ejection_chain_intensification`] is the same chain for a caller
+//!   that holds no view, packing the columns and level index per call in
+//!   O(n·m).
 //!
 //! The fifth kernel, strategic oscillation, lives in
 //! [`crate::oscillate`].
@@ -231,17 +234,19 @@ pub fn drop_refill_intensification(
 /// scan's to the bit; an ejected item scores 0 and never wins. A step
 /// counts `|packed|` candidate evaluations over the trial solution, as the
 /// per-item scan did, and costs O(m + |V|·|packed|); the refill is
-/// [`DynamicFill`] over lane columns packed once per call.
+/// [`DynamicFill`] over `lanes`, which must be `inst`'s (the search passes
+/// its view's).
 ///
 /// The trial solution and every buffer are reused across entrants, so a
-/// call allocates at most eight buffers, whatever n is.
-pub fn ejection_chain_intensification(
+/// call allocates at most six buffers, whatever n is (eight through
+/// [`ejection_chain_intensification`], which also packs the lanes).
+pub fn ejection_chain_over(
     inst: &Instance,
+    lanes: &LaneColumns,
     sol: &mut Solution,
     stats: &mut MoveStats,
     max_eject: usize,
 ) -> usize {
-    let lanes = LaneColumns::new(inst);
     let mut fill = DynamicFill::new(inst);
     let mut trial = sol.clone();
     let mut cache = PackedItems::new(inst);
@@ -276,7 +281,7 @@ pub fn ejection_chain_intensification(
                 continue;
             }
             trial.add(inst, j);
-            fill.run(inst, &lanes, &mut trial, None);
+            fill.run(inst, lanes, &mut trial, None);
             if trial.value() > sol.value() {
                 std::mem::swap(sol, &mut trial);
                 cache.rebuild(inst, sol);
@@ -290,6 +295,17 @@ pub fn ejection_chain_intensification(
     }
     debug_assert!(sol.is_feasible(inst));
     improvements
+}
+
+/// [`ejection_chain_over`] for a caller that holds no view: packs `inst`'s
+/// lane columns and level index, in O(n·m), for this one call.
+pub fn ejection_chain_intensification(
+    inst: &Instance,
+    sol: &mut Solution,
+    stats: &mut MoveStats,
+    max_eject: usize,
+) -> usize {
+    ejection_chain_over(inst, &LaneColumns::new(inst), sol, stats, max_eject)
 }
 
 /// A solution's packed items as the ejection chain scores them: one f64
@@ -698,14 +714,16 @@ mod tests {
         }
     }
 
-    /// The kernel makes the reference's choices to the bit, returns the
-    /// same count and charges the same evaluations, on tied instances
+    /// The kernel, over the lane columns of the instance's view as the
+    /// search runs it, makes the reference's choices to the bit, returns
+    /// the same count and charges the same evaluations, on tied instances
     /// (zero profits, weightless items, zero capacities) from maximal and
     /// thinned random feasible starts, for every ejection bound 0–4.
     #[test]
     fn prop_ejection_chain_matches_reference() {
         prop_check!(|rng| (gen::tied_instance(rng), rng.next_u64()), |input| {
             let (inst, seed) = input;
+            let ratios = Ratios::new(inst);
             let mut rng = Xoshiro256::seed_from_u64(*seed);
             let maximal = random_feasible(inst, &mut rng);
             let mut thinned = maximal.clone();
@@ -726,8 +744,13 @@ mod tests {
                     );
                     let mut got = start.clone();
                     let mut got_stats = MoveStats::default();
-                    let got_count =
-                        ejection_chain_intensification(inst, &mut got, &mut got_stats, max_eject);
+                    let got_count = ejection_chain_over(
+                        inst,
+                        ratios.view().lanes(),
+                        &mut got,
+                        &mut got_stats,
+                        max_eject,
+                    );
                     assert_eq!(got.bits(), expected.bits(), "max_eject {max_eject}");
                     assert_eq!(got_count, expected_count, "max_eject {max_eject}");
                     assert_eq!(

@@ -10,8 +10,7 @@ use crate::diversify::{diversify, DiversifyParams};
 use crate::elite::ElitePool;
 use crate::history::History;
 use crate::intensify::{
-    drop_refill_intensification, ejection_chain_intensification, lateral_swap_fill,
-    swap_intensification,
+    drop_refill_intensification, ejection_chain_over, lateral_swap_fill, swap_intensification,
 };
 use crate::moves::{apply_move, MoveStats};
 use crate::neighborhood::{best_of_k_move_in, MoveSelection, NeighborhoodScratch};
@@ -231,7 +230,7 @@ pub fn run_with_memory<M: TabuMemory + Clone + Send + Sync>(
             swap_intensification(inst, ratios, &mut x_local, &mut stats);
             lateral_swap_fill(inst, ratios, &mut x_local, &mut stats);
             drop_refill_intensification(inst, ratios, &mut x_local, &mut stats);
-            ejection_chain_intensification(inst, &mut x_local, &mut stats, 3);
+            ejection_chain_over(inst, ratios.view().lanes(), &mut x_local, &mut stats, 3);
             strategic_oscillation(inst, ratios, &mut x_local, config.osc_depth, &mut stats);
             if x_local.value() > best.value() {
                 best = x_local.clone();

@@ -28,8 +28,7 @@ fn main() {
     );
 
     // A baseline everyone understands: the ratio greedy.
-    let ratios = Ratios::new(&inst);
-    let g = greedy(&inst, &ratios);
+    let g = greedy(&inst, &Ranking::new(&inst));
     println!("greedy value        : {}", g.value());
 
     // The paper's method: 4 cooperative slaves, dynamically retuned by the

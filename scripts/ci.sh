@@ -175,19 +175,21 @@ for mode in seq cts1; do
     || { echo "error: mode $mode metrics failed validation" >&2; exit 1; }
 done
 
-step "CORE, CTS2 and ATS determinism on the large class (metrics identical, validated)"
+step "CORE, CTS2, ATS, REPAIR and DTS determinism on the large class (metrics identical, validated)"
 # On GK 40x5 at most five LP duals are nonzero, so the simplex's four-row
 # pricing blocks barely run; on large 25x500 they carry the LP. CTS2 at
 # this budget finishes its local-search loops, so every assignment ends in
 # the full-space intensification kernels (ejection chain and drop-refill
 # through the lane-tested dynamic fill). ATS at the same budget runs those
 # kernels under the pipelined release rule, where the workers overlap
-# rounds. Two identically seeded runs of each mode must dump
-# byte-identical metrics.
+# rounds. REPAIR's master builds every restart point from a perturbed
+# ranking, and DTS's master picks its split from the utility ranking.
+# Two identically seeded runs of each mode must dump byte-identical
+# metrics.
 tmpfile tmp_large /tmp/ci-large-XXXXXX.mkp
 cargo run --release --offline --locked -p mkp-cli -- \
   generate "$tmp_large" --class large --n 500 --m 25 --seed 7
-for run in "core 200000" "cts2 2000000" "ats 2000000"; do
+for run in "core 200000" "cts2 2000000" "ats 2000000" "repair 2000000" "dts 2000000"; do
   read -r mode budget <<< "$run"
   for metrics in "$tmp_m1" "$tmp_m2"; do
     cargo run --release --offline --locked -p mkp-cli -- \

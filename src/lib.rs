@@ -33,7 +33,7 @@ pub use simplex_lp;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use mkp::eval::Ratios;
+    pub use mkp::eval::{Ranking, Ratios};
     pub use mkp::generate::{
         fp_instance, fp_suite, gk_instance, large_instance, large_suite, mk_suite, table1_suite,
         uncorrelated_instance, GkSpec, LargeSpec,

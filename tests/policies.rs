@@ -250,6 +250,9 @@ fn large_class_outputs_are_pinned_across_versions() {
     // pivot path. These values were recorded before the master's
     // construction and LP were optimised; the optimisations must keep
     // them exactly. n·m = 10,000 puts the ISP restarts on the lazy greedy.
+    // The REPAIR and DTS rows were recorded before their constructions
+    // stopped building evaluation views: they hold the perturbed
+    // rankings' rng draws and the DTS split.
     let inst = large_instance(
         "pinned",
         LargeSpec {
@@ -271,18 +274,20 @@ fn large_class_outputs_are_pinned_across_versions() {
             Mode::CooperativeAdaptive,
             392_261,
             492_793,
-            [
+            &[
                 392_043, 392_043, 392_043, 392_043, 392_261, 392_261, 392_261, 392_261,
-            ],
+            ][..],
         ),
         (
             Mode::Core,
             392_261,
             490_702,
-            [
+            &[
                 392_043, 392_043, 392_043, 392_043, 392_261, 392_261, 392_261, 392_261,
             ],
         ),
+        (Mode::Repair, 383_932, 486_737, &[383_932; 8]),
+        (Mode::Decomposed, 392_227, 4_456_210, &[392_227]),
     ];
     for (mode, best, total_evals, round_best) in expected {
         let r = run_mode(&inst, mode, &cfg);
