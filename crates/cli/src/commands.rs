@@ -108,16 +108,16 @@ listing the losses, and exits with code 2 so scripts can tell a degraded
 run from a clean one.
 
 --checkpoint FILE writes the complete master state to FILE every
---checkpoint-every K rounds (synchronous modes only); --resume FILE
-continues such a snapshot — with the same instance and flags — to a result
-bit-identical to the uninterrupted run.
+--checkpoint-every K rounds; --resume FILE continues such a snapshot —
+with the same instance and flags — to a result bit-identical to the
+uninterrupted run.
 
 --listen ADDR runs the solve as a *distributed* master: instead of the
 in-process pool it waits for P `mkp slave --connect ADDR` processes (which
 may be on other machines for tcp:), drives the identical protocol over the
 socket, and heals a killed slave by adopting its reconnect. Fault injection
-(--fault) and checkpointing are in-process features and are rejected with
---listen. `mkp slave` serves one run and exits 0 after the master's STOP;
+(--fault) is an in-process feature and is rejected with --listen.
+`mkp slave` serves one run and exits 0 after the master's STOP;
 --patience bounds every wait (for the master to appear, for the next
 instruction, for a reconnect to succeed).
 
@@ -501,11 +501,6 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
                     .into(),
             ));
         }
-        if args.get_str("checkpoint").is_some() || args.get_str("resume").is_some() {
-            return Err(CliError::Invalid(
-                "--checkpoint/--resume are not yet supported with --listen".into(),
-            ));
-        }
     }
 
     let cfg = RunConfig {
@@ -520,23 +515,26 @@ pub fn cmd_solve(args: &Args) -> Result<String, CliError> {
         ..RunConfig::new(search.budget, search.seed)
     };
     cfg.validate().map_err(CliError::Invalid)?;
+    let resume = args
+        .get_str("resume")
+        .map(|path| {
+            Snapshot::load(std::path::Path::new(path))
+                .map_err(|e| CliError::Io(format!("{path}: {e}")))
+        })
+        .transpose()?;
+    // The snapshot, not --mode, decides the policy: resuming under a
+    // different mode could not reproduce the original run.
+    let mode = resume.as_ref().map_or(search.mode, |snap| snap.mode);
     let report = match &listen {
-        Some(endpoint) => run_remote_with(&inst, search.mode, &cfg, endpoint, net_fault),
+        Some(endpoint) => run_remote_with(&inst, mode, &cfg, endpoint, resume, net_fault),
         None => {
             let mut engine = Engine::new(cfg.p);
             if let Some(plan) = fault {
                 engine.inject_fault(plan);
             }
-            match args.get_str("resume") {
-                None => engine.run(&inst, search.mode, &cfg),
-                Some(path) => {
-                    // The snapshot, not --mode, decides the policy: resuming
-                    // under a different mode could not reproduce the
-                    // original run.
-                    let snap = Snapshot::load(std::path::Path::new(path))
-                        .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-                    engine.resume(&inst, snap, &cfg)
-                }
+            match resume {
+                None => engine.run(&inst, mode, &cfg),
+                Some(snap) => engine.resume(&inst, snap, &cfg),
             }
         }
     }

@@ -27,7 +27,10 @@
 //!   round r+1 to every worker.
 //! * **Pipelined** — the §6 asynchronous extension (ATS): worker k's
 //!   next assignment leaves as soon as k's report is processed, so the
-//!   workers overlap rounds freely.
+//!   workers overlap rounds freely, except across a *cut*, a boundary
+//!   where the slice checkpoints, parks or ends. There the master
+//!   processes every report before the cut and snapshots, then releases
+//!   the cut's round to every worker, as at every synchronous boundary.
 //!
 //! # Recovery (DESIGN.md §10)
 //!
@@ -43,9 +46,9 @@
 //! never be mistaken for the redo. A worker whose restart budget runs dry
 //! falls back to the old behavior: permanent quarantine, the run finishing
 //! degraded over the survivors. Orthogonally, `RunConfig::checkpoint`
-//! makes the synchronous master serialize its complete state every K
-//! rounds ([`crate::snapshot`]); [`Engine::resume`] continues such a
-//! snapshot bit-identically to the uninterrupted run.
+//! makes the master serialize its complete state at a cut every K rounds
+//! ([`crate::snapshot`]), under either delivery; [`Engine::resume`]
+//! continues such a snapshot bit-identically to the uninterrupted run.
 
 use crate::messages::{tags, AssignMsg, ProblemMsg, ReportMsg, SeedMsg};
 use crate::runner::{LossCause, Mode, ModeReport, Resurrection, RunConfig, WorkerLoss};
@@ -74,7 +77,11 @@ pub enum Delivery {
     /// processed (every mode but ATS).
     Synchronous,
     /// Release a worker's next round as soon as its report is processed,
-    /// without waiting for its peers (ATS).
+    /// without waiting for its peers, except across a cut (ATS). A
+    /// pipelined policy's [`assign`](CoopPolicy::assign) must read only
+    /// worker k's own state and draw nothing from the master rng: then
+    /// draining the pipeline at a cut leaves the run bit-identical to
+    /// one that never stopped there.
     Pipelined,
 }
 
@@ -193,8 +200,8 @@ pub enum EngineError {
         message: String,
     },
     /// The request cannot be served as configured (invalid cross-field
-    /// configuration, checkpointing a mode that has no consistent round
-    /// boundary, resuming a snapshot that doesn't match the run).
+    /// configuration, relinking a pipelined mode, resuming a snapshot
+    /// that doesn't match the run).
     Unsupported {
         /// What was asked for and why it can't be done.
         detail: String,
@@ -481,7 +488,6 @@ pub(crate) fn admit(
 ) -> Result<Box<dyn CoopPolicy>, EngineError> {
     let reject = |detail: String| Err(EngineError::Unsupported { detail });
     let mut policy = policy_for(mode);
-    let pipelined = policy.delivery() == Delivery::Pipelined;
     if let Some(snap) = resume {
         if snap.mode != mode {
             return reject(format!(
@@ -501,9 +507,6 @@ pub(crate) fn admit(
         }
         let active = policy.active_workers(cfg);
         let rounds = policy.rounds(cfg);
-        if pipelined {
-            return reject("pipelined modes cannot be checkpointed or resumed".to_string());
-        }
         if snap.alive.len() != active
             || snap.epochs.len() != active
             || snap.restarts_used.len() != active
@@ -556,26 +559,15 @@ pub(crate) fn admit(
     if let Err(detail) = cfg.validate() {
         return reject(detail);
     }
-    if cfg.checkpoint.is_some() && pipelined {
-        return reject(
-            "checkpointing requires synchronous delivery: the pipelined ATS \
-             master has no consistent round boundary to snapshot"
-                .to_string(),
-        );
-    }
-    if policy.relink(cfg) && pipelined {
+    if policy.relink(cfg) && policy.delivery() == Delivery::Pipelined {
         return reject(
             "relinking requires synchronous delivery: the pipelined ATS \
              master has no complete round to relink"
                 .to_string(),
         );
     }
-    match park_after {
-        Some(0) => return reject("park_after must be at least one round".to_string()),
-        Some(_) if pipelined => {
-            return reject("pipelined modes have no round boundary to park at".to_string())
-        }
-        _ => {}
+    if park_after == Some(0) {
+        return reject("park_after must be at least one round".to_string());
     }
     if let Some(snap) = resume {
         policy
@@ -1137,15 +1129,21 @@ pub(crate) fn master_loop<C: Transport>(
     // Built at the slice's first relink and kept for the slice: the
     // ratios are a function of the instance alone.
     let mut relink_ratios: Option<Ratios> = None;
-    // One Round span per synchronous round. The pipeline has no round
-    // boundary, so one Round span covers the whole run.
+    // The cut rule (module docs). A cut's round leaves in batches of one
+    // Assign span: the whole round when synchronous, one worker at a time
+    // in the pipeline, as between cuts (`step_by` needs a batch of at
+    // least one). One Round span runs cut to cut.
+    let checkpoint_at = |r: usize| {
+        cfg.checkpoint
+            .as_ref()
+            .filter(|cp| r.is_multiple_of(cp.every))
+    };
+    let park_at = |r: usize| park_after.is_some_and(|park| r - start_round >= park);
+    let cut = |r: usize| !pipelined || r == rounds || checkpoint_at(r).is_some() || park_at(r);
+    let batch = if pipelined { 1 } else { active.max(1) };
     let mut round_span = Some(tel.span(0, SpanKind::Round));
-    if pipelined {
-        for k in 0..active {
-            m.release(0, k..k + 1)?;
-        }
-    } else {
-        m.release(start_round, 0..active)?;
+    for first in (0..active).step_by(batch) {
+        m.release(start_round, first..first + batch)?;
     }
     // The open deadline window and its Gather span: the pipeline opens
     // one per wait (the budget is per expected report, and stale
@@ -1177,10 +1175,10 @@ pub(crate) fn master_loop<C: Transport>(
             continue;
         }
         window = None;
-        if k == 0 && !pipelined && m.policy.relink(cfg) {
+        if k == 0 && m.policy.relink(cfg) {
             // Optional master-side exploitation: relink the two best
             // distinct slave solutions of the round (information neither
-            // slave holds alone).
+            // slave holds alone). `admit` refuses it in the pipeline.
             let reports = m.buffer.range((round, 0)..(round + 1, 0));
             let reports = reports.map(|(&(_, j), report)| (j, report));
             m.state.total_evals +=
@@ -1188,7 +1186,7 @@ pub(crate) fn master_loop<C: Transport>(
         }
         if let Some(report) = m.buffer.remove(&cursor) {
             m.process(k, round, &report)?;
-            if pipelined && round + 1 < rounds && m.workers.alive[k] {
+            if !cut(round + 1) && m.workers.alive[k] {
                 m.release(round + 1, k..k + 1)?;
             }
         }
@@ -1198,20 +1196,18 @@ pub(crate) fn master_loop<C: Transport>(
         }
         m.state.close_round()?;
         cursor = (round + 1, 0);
-        if pipelined {
+        if !cut(round + 1) {
             continue;
         }
 
-        // Periodic checkpoint and quantum-boundary park share one
-        // snapshot: the state as of the top of `round + 1`. The final
-        // round is never snapshotted — the run is over. A parked slice is
-        // thus the identical artifact a periodic checkpoint writes, so a
-        // resumed job continues bit-identically to one that never parked.
-        let checkpoint = cfg
-            .checkpoint
-            .as_ref()
-            .filter(|cp| (round + 1) % cp.every == 0);
-        let park = park_after.is_some_and(|park| round + 1 - start_round >= park);
+        // At a cut no assignment is out. Periodic checkpoint and
+        // quantum-boundary park share one snapshot: the state as of the
+        // top of `round + 1`. The final round is never snapshotted — the
+        // run is over. A parked slice is thus the identical artifact a
+        // periodic checkpoint writes, so a resumed job continues
+        // bit-identically to one that never parked.
+        let checkpoint = checkpoint_at(round + 1);
+        let park = park_at(round + 1);
         if round + 1 < rounds && (checkpoint.is_some() || park) {
             let _snap_span = tel.span(0, SpanKind::SnapshotWrite);
             let snap = m.snapshot(round + 1)?;
@@ -1231,7 +1227,9 @@ pub(crate) fn master_loop<C: Transport>(
         round_span = None;
         if round + 1 < rounds {
             round_span = Some(tel.span(0, SpanKind::Round));
-            m.release(round + 1, 0..active)?;
+            for first in (0..active).step_by(batch) {
+                m.release(round + 1, first..first + batch)?;
+            }
         }
     }
     drop(round_span);
@@ -1671,19 +1669,109 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_a_pipelined_mode_is_rejected_up_front() {
+    fn pipelined_checkpoints_and_slice_chains_reproduce_the_uninterrupted_run() {
+        // At a cut the pipeline drains: every report before it is
+        // processed, the snapshot is written, and only then does the
+        // cut's round leave. ATS's `assign` reads only its worker's own
+        // state, so a run cut anywhere is the uninterrupted run.
+        let inst = inst();
+        let dir = std::env::temp_dir().join(format!("mkp-ats-cuts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut engine = Engine::new(3);
+        for (p, seed) in [(2, 11), (3, 12), (3, 13)] {
+            let cfg = RunConfig {
+                p,
+                rounds: 5,
+                ..RunConfig::new(50_000, seed)
+            };
+            let solo = engine.run(&inst, Mode::Asynchronous, &cfg).unwrap();
+            let assert_solo = |r: &ModeReport, case: &str| {
+                assert_eq!(r.best.bits(), solo.best.bits(), "{case}");
+                assert_eq!(r.round_best, solo.round_best, "{case}");
+                assert_eq!(r.total_moves, solo.total_moves, "{case}");
+                assert_eq!(r.total_evals, solo.total_evals, "{case}");
+                assert_eq!(r.regenerations, solo.regenerations, "{case}");
+            };
+            for quantum in [1, 2] {
+                let (mut resume, mut slices) = (None, 1);
+                let chained = loop {
+                    let slice = engine.run_slice(
+                        &inst,
+                        Mode::Asynchronous,
+                        &cfg,
+                        resume.take(),
+                        Some(quantum),
+                    );
+                    match slice.unwrap() {
+                        SliceOutcome::Parked(snap) => resume = Some(*snap),
+                        SliceOutcome::Finished(report) => break *report,
+                    }
+                    slices += 1;
+                };
+                let case = format!("p {p} seed {seed}, slices of {quantum}");
+                assert_eq!(slices, cfg.rounds.div_ceil(quantum), "{case}");
+                assert_solo(&chained, &case);
+            }
+            for every in 1..=3 {
+                let path = dir.join(format!("p{p}-s{seed}-every{every}.snap"));
+                let checkpoint = Some(CheckpointCfg {
+                    path: path.clone(),
+                    every,
+                });
+                let checkpointed = RunConfig {
+                    checkpoint,
+                    ..cfg.clone()
+                };
+                let case = format!("p {p} seed {seed}, checkpoint every {every}");
+                let report = engine.run(&inst, Mode::Asynchronous, &checkpointed);
+                assert_solo(&report.unwrap(), &case);
+                let snap = Snapshot::load(&path).unwrap();
+                assert_eq!(snap.next_round, (cfg.rounds - 1) / every * every, "{case}");
+                let resumed = engine.resume(&inst, snap, &cfg).unwrap();
+                assert_solo(&resumed, &format!("{case}, resumed"));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_straggler_at_a_cut_leaves_no_later_history_in_the_snapshot() {
+        // The last worker dequeues its round-1 assignment 300 ms late. Had
+        // round 2 left its peers before the cut, they would report it, and
+        // the master would bank their round-2 Histories, before round 1
+        // closes and the snapshot is written; their resumed round 2 would
+        // then start from the wrong History. The drain holds round 2 back.
+        // The budget lets each assignment reach diversification, which
+        // reads the History (a smaller one hides a leaked History).
         let inst = inst();
         let mut engine = Engine::new(3);
-        let mut cfg = cfg();
-        cfg.checkpoint = Some(CheckpointCfg {
-            path: std::env::temp_dir().join("ats-reject.snap"),
-            every: 1,
-        });
-        let err = engine.run(&inst, Mode::Asynchronous, &cfg).unwrap_err();
-        assert!(
-            matches!(err, EngineError::Unsupported { .. }),
-            "expected Unsupported, got {err:?}"
-        );
+        let cfg = RunConfig {
+            p: 3,
+            rounds: 4,
+            ..RunConfig::new(4_000_000, 11)
+        };
+        let solo = engine.run(&inst, Mode::Asynchronous, &cfg).unwrap();
+        let path = std::env::temp_dir().join(format!("mkp-ats-lag-{}.snap", std::process::id()));
+        let checkpointed = RunConfig {
+            checkpoint: Some(CheckpointCfg {
+                path: path.clone(),
+                every: 2,
+            }),
+            ..cfg.clone()
+        };
+        let lag = FaultAction::Delay(Duration::from_millis(300));
+        engine.inject_fault(fault_at_round(2, 1, lag));
+        let lagged = engine
+            .run(&inst, Mode::Asynchronous, &checkpointed)
+            .unwrap();
+        assert_eq!(lagged.best.bits(), solo.best.bits());
+        let snap = Snapshot::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let resumed = engine.resume(&inst, snap, &cfg).unwrap();
+        assert_eq!(resumed.best.bits(), solo.best.bits());
+        assert_eq!(resumed.round_best, solo.round_best);
+        assert_eq!(resumed.total_moves, solo.total_moves);
+        assert_eq!(resumed.total_evals, solo.total_evals);
     }
 
     #[test]
@@ -1729,15 +1817,19 @@ mod tests {
             panic!("a three-round slice parks after one round: {slice:?}");
         };
         torn.policy.truncate(3);
+        let relinked = RunConfig {
+            relink: true,
+            ..cfg.clone()
+        };
         let cases = [
-            (Mode::Asynchronous, None, Some(1)),
-            (Mode::CooperativeAdaptive, None, Some(0)),
-            (Mode::CooperativeAdaptive, Some(*torn), None),
+            (Mode::Asynchronous, &relinked, None, None),
+            (Mode::CooperativeAdaptive, &cfg, None, Some(0)),
+            (Mode::CooperativeAdaptive, &cfg, Some(*torn), None),
         ];
-        for (mode, resume, park_after) in cases {
+        for (mode, run_cfg, resume, park_after) in cases {
             let start = Instant::now();
             let err = engine
-                .run_slice(&inst, mode, &cfg, resume, park_after)
+                .run_slice(&inst, mode, run_cfg, resume, park_after)
                 .unwrap_err();
             let took = start.elapsed();
             assert!(

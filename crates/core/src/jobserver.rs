@@ -15,9 +15,10 @@
 //! (PR 4's checkpoint artifact) — and the next job resumes from its own
 //! snapshot. Because a parked snapshot is bit-identical to a periodic
 //! checkpoint, a job sliced into N quanta produces *exactly* the report
-//! an uninterrupted run would (asserted by `tests/jobserver.rs`). Modes
-//! without a round boundary to park at (pipelined ATS, or SEQ/ITS/DTS
-//! which fold into one round) run their whole budget in a single turn.
+//! an uninterrupted run would (asserted by `tests/jobserver.rs`). Every
+//! multi-round mode parks, pipelined ATS included (it drains to the
+//! round boundary first); SEQ, ITS and DTS fold into one round, which
+//! no quantum ends early, so they run their whole budget in one turn.
 //!
 //! Every server parks through one store, the spool: a park saves the
 //! snapshot to `<spool_dir>/job-<id>.snap` (the checkpoint file format,
@@ -72,9 +73,7 @@
 //! to SIGTERM) stops admission, finishes the current slice, leaves
 //! every job parked durably and releases the slaves with one STOP.
 
-use crate::engine::{
-    admit, master_loop, policy_for, stop_farm, Delivery, Engine, EngineError, SliceOutcome,
-};
+use crate::engine::{admit, master_loop, stop_farm, Engine, EngineError, SliceOutcome};
 use crate::journal::{Journal, Record};
 use crate::messages::{pack_bits, unpack_bits, ProblemMsg};
 use crate::remote::connect_fleet;
@@ -386,8 +385,8 @@ pub enum ServeBackend {
 /// the system temp dir, no job limit, and ~2 minutes of patience.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Master rounds a job runs per turn before parking. Jobs without a
-    /// round boundary (pipelined delivery, single-round modes) run their
+    /// Master rounds a job runs per turn before parking. A single-round
+    /// mode (SEQ, ITS, DTS) has no boundary to park at and runs its
     /// whole budget in one turn regardless.
     pub quantum: usize,
     /// Cap on accepted-but-unfinished jobs across all clients.
@@ -553,8 +552,6 @@ struct Job {
     deadline: Option<Instant>,
     /// The submission's idempotency token; 0 means none.
     token: u64,
-    /// `Some(quantum)` when the mode has round boundaries to park at.
-    park_after: Option<usize>,
     /// Wall-clock spent in this job's slices so far.
     spent: Duration,
     /// Best (value, rounds-done) announced so far — replayed to a
@@ -918,13 +915,7 @@ impl Scheduler {
         if self.drain_requested() {
             return Err("server is draining; resubmit after its restart".into());
         }
-        let job = Job::from_submit(
-            self.next_job,
-            client,
-            msg,
-            self.pool.capacity(),
-            self.cfg.quantum,
-        )?;
+        let job = Job::from_submit(self.next_job, client, msg, self.pool.capacity())?;
         if self.jobs.len() >= self.cfg.max_queue {
             return Err(format!(
                 "job queue is full ({} jobs pending)",
@@ -1006,11 +997,12 @@ impl Scheduler {
         };
 
         let turn_start = Instant::now();
+        let park_after = Some(self.cfg.quantum);
         let outcome = match &mut self.pool {
             Pool::InProc(engine) => {
-                engine.run_slice(&job.inst, job.mode, &job.cfg, resume, job.park_after)
+                engine.run_slice(&job.inst, job.mode, &job.cfg, resume, park_after)
             }
-            Pool::Socket(hub) => socket_slice(hub, &job, resume),
+            Pool::Socket(hub) => socket_slice(hub, &job, resume, park_after),
         };
         job.spent += turn_start.elapsed();
         self.stats.slices += 1;
@@ -1279,7 +1271,7 @@ impl Scheduler {
             // stranger build's mode, an instance an older build let
             // through, or more workers than this restart's farm has. The
             // next compaction forgets its SUBMIT; its park goes now.
-            let Ok(mut job) = Job::from_submit(id, 0, &msg, capacity, self.cfg.quantum) else {
+            let Ok(mut job) = Job::from_submit(id, 0, &msg, capacity) else {
                 self.remove_spool(id);
                 continue;
             };
@@ -1319,15 +1311,9 @@ impl Job {
     /// instance, `p` against the farm's `capacity`, rounds, budget, run
     /// configuration). Admission and journal recovery both build jobs
     /// here, so a recovered job is built *identically* to a freshly
-    /// admitted one (same parkability, deadline armed from now) — the
-    /// bit-identity guarantee depends on it — and is refused alike.
-    fn from_submit(
-        id: u64,
-        client: u64,
-        msg: &SubmitMsg,
-        capacity: usize,
-        quantum: usize,
-    ) -> Result<Job, String> {
+    /// admitted one (deadline armed from now) — the bit-identity
+    /// guarantee depends on it — and is refused alike.
+    fn from_submit(id: u64, client: u64, msg: &SubmitMsg, capacity: usize) -> Result<Job, String> {
         let mode =
             Mode::from_code(msg.mode).ok_or_else(|| format!("unknown mode code {}", msg.mode))?;
         let inst = msg
@@ -1353,8 +1339,6 @@ impl Job {
             ..RunConfig::new(msg.budget_evals, msg.seed)
         };
         cfg.validate()?;
-        let policy = policy_for(mode);
-        let parkable = policy.delivery() == Delivery::Synchronous && policy.rounds(&cfg) > 1;
         let deadline =
             (msg.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(msg.deadline_ms));
         Ok(Job {
@@ -1365,7 +1349,6 @@ impl Job {
             cfg,
             deadline,
             token: msg.token,
-            park_after: parkable.then_some(quantum),
             spent: Duration::ZERO,
             last_incumbent: None,
             state: JobState::Fresh,
@@ -1377,11 +1360,12 @@ fn socket_slice(
     hub: &SocketHub,
     job: &Job,
     resume: Option<Snapshot>,
+    park_after: Option<usize>,
 ) -> Result<SliceOutcome, EngineError> {
     let (inst, cfg) = (&job.inst, &job.cfg);
-    let mut policy = admit(inst, job.mode, cfg, resume.as_ref(), job.park_after)?;
+    let mut policy = admit(inst, job.mode, cfg, resume.as_ref(), park_after)?;
     let tel = Telemetry::new(hub.ntasks());
-    master_loop(hub, inst, &mut *policy, cfg, resume, job.park_after, &tel)
+    master_loop(hub, inst, &mut *policy, cfg, resume, park_after, &tel)
 }
 
 // ---------------------------------------------------------------------------

@@ -112,8 +112,14 @@ pub(crate) fn pack_bits(bits: &BitVec, buf: &mut PackBuffer) {
     buf.put_u64s(&ones);
 }
 
+/// Unpack a [`pack_bits`] solution. Every solution holds one bit per
+/// item, so a length past [`Instance::MAX_ITEMS`] is refused before the
+/// bits are allocated.
 pub(crate) fn unpack_bits(buf: &mut UnpackBuffer<'_>) -> Result<BitVec, CodecError> {
     let len = buf.get_usize()?;
+    if len > Instance::MAX_ITEMS {
+        return Err(CodecError::LengthOverflow { length: len as u64 });
+    }
     let ones = buf.get_u64s()?;
     let mut bits = BitVec::zeros(len);
     for j in ones {
@@ -504,6 +510,40 @@ mod tests {
         // with an out-of-range value.
         bytes[16] = 0xFF;
         assert!(AssignMsg::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_bit_length_past_the_item_limit_is_refused() {
+        // Each message opens with its solution's bit length. Claiming
+        // 2^31 items would cost 256 MB of zeroed bits if it were trusted.
+        let claim = |mut bytes: Vec<u8>, items: usize| {
+            bytes[..8].copy_from_slice(&(items as u64).to_le_bytes());
+            bytes
+        };
+        let refused = CodecError::LengthOverflow { length: 1 << 31 };
+        let assign = AssignMsg::trajectory(
+            BitVec::from_bools([true, false]),
+            Strategy::default_for(2),
+            1,
+            0,
+        );
+        let bytes = claim(assign.to_bytes(), 1 << 31);
+        assert_eq!(AssignMsg::from_bytes(&bytes).unwrap_err(), refused);
+        let report = ReportMsg {
+            best: BitVec::from_bools([false, true]),
+            elite: Vec::new(),
+            initial_value: 0,
+            best_value: 1,
+            moves: 1,
+            evals: 1,
+            epoch: 0,
+            history_counts: Vec::new(),
+            history_iterations: 0,
+        };
+        let bytes = claim(report.to_bytes(), 1 << 31);
+        assert_eq!(ReportMsg::from_bytes(&bytes).unwrap_err(), refused);
+        let bytes = claim(report.to_bytes(), Instance::MAX_ITEMS);
+        assert!(ReportMsg::from_bytes(&bytes).is_ok(), "the limit decodes");
     }
 
     #[test]

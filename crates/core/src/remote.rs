@@ -22,6 +22,7 @@ use crate::engine::{
     SlaveExit,
 };
 use crate::runner::{Mode, ModeReport, RunConfig};
+use crate::snapshot::Snapshot;
 use crate::telemetry::{Counter, Telemetry};
 use mkp::Instance;
 use pvm_lite::{Endpoint, NetFaultState, SocketError, SocketHub, SocketTransport, Transport};
@@ -49,19 +50,22 @@ pub fn run_remote(
     cfg: &RunConfig,
     listen: &Endpoint,
 ) -> Result<ModeReport, EngineError> {
-    run_remote_with(inst, mode, cfg, listen, None)
+    run_remote_with(inst, mode, cfg, listen, None, None)
 }
 
-/// [`run_remote`] with a hub-side [`NetFaultState`] armed on the send
-/// path (the CLI's `--net-fault` on `solve --listen`).
+/// [`run_remote`] continuing `resume`, a checkpointed run's snapshot
+/// (then `mode` must be the snapshot's), with a hub-side
+/// [`NetFaultState`] armed on the send path: the CLI's `solve --listen`
+/// with `--resume` and `--net-fault`.
 pub fn run_remote_with(
     inst: &Instance,
     mode: Mode,
     cfg: &RunConfig,
     listen: &Endpoint,
+    resume: Option<Snapshot>,
     fault: Option<Arc<NetFaultState>>,
 ) -> Result<ModeReport, EngineError> {
-    let mut policy = admit(inst, mode, cfg, None, None)?;
+    let mut policy = admit(inst, mode, cfg, resume.as_ref(), None)?;
     let active = policy.active_workers(cfg);
     let hub = connect_fleet(listen, active, cfg.patience(), fault)
         .map_err(|detail| EngineError::Unsupported { detail })?;
@@ -69,7 +73,7 @@ pub fn run_remote_with(
     // Slot 0 is the master; remote slaves keep their own counters in their
     // own processes, so only the master row is filled here.
     let tel = Telemetry::new(hub.ntasks());
-    let result = master_loop(&hub, inst, &mut *policy, cfg, None, None, &tel);
+    let result = master_loop(&hub, inst, &mut *policy, cfg, resume, None, &tel);
     stop_farm(&hub);
 
     fold_comm_stats(&tel, 0, &Transport::comm_stats(&hub));

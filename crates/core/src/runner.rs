@@ -30,7 +30,8 @@ pub enum Mode {
     CooperativeAdaptive,
     /// ATS — rendezvous-free cooperation (the §6 extension): reports are
     /// delivered pipelined, each worker's next assignment leaving as soon
-    /// as its report is processed, in a deterministic logical order.
+    /// as its report is processed, in a deterministic logical order; at
+    /// a checkpoint or park the master drains the pipeline first.
     Asynchronous,
     /// DTS — search-space decomposition over critical variables (the §2
     /// taxonomy's third parallelism source, implemented as an extension).

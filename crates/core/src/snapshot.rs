@@ -1,10 +1,11 @@
 //! Checkpoint/resume of the master state (DESIGN.md §10).
 //!
-//! Every `K` completed rounds the synchronous master serializes its full
-//! state — round counter, rng, global/round bests, the B-best elite, the
-//! per-worker supervision bookkeeping, each worker's latest long-term
-//! History and the policy's own blob — into a versioned, checksummed file
-//! written atomically (tmp + rename). [`Snapshot::load`] rejects anything
+//! Every `K` completed rounds the master serializes its full state at a
+//! cut (the pipeline drains to it first, see [`crate::engine`]) — round
+//! counter, rng, global/round bests, the B-best elite, the per-worker
+//! supervision bookkeeping, each worker's latest long-term History and
+//! the policy's own blob — into a versioned, checksummed file written
+//! atomically (tmp + rename). [`Snapshot::load`] rejects anything
 //! corrupt or truncated with a clean [`SnapshotError`], never a panic, and
 //! [`crate::engine::Engine::resume`] continues the run bit-identically to
 //! the uninterrupted one (objective, best solution and curves; wall clock
@@ -397,6 +398,18 @@ mod tests {
             ],
             policy: vec![7, 8, 9],
         }
+    }
+
+    #[test]
+    fn a_bit_length_past_the_item_limit_is_refused() {
+        // The global best's bit length follows the mode (1 byte), the
+        // fingerprint, digest and round counter (8 each) and the rng (32).
+        let mut bytes = sample().to_bytes();
+        bytes[57..65].copy_from_slice(&3u64.to_le_bytes());
+        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), sample());
+        bytes[57..65].copy_from_slice(&(1u64 << 31).to_le_bytes());
+        let refused = CodecError::LengthOverflow { length: 1 << 31 };
+        assert_eq!(Snapshot::from_bytes(&bytes).unwrap_err(), refused);
     }
 
     #[test]

@@ -179,7 +179,8 @@ impl Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// One master round (synchronous: per rendezvous; pipelined: the
-    /// whole report-driven loop, since it has no round boundary).
+    /// report-driven stretch between two cuts, the whole run unless it
+    /// checkpoints or parks).
     Round,
     /// Master waiting on / draining worker reports.
     Gather,

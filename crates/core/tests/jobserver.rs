@@ -81,8 +81,9 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
     let dir = tmp_dir("interleave");
     let ep = endpoint(&dir, "clients.sock");
 
-    // Two cooperative jobs with different shapes, sliced one round at a
-    // time over the same 4-worker pool; every park goes through the spool.
+    // Three cooperative jobs with different shapes and both deliveries,
+    // sliced one round at a time over the same 4-worker pool; every park
+    // goes through the spool.
     let jobs = [
         (
             instance(11),
@@ -99,6 +100,14 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
             5usize,
             60_000u64,
             13u64,
+        ),
+        (
+            instance(33),
+            Mode::Asynchronous,
+            3usize,
+            3usize,
+            60_000u64,
+            17u64,
         ),
     ];
     let solo: Vec<ModeReport> = jobs
@@ -118,7 +127,7 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
         let cfg = ServeConfig {
             quantum: 1,
             spool_dir: dir.join("spool"),
-            max_jobs: 2,
+            max_jobs: 3,
             patience: PATIENCE,
             ..ServeConfig::default()
         };
@@ -159,11 +168,12 @@ fn interleaved_jobs_are_bit_identical_to_solo_runs() {
 
     // Each job ran one round per slice: the pool really was time-sliced,
     // and every slice after a job's first resumed from the spool.
-    assert_eq!(stats.accepted, 2);
-    assert_eq!(stats.done, 2);
-    assert_eq!(stats.slices, (jobs[0].3 + jobs[1].3) as u64);
+    assert_eq!(stats.accepted, 3);
+    assert_eq!(stats.done, 3);
+    let rounds: usize = jobs.iter().map(|job| job.3).sum();
+    assert_eq!(stats.slices, rounds as u64);
     assert_eq!(stats.restores, stats.slices - stats.accepted);
-    assert_eq!(stats.restores, 7);
+    assert_eq!(stats.restores, 9);
     let leftovers = spool_files(&dir.join("spool"));
     assert!(leftovers.is_empty(), "spool must be drained: {leftovers:?}");
 }

@@ -20,6 +20,8 @@ use std::fmt;
 pub enum InstanceError {
     /// The instance has no items or no constraints.
     EmptyDimension { n: usize, m: usize },
+    /// `n` exceeds [`Instance::MAX_ITEMS`].
+    TooManyItems { n: usize },
     /// `weights.len()` is not `n * m`.
     WeightShape { expected: usize, got: usize },
     /// `capacities.len()` is not `m`.
@@ -43,6 +45,9 @@ impl fmt::Display for InstanceError {
         match self {
             InstanceError::EmptyDimension { n, m } => {
                 write!(f, "instance must have items and constraints (n={n}, m={m})")
+            }
+            InstanceError::TooManyItems { n } => {
+                write!(f, "{n} items exceed the limit of {}", Instance::MAX_ITEMS)
             }
             InstanceError::WeightShape { expected, got } => {
                 write!(f, "weight matrix must hold {expected} entries, got {got}")
@@ -106,6 +111,11 @@ impl Instance {
     /// utilities assume these never wrap.
     pub const MAX_MAGNITUDE: i64 = i64::MAX / 2;
 
+    /// Largest admissible item count, 2^24: far above the largest
+    /// benchmark class (n = 2,500), and small enough that a decoder can
+    /// refuse a longer solution before it allocates one (2 MB of bits).
+    pub const MAX_ITEMS: usize = 1 << 24;
+
     /// Construct an instance from row-major weights (`weights[i * n + j]`).
     pub fn new(
         name: impl Into<String>,
@@ -117,6 +127,9 @@ impl Instance {
     ) -> Result<Self, InstanceError> {
         if n == 0 || m == 0 {
             return Err(InstanceError::EmptyDimension { n, m });
+        }
+        if n > Self::MAX_ITEMS {
+            return Err(InstanceError::TooManyItems { n });
         }
         if profits.len() != n {
             return Err(InstanceError::WeightShape {
@@ -350,6 +363,13 @@ mod tests {
     fn rejects_empty() {
         let err = Instance::new("e", 0, 1, vec![], vec![], vec![1]).unwrap_err();
         assert!(matches!(err, InstanceError::EmptyDimension { .. }));
+    }
+
+    #[test]
+    fn rejects_more_items_than_the_limit() {
+        let n = Instance::MAX_ITEMS + 1;
+        let err = Instance::new("big", n, 1, vec![], vec![], vec![1]).unwrap_err();
+        assert_eq!(err, InstanceError::TooManyItems { n });
     }
 
     #[test]

@@ -265,29 +265,32 @@ step "checkpoint/resume smoke (resume outlives a post-checkpoint kill)"
 # Reference run, uninterrupted. Then the same run checkpointed at round 2
 # and killed at round 2 — after the snapshot is on disk — so the original
 # degrades (exit 2) while the file still holds the healthy state. Resuming
-# it must reproduce the reference objective exactly.
+# it must reproduce the reference objective exactly. CTS2 takes the
+# synchronous rendezvous; ATS drains its pipeline to the checkpoint.
 tmpfile tmp_snap /tmp/ci-snap-XXXXXX
-full="$(cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --mode cts2 --p 4 --rounds 4 --budget 60000 --seed 1 \
-  | grep '^best value')"
-set +e
-cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --mode cts2 --p 4 --rounds 4 --budget 60000 --seed 1 \
-  --timeout 2 --fault kill@1:2 \
-  --checkpoint "$tmp_snap" --checkpoint-every 2 > /dev/null 2>&1
-status=$?
-set -e
-if [ "$status" -ne 2 ]; then
-  echo "error: checkpointed faulty run exited $status (want 2)" >&2
-  exit 1
-fi
-resumed="$(cargo run --release --offline --locked -p mkp-cli -- \
-  solve "$tmp_mkp" --mode cts2 --p 4 --rounds 4 --budget 60000 --seed 1 \
-  --resume "$tmp_snap" | grep '^best value')"
-if [ "$full" != "$resumed" ]; then
-  echo "error: resume diverged: full='$full' resumed='$resumed'" >&2
-  exit 1
-fi
+for mode in cts2 ats; do
+  full="$(cargo run --release --offline --locked -p mkp-cli -- \
+    solve "$tmp_mkp" --mode "$mode" --p 4 --rounds 4 --budget 60000 --seed 1 \
+    | grep '^best value')"
+  set +e
+  cargo run --release --offline --locked -p mkp-cli -- \
+    solve "$tmp_mkp" --mode "$mode" --p 4 --rounds 4 --budget 60000 --seed 1 \
+    --timeout 2 --fault kill@1:2 \
+    --checkpoint "$tmp_snap" --checkpoint-every 2 > /dev/null 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 2 ]; then
+    echo "error: $mode checkpointed faulty run exited $status (want 2)" >&2
+    exit 1
+  fi
+  resumed="$(cargo run --release --offline --locked -p mkp-cli -- \
+    solve "$tmp_mkp" --mode "$mode" --p 4 --rounds 4 --budget 60000 --seed 1 \
+    --resume "$tmp_snap" | grep '^best value')"
+  if [ "$full" != "$resumed" ]; then
+    echo "error: $mode resume diverged: full='$full' resumed='$resumed'" >&2
+    exit 1
+  fi
+done
 
 step "distributed smoke (two slave processes, one killed mid-run)"
 # Real process boundaries over a Unix socket: a master with --listen, two

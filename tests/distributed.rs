@@ -3,7 +3,7 @@
 //! message accounting — because both drive the identical `master_loop`.
 
 use pts_mkp::parallel_tabu::messages::tags;
-use pts_mkp::parallel_tabu::{run_remote, serve_slave, Endpoint, ServeOutcome};
+use pts_mkp::parallel_tabu::{run_remote, run_remote_with, serve_slave, Endpoint, ServeOutcome};
 use pts_mkp::prelude::*;
 use pts_mkp::pvm_lite::{SocketHub, Transport};
 use std::time::Duration;
@@ -158,6 +158,50 @@ fn core_and_repair_policies_are_transport_invariant_across_a_refix() {
             "{mode:?}: socket work totals diverged"
         );
     }
+}
+
+// A checkpoint written by the in-process pool resumes over sockets: the
+// remote master admits the snapshot and runs the same `master_loop` from
+// it, so the farm's transport is invisible in the result.
+#[test]
+fn an_inproc_checkpoint_resumes_over_sockets_bit_identically() {
+    let inst = small_instance(7);
+    let mut cfg = RunConfig {
+        rounds: 4,
+        ..small_cfg(37)
+    };
+    let uninterrupted = run_mode(&inst, Mode::CooperativeAdaptive, &cfg);
+    let path = std::env::temp_dir().join(format!("mkp-dist-resume-{}.snap", std::process::id()));
+    cfg.checkpoint = Some(CheckpointCfg {
+        path: path.clone(),
+        every: 2,
+    });
+    Engine::new(cfg.p)
+        .run(&inst, Mode::CooperativeAdaptive, &cfg)
+        .expect("checkpointed run");
+    cfg.checkpoint = None;
+    let snap = Snapshot::load(&path).expect("checkpoint on disk");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(snap.next_round, 2);
+
+    let ep = unix_endpoint("resume");
+    let slaves: Vec<_> = (0..cfg.p)
+        .map(|_| {
+            let ep = ep.clone();
+            std::thread::spawn(move || serve_slave(&ep, Duration::from_secs(60)))
+        })
+        .collect();
+    let resumed = run_remote_with(&inst, snap.mode, &cfg, &ep, Some(snap), None)
+        .expect("resumed distributed run");
+    for slave in slaves {
+        let outcome = slave.join().expect("slave thread").expect("slave serve");
+        assert_eq!(outcome, ServeOutcome::Finished, "slave saw no STOP");
+    }
+    assert_eq!(resumed.best.bits(), uninterrupted.best.bits());
+    assert_eq!(resumed.round_best, uninterrupted.round_best);
+    assert_eq!(resumed.total_moves, uninterrupted.total_moves);
+    assert_eq!(resumed.total_evals, uninterrupted.total_evals);
+    assert_eq!(resumed.regenerations, uninterrupted.regenerations);
 }
 
 #[test]

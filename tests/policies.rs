@@ -8,9 +8,8 @@
 //!    in-process pool exactly.
 //! 3. **Fault tolerance** — a mid-run worker kill with a restart budget
 //!    heals with zero losses, and healing itself is deterministic.
-//! 4. **Resume** — for the checkpointable (multi-round synchronous)
-//!    policies, interrupt-then-resume is bit-identical to the
-//!    uninterrupted run.
+//! 4. **Resume** — for the checkpointable (multi-round) policies,
+//!    interrupt-then-resume is bit-identical to the uninterrupted run.
 //!
 //! The battery iterates `Mode::all()`, so a future ninth policy is
 //! conscripted automatically — and the count assertion below makes sure
@@ -42,12 +41,16 @@ fn battery_cfg(seed: u64) -> RunConfig {
 }
 
 /// The policies whose runs can be checkpointed and resumed: more than one
-/// round (there is a mid-run state to save) and synchronous delivery (the
-/// round barrier is the snapshot point).
+/// round, so there is a mid-run state to save. The pipelined ATS drains
+/// to the round boundary first.
 fn resumable(mode: Mode) -> bool {
     matches!(
         mode,
-        Mode::Cooperative | Mode::CooperativeAdaptive | Mode::Core | Mode::Repair
+        Mode::Cooperative
+            | Mode::CooperativeAdaptive
+            | Mode::Asynchronous
+            | Mode::Core
+            | Mode::Repair
     )
 }
 
